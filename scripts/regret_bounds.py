@@ -43,8 +43,7 @@ def run_ons(seed, k=10, t=1000):
     for i in range(t):
         played[i] = state.decision
         state, _ = ons_step(state, decision.decision_gradient(state.decision, responses[i]))
-    bound = 2.0 * c2 * k * (1.0 + np.log(1.0 + t / (16.0 * k)))
-    return measured_regret(played, responses), bound
+    return measured_regret(played, responses), decision.regret_bound(c2, k, t, second_order=True)
 
 
 def run_ftrl(seed, k=50, t=2000):
@@ -56,7 +55,7 @@ def run_ftrl(seed, k=50, t=2000):
     for i in range(t):
         played[i] = p
         state, p = ftrl_eg_step(state, decision.decision_gradient(p, responses[i]))
-    return measured_regret(played, responses), 2.0 * np.sqrt(t * np.log(k))
+    return measured_regret(played, responses), decision.regret_bound(1.0, k, t, second_order=False)
 
 
 def run_sampled(seed, k=50, t=2000, c=0.1):
@@ -73,7 +72,7 @@ def run_sampled(seed, k=50, t=2000, c=0.1):
         est = decision.dr_estimate(responses[i, subset], subset, m / k, k)
         g = decision.linearized_gradient(p, est, np.full(k, responses[i, subset].mean()))
         state, p = ftrl_eg_step(state, g)
-    return measured_regret(played, responses), 2.0 * l_dr * np.sqrt(t * np.log(k))
+    return measured_regret(played, responses), decision.regret_bound(l_dr, k, t, second_order=False)
 
 
 def main():

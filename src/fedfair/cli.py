@@ -11,7 +11,7 @@ and writes machine-readable results:
 
 Every number in a summary is recomputed from the serialized round log, so
 the log alone reproduces the report. Round logs are byte-identical across
-reruns and across worker counts.
+reruns and across ``--jobs`` values.
 
 Exit codes: 0 success, 1 configuration error, 2 at least one run failed.
 """
@@ -31,15 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, simplex
+from . import decision, metrics, simplex
 from .datasets import SyntheticDataSpec
-from .errors import ConfigError, DegenerateSubsetError
-from .federation import ADAPTIVE_DEVICE, ADAPTIVE_SILO, FederationConfig, run_federation
-from .transform import CdfKind, CdfSpec, Setting
+from .errors import ConfigError, DegenerateSubsetError, DivergenceError
+from .federation import ADAPTIVE_DEVICE, ADAPTIVE_SILO, FLOAT_FIELDS, FederationConfig, run_federation
+from .transform import CdfKind, CdfSpec, default_range
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = [
     "schema_version",
@@ -60,7 +60,7 @@ CSV_COLUMNS = [
 ]
 
 _INT_KEYS = {"k", "t_rounds", "e", "b", "lr_decay_step", "seed"}
-_FLOAT_KEYS = {"c", "lr", "lr_decay", "weight_decay", "qfedavg_q", "term_lambda", "propfair_m", "afl_q"}
+_FLOAT_KEYS = set(FLOAT_FIELDS)
 _STR_KEYS = {"method", "setting"}
 _CDF_KEYS = {"cdf.kind", "cdf.scale", "cdf.shape"}
 _DATA_INT_KEYS = {
@@ -149,11 +149,6 @@ def parse_config(path, out_dir=None, seeds=None) -> ExperimentSuite:
         kwargs[key] = _parse_number(key, pairs[key], float)
     for key in _STR_KEYS & pairs.keys():
         kwargs[key] = pairs[key]
-
-    if kwargs.get("c", 1.0) <= 0 or kwargs.get("c", 1.0) > 1:
-        raise ConfigError("c", "c must be in (0,1]")
-    if kwargs["setting"] not in [s.value for s in Setting]:
-        raise ConfigError("setting", f"must be one of {[s.value for s in Setting]}")
 
     cdf_kwargs = {}
     if "cdf.kind" in pairs:
@@ -244,15 +239,14 @@ def summary_from_log(lines: list) -> dict:
         cumobj += float(np.asarray(r["decision_prev"])[sampled] @ losses)
 
     method = meta["method"]
+    c_incl = len(rounds[0]["sampled"]) / k
+    response_range = default_range(meta["setting"], k, c_incl)
     bound = None
     if method == ADAPTIVE_SILO:
-        l_inf = (1.0 / k) / 1.0
-        bound = 2.0 * l_inf * k * (1.0 + np.log(1.0 + t / (16.0 * k)))
+        bound = decision.regret_bound(decision.lipschitz_full(response_range), k, t, second_order=True)
     elif method == ADAPTIVE_DEVICE:
-        m = len(rounds[0]["sampled"])
-        c_incl = m / k
-        l_inf_dr = c_incl + 2.0
-        bound = 2.0 * l_inf_dr * np.sqrt(t * np.log(k))
+        l_inf = decision.lipschitz_dr(response_range, c_incl)
+        bound = decision.regret_bound(l_inf, k, t, second_order=False)
 
     worst, best = metrics.worst_best(accuracy, 0.1)
     last = rounds[-1]
@@ -304,7 +298,11 @@ def run_id_for(cfg: FederationConfig) -> str:
     return f"{cfg.method.replace('-', '_')}_seed{cfg.seed}"
 
 
-def _execute_one(cfg: FederationConfig, runs_dir: Path, workers: int) -> dict:
+def _write_log(path: Path, lines: list):
+    path.write_text("\n".join(_json_line(line) for line in lines) + "\n")
+
+
+def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
     run_id = run_id_for(cfg)
     row = {
         "schema_version": SCHEMA_VERSION,
@@ -316,11 +314,9 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path, workers: int) -> dict:
         "seed": cfg.seed,
     }
     try:
-        result = run_federation(cfg, workers=workers)
+        result = run_federation(cfg)
         lines = run_log_lines(result)
-        (runs_dir / f"{run_id}.rounds.jsonl").write_text(
-            "\n".join(_json_line(line) for line in lines) + "\n"
-        )
+        _write_log(runs_dir / f"{run_id}.rounds.jsonl", lines)
         summary = summary_from_log(lines)
         (runs_dir / f"{run_id}.summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n"
@@ -341,6 +337,11 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path, workers: int) -> dict:
         )
     except Exception as err:  # noqa: BLE001 - failures must land in the report
         logger.error("run %s failed: %s", run_id, err)
+        if isinstance(err, DivergenceError):
+            # The rounds completed before the divergence, for diagnosis; a
+            # failed run has no client_eval line.
+            partial = [_meta_line(cfg)] + [rec.to_dict() for rec in err.records]
+            _write_log(runs_dir / f"{run_id}.rounds.jsonl", partial)
         (runs_dir / f"{run_id}.summary.json").write_text(
             json.dumps({"schema": SCHEMA_VERSION, "run_id": run_id, "error": str(err)}, indent=2) + "\n"
         )
@@ -353,14 +354,15 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path, workers: int) -> dict:
 
 
 def run_suite(suite: ExperimentSuite, jobs: int = 1) -> int:
-    """Execute every (config, seed) run; returns the process exit code."""
+    """Execute every (config, seed) run, ``jobs`` seeds at a time in threads;
+    returns the process exit code."""
     runs_dir = suite.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda cfg: _execute_one(cfg, runs_dir, jobs), suite.configs))
+            rows = list(pool.map(lambda cfg: _execute_one(cfg, runs_dir), suite.configs))
     else:
-        rows = [_execute_one(cfg, runs_dir, 1) for cfg in suite.configs]
+        rows = [_execute_one(cfg, runs_dir) for cfg in suite.configs]
 
     with (suite.out_dir / "suite.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -379,7 +381,7 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--out", default=None, help="output directory (default: config's 'out' or ./results)")
     run_p.add_argument("--seeds", default=None, help="comma-separated seeds overriding the config")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    run_p.add_argument("--jobs", type=int, default=1, help="seeds run concurrently in threads")
     run_p.add_argument("--validate-only", action="store_true", help="parse and validate, run nothing")
 
     level = os.environ.get("FEDFAIR_LOG", "warning").upper()

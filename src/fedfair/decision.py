@@ -115,3 +115,15 @@ def lipschitz_dr(rng: ResponseRange, c: float) -> float:
     if not (0 < c <= 1):
         raise InvalidInputError("sampling probability must be in (0,1]")
     return rng.c2 / (1.0 + rng.c1) + 2.0 * rng.width / (c * (1.0 + rng.c1))
+
+
+def regret_bound(l_inf: float, k: int, t: int, second_order: bool) -> float:
+    """Regret upper bound of the adaptive learners after ``t`` rounds.
+
+    ``l_inf`` is the sup-norm Lipschitz constant of the losses played.
+    Online Newton Step (``second_order``): 2 L K (1 + log(1 + T / (16 K)));
+    entropic FTRL: 2 L sqrt(T log K).
+    """
+    if second_order:
+        return 2.0 * l_inf * k * (1.0 + np.log(1.0 + t / (16.0 * k)))
+    return 2.0 * l_inf * np.sqrt(t * np.log(k))

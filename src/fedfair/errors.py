@@ -31,12 +31,16 @@ class DegenerateRoundError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Local training produced a non-finite loss or parameter."""
+    """Local training produced a non-finite loss or parameter.
+
+    ``records`` holds the rounds a simulation completed before it diverged.
+    """
 
     def __init__(self, message, round_index=None, client_id=None):
         super().__init__(message)
         self.round_index = round_index
         self.client_id = client_id
+        self.records = []
 
 
 class ConfigError(ValueError):

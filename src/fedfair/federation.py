@@ -7,15 +7,14 @@ coefficients with the configured strategy, and aggregates the local updates.
 
 Determinism contract: a run is a pure function of (config, seed). Every
 source of randomness draws from a named counter-based stream, and client
-results are reduced in fixed index order, so the same run executed with any
-number of worker threads is bit-identical.
+results are reduced in fixed index order, so every rerun is bit-identical.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,8 @@ logger = logging.getLogger(__name__)
 
 ADAPTIVE_SILO = "aaggff-s"
 ADAPTIVE_DEVICE = "aaggff-d"
+
+FLOAT_FIELDS = ("c", "lr", "lr_decay", "weight_decay", "qfedavg_q", "term_lambda", "propfair_m", "afl_q")
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,19 @@ class FederationConfig:
     afl_q: float = aggregators.DEFAULT_AFL_Q
 
     def __post_init__(self):
-        object.__setattr__(self, "setting", Setting(self.setting))
+        try:
+            object.__setattr__(self, "setting", Setting(self.setting))
+        except ValueError:
+            raise ConfigError("setting", f"must be one of {[s.value for s in Setting]}") from None
+        for name in FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, "must be finite")
         if self.k < 2:
             raise ConfigError("k", "must be >= 2")
         if self.t_rounds < 1:
             raise ConfigError("t_rounds", "must be >= 1")
         if not (0 < self.c <= 1):
-            raise ConfigError("c", "must be in (0,1]")
+            raise ConfigError("c", "c must be in (0,1]")
         if self.e < 1:
             raise ConfigError("e", "must be >= 1")
         if self.b < 1:
@@ -91,8 +98,12 @@ class FederationConfig:
             raise ConfigError("c", "cross_silo runs use full participation; set c = 1")
         if self.qfedavg_q < 0:
             raise ConfigError("qfedavg_q", "must be >= 0")
+        if self.term_lambda <= 0:
+            raise ConfigError("term_lambda", "must be > 0")
         if self.propfair_m < 1:
             raise ConfigError("propfair_m", "must be >= 1")
+        if self.afl_q < 0:
+            raise ConfigError("afl_q", "must be >= 0")
 
     @property
     def subset_size(self) -> int:
@@ -194,9 +205,117 @@ class LogisticModel:
             g += weight_decay * theta
         return g
 
+    def stacked(self, theta, m: int) -> np.ndarray:
+        """``m`` copies of ``theta`` as (m, classes, input_dim + 1): each class's
+        weights followed by its bias."""
+        w, b = self._unpack(theta)
+        return np.tile(np.hstack((w, b[:, None])), (m, 1, 1))
+
+    def flat(self, params) -> np.ndarray:
+        """Inverse of ``stacked``: (m, classes, input_dim + 1) to (m, dim)."""
+        m = params.shape[0]
+        return np.concatenate([params[:, :, :-1].reshape(m, -1), params[:, :, -1]], axis=1)
+
+    def grad_many(self, params, x, y, counts, weight_decay: float = 0.0) -> np.ndarray:
+        """``grad`` of every client at once, in the ``stacked`` layout.
+
+        ``params`` is (m, classes, input_dim + 1); ``x`` (m, b, input_dim + 1)
+        holds minibatch rows with a trailing 1 for the bias, ``y`` (m, b)
+        their labels and ``counts`` (m,) each client's number of real rows.
+        All-zero rows of ``x`` are padding and contribute nothing.
+        """
+        m, b = y.shape
+        logits = params @ x.transpose(0, 2, 1)
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits, out=logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(m)[:, None], y, np.arange(b)] -= 1.0
+        g = probs @ x
+        g /= counts[:, None, None]
+        if weight_decay:
+            g += weight_decay * params
+        return g
+
     def predict(self, theta, x) -> np.ndarray:
         w, b = self._unpack(theta)
         return np.argmax(x @ w.T + b, axis=1)
+
+
+def train_clients(
+    model: LogisticModel,
+    theta: np.ndarray,
+    datasets,
+    rngs,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    weight_decay: float = 0.0,
+    round_index: int | None = None,
+):
+    """Evaluate then locally train the received model on every client at once.
+
+    Returns (losses, deltas) with one row per entry of ``datasets``: the
+    full-dataset mean loss at the received parameters, computed before any
+    step, and received-minus-trained parameters after ``epochs`` passes of
+    minibatch SGD. Client j shuffles its rows with one ``rngs[j].permutation``
+    per epoch and takes ceil(n_j / batch_size) steps per epoch, the last one
+    on the remainder. Step s of every client that still has a minibatch s is
+    one vectorized update. Weight decay enters the update only; the reported
+    loss is the plain data loss.
+
+    A non-finite loss or trained parameter raises DivergenceError naming the
+    first such client in ``datasets`` order.
+    """
+    sizes = np.array([ds.n_train for ds in datasets])
+    # The outputs outlive this call (the round log keeps the losses). Taken
+    # before the large temporaries, they cannot pin the top of the heap, which
+    # would otherwise grow by the freed temporaries every round.
+    losses = np.empty(sizes.size)
+    deltas = np.empty((sizes.size, model.dim))
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    # Every client's training rows, each with a trailing 1 for the bias, then
+    # one zero row (label 0) that minibatch padding points at.
+    x = np.zeros((total + 1, model.input_dim + 1))
+    np.concatenate([ds.x_train for ds in datasets], out=x[:total, :-1])
+    x[:total, -1] = 1.0
+    y = np.zeros(total + 1, dtype=np.intp)
+    np.concatenate([ds.y_train for ds in datasets], out=y[:total])
+
+    params = model.stacked(theta, sizes.size)
+    logits = params[0] @ x[:total].T
+    logits -= logits.max(axis=0)
+    picked = logits[y[:total], np.arange(total)]
+    picked -= np.log(np.exp(logits, out=logits).sum(axis=0))
+    np.divide(np.add.reduceat(picked, starts), -sizes, out=losses)
+
+    # Clients sorted by step count, most first, so the clients still training
+    # at step s are a prefix and each update writes through a view. The rows
+    # of params are all theta, so they need no reordering.
+    steps = -(-sizes // batch_size)
+    order = np.argsort(-steps, kind="stable")
+    n_sorted = sizes[order]
+    width = steps[order[0]] * batch_size
+    real = np.arange(width) < n_sorted[:, None]
+    offsets = np.repeat(starts[order], n_sorted)
+    counts = np.minimum(n_sorted[:, None] - np.arange(0, width, batch_size), batch_size)
+    active = np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0)
+
+    rows = np.full((sizes.size, width), total)
+    for _ in range(epochs):
+        rows[real] = offsets + np.concatenate([rngs[j].permutation(sizes[j]) for j in order])
+        for s, a in enumerate(active):
+            idx = rows[:a, s * batch_size : (s + 1) * batch_size]
+            params[:a] -= lr * model.grad_many(params[:a], x[idx], y[idx], counts[:a, s], weight_decay)
+
+    deltas[order] = theta - model.flat(params)
+    bad = ~np.isfinite(losses) | ~np.isfinite(deltas).all(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = "local training diverged" if np.isfinite(losses[j]) else "non-finite local loss"
+        client = datasets[j].client_id
+        raise DivergenceError(f"{what} for client {client}", round_index=round_index, client_id=client)
+    return losses, deltas
 
 
 def client_update(
@@ -210,35 +329,11 @@ def client_update(
     weight_decay: float = 0.0,
     round_index: int | None = None,
 ):
-    """Evaluate then locally train the received model.
-
-    Returns (loss_before, delta): the full-dataset mean loss at the received
-    parameters, computed before any step, and received-minus-trained
-    parameters after ``epochs`` passes of minibatch SGD. Weight decay enters
-    the update only; the reported loss is the plain data loss.
-    """
-    x, y = dataset.x_train, dataset.y_train
-    loss_before = model.loss(theta, x, y)
-    if not np.isfinite(loss_before):
-        raise DivergenceError(
-            f"non-finite local loss for client {dataset.client_id}",
-            round_index=round_index,
-            client_id=dataset.client_id,
-        )
-    th = theta.copy()
-    n = y.size
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            th -= lr * model.grad(th, x[idx], y[idx], weight_decay)
-    if not np.all(np.isfinite(th)):
-        raise DivergenceError(
-            f"local training diverged for client {dataset.client_id}",
-            round_index=round_index,
-            client_id=dataset.client_id,
-        )
-    return loss_before, theta - th
+    """``train_clients`` for one client: returns (loss_before, delta)."""
+    losses, deltas = train_clients(
+        model, theta, [dataset], [rng], epochs, batch_size, lr, weight_decay, round_index
+    )
+    return float(losses[0]), deltas[0]
 
 
 def sample_clients(k: int, c: float, rng: np.random.Generator) -> np.ndarray:
@@ -250,25 +345,6 @@ def sample_clients(k: int, c: float, rng: np.random.Generator) -> np.ndarray:
         raise ConfigError("c", "must be in (0,1]")
     m = max(1, int(np.floor(c * k)))
     return np.sort(rng.choice(k, size=m, replace=False))
-
-
-def _collect(model, theta, clients, subset, cfg: FederationConfig, t: int, lr: float, workers: int):
-    """Run client updates for ``subset``, reducing in fixed index order."""
-
-    def one(i):
-        rng = stream(cfg.seed, STREAM_BATCHING, t, int(i))
-        return client_update(
-            model, theta, clients[int(i)], cfg.e, cfg.b, lr, rng, cfg.weight_decay, round_index=t
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, subset))
-    else:
-        results = [one(i) for i in subset]
-    losses = np.array([r[0] for r in results])
-    deltas = np.stack([r[1] for r in results])
-    return losses, deltas
 
 
 def evaluate_clients(model: LogisticModel, theta: np.ndarray, clients) -> np.ndarray:
@@ -285,7 +361,7 @@ def evaluate_clients(model: LogisticModel, theta: np.ndarray, clients) -> np.nda
     return acc
 
 
-def _run(cfg: FederationConfig, workers: int = 1, clients=None) -> RunResult:
+def _run(cfg: FederationConfig, clients=None) -> RunResult:
     start_time = time.perf_counter()
     silo = cfg.setting is Setting.CROSS_SILO
     if clients is None:
@@ -321,7 +397,17 @@ def _run(cfg: FederationConfig, workers: int = 1, clients=None) -> RunResult:
                 subset = np.arange(cfg.k)
             else:
                 subset = sample_clients(cfg.k, cfg.c, stream(cfg.seed, STREAM_SAMPLING, t))
-            losses, deltas = _collect(model, theta, clients, subset, cfg, t, lr, workers)
+            losses, deltas = train_clients(
+                model,
+                theta,
+                [clients[int(i)] for i in subset],
+                [stream(cfg.seed, STREAM_BATCHING, t, int(i)) for i in subset],
+                cfg.e,
+                cfg.b,
+                lr,
+                cfg.weight_decay,
+                round_index=t,
+            )
 
             observed = transform_responses(losses, rng_range, cfg.cdf)
             if silo:
@@ -378,17 +464,17 @@ def _run(cfg: FederationConfig, workers: int = 1, clients=None) -> RunResult:
     return RunResult(cfg, records, theta, accuracy, time.perf_counter() - start_time)
 
 
-def run_silo(cfg: FederationConfig, workers: int = 1, clients=None) -> RunResult:
+def run_silo(cfg: FederationConfig, clients=None) -> RunResult:
     """Full-participation simulation: every client trains every round.
 
     ``clients`` injects pre-built datasets (length k) in place of the
     generated ones."""
     if cfg.setting is not Setting.CROSS_SILO:
         raise ConfigError("setting", "run_silo requires setting=cross_silo")
-    return _run(cfg, workers=workers, clients=clients)
+    return _run(cfg, clients=clients)
 
 
-def run_device(cfg: FederationConfig, workers: int = 1, clients=None) -> RunResult:
+def run_device(cfg: FederationConfig, clients=None) -> RunResult:
     """Sampled-participation simulation with estimated responses.
 
     Each round samples a client subset, fills in the unobserved response
@@ -398,10 +484,10 @@ def run_device(cfg: FederationConfig, workers: int = 1, clients=None) -> RunResu
     """
     if cfg.setting is not Setting.CROSS_DEVICE:
         raise ConfigError("setting", "run_device requires setting=cross_device")
-    return _run(cfg, workers=workers, clients=clients)
+    return _run(cfg, clients=clients)
 
 
-def run_federation(cfg: FederationConfig, workers: int = 1, clients=None) -> RunResult:
+def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
     if cfg.setting is Setting.CROSS_SILO:
-        return run_silo(cfg, workers, clients)
-    return run_device(cfg, workers, clients)
+        return run_silo(cfg, clients)
+    return run_device(cfg, clients)

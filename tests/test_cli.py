@@ -67,6 +67,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"c: c must be in \(0,1\]"):
             cli.parse_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("term_lambda = 0", "term_lambda"),
+            ("afl_q = -1", "afl_q"),
+            ("lr = inf", "lr"),
+            ("lr = nan", "lr"),
+            ("qfedavg_q = nan", "qfedavg_q"),
+        ],
+    )
+    def test_values_that_break_training_exit_1(self, tmp_path, capsys, line, field):
+        path = write_config(tmp_path, SMALL_RUN + line + "\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_setting_is_config_error(self, tmp_path):
+        bad = MINIMAL.replace("setting = cross_silo", "setting = cross_planet")
+        with pytest.raises(ConfigError, match="setting: must be one of"):
+            cli.parse_config(write_config(tmp_path, bad))
+
     def test_missing_required_field_named(self, tmp_path):
         with pytest.raises(ConfigError, match="t_rounds"):
             cli.parse_config(write_config(tmp_path, "k = 2\nmethod = fedavg\nsetting = cross_silo\n"))
@@ -178,7 +199,7 @@ class TestRunSuite:
         cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
         for name in ("cumobj", "entropy"):
             lines = (out / f"runs/aaggff_s_seed5.{name}.dat").read_text().splitlines()
-            assert lines[0].startswith("# fedfair schema=1")
+            assert lines[0].startswith(f"# fedfair schema={cli.SCHEMA_VERSION} columns=round,")
             assert len(lines) == 4
             for row in lines[1:]:
                 round_idx, value = row.split()
@@ -209,6 +230,25 @@ class TestRunSuite:
         assert summary["error"]
         csv_text = (out / "suite.csv").read_text()
         assert "failed" in csv_text
+
+    def test_divergence_keeps_partial_round_log(self, tmp_path):
+        # One step per epoch with a huge weight decay: the parameters grow
+        # ~1e100-fold a round and overflow after a few completed rounds.
+        text = SMALL_RUN.replace("b = 10", "b = 40").replace("lr = 0.2", "lr = 1\nweight_decay = 1e100")
+        text = text.replace("t_rounds = 3", "t_rounds = 8")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", str(write_config(tmp_path, text)), "--out", str(out)])
+        assert code == 2
+        assert "failed: local training diverged" in (out / "suite.csv").read_text()
+        log = (out / "runs/aaggff_s_seed5.rounds.jsonl").read_text().splitlines()
+        lines = [json.loads(line) for line in log]
+        assert lines[0]["type"] == "meta" and lines[0]["config"]["t_rounds"] == 8
+        rounds = lines[1:]
+        assert 1 <= len(rounds) < 8
+        assert [r["type"] for r in rounds] == ["round"] * len(rounds)
+        assert [r["round"] for r in rounds] == list(range(1, len(rounds) + 1))
+        assert json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())["error"]
 
     def test_jobs_parallel_identical_output(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_RUN)

@@ -3,7 +3,7 @@ import pytest
 
 from fedfair import decision
 from fedfair.errors import DegenerateRoundError, InvalidInputError
-from fedfair.transform import ResponseRange
+from fedfair.transform import ResponseRange, Setting, default_range
 
 from conftest import random_simplex
 
@@ -242,3 +242,21 @@ class TestLipschitzConstants:
             g = decision.linearized_gradient(p, est, np.full(k, r[s].mean()))
             worst = max(worst, np.max(np.abs(g)))
         assert worst <= bound + 1e-12
+
+
+class TestRegretBound:
+    @pytest.mark.parametrize("k", [20, 500])
+    def test_silo_constant_is_one_over_k(self, k):
+        # Summaries compare regret with this bound, so its value must not move.
+        l_inf = decision.lipschitz_full(default_range(Setting.CROSS_SILO, k, 1.0))
+        assert l_inf == 1.0 / k
+        t = 100
+        expected = 2.0 * (1.0 / k) * k * (1.0 + np.log(1.0 + t / (16.0 * k)))
+        assert decision.regret_bound(l_inf, k, t, second_order=True) == expected
+
+    def test_device_constant_is_c_plus_two(self):
+        k, c, t = 10000, 50 / 10000, 50
+        l_inf = decision.lipschitz_dr(default_range(Setting.CROSS_DEVICE, k, c), c)
+        assert l_inf == c + 2.0
+        expected = 2.0 * (c + 2.0) * np.sqrt(t * np.log(k))
+        assert decision.regret_bound(l_inf, k, t, second_order=False) == expected

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from fedfair import decision, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
 from fedfair.datasets import ClientDataset, SyntheticDataSpec, generate_federation, stream
-from fedfair.errors import ConfigError
+from fedfair.errors import ConfigError, DivergenceError
 from fedfair.federation import (
     FederationConfig,
     LogisticModel,
@@ -16,6 +18,7 @@ from fedfair.federation import (
     run_federation,
     run_silo,
     sample_clients,
+    train_clients,
 )
 from fedfair.transform import transform_responses
 
@@ -176,6 +179,112 @@ class TestClientUpdate:
         assert np.linalg.norm(d4) > np.linalg.norm(d1)
 
 
+def reference_update(model, theta, ds, epochs, batch_size, lr, rng, weight_decay=0.0):
+    """One client's evaluate-then-train as a plain per-client SGD loop."""
+    loss_before = model.loss(theta, ds.x_train, ds.y_train)
+    if not np.isfinite(loss_before):
+        raise DivergenceError(f"non-finite local loss for client {ds.client_id}", client_id=ds.client_id)
+    th = theta.copy()
+    for _ in range(epochs):
+        order = rng.permutation(ds.n_train)
+        for start in range(0, ds.n_train, batch_size):
+            idx = order[start : start + batch_size]
+            th -= lr * model.grad(th, ds.x_train[idx], ds.y_train[idx], weight_decay)
+    if not np.all(np.isfinite(th)):
+        raise DivergenceError(f"local training diverged for client {ds.client_id}", client_id=ds.client_id)
+    return loss_before, theta - th
+
+
+def ragged_clients(data_seed, sizes, scales=None):
+    """Clients with the given training sizes; ``scales`` multiplies features."""
+    g = np.random.default_rng(data_seed)
+    clients = []
+    for i, n in enumerate(sizes):
+        x = g.standard_normal((n, SMALL_DATA.input_dim)) * (1.0 if scales is None else scales[i])
+        y = g.integers(0, SMALL_DATA.num_classes, size=n)
+        clients.append(ClientDataset(i, x, y, x[:0], y[:0], np.full(3, 1 / 3)))
+    return clients
+
+
+# A training round: ragged client sizes, a batch size that need not divide
+# them, 1-3 epochs, weight decay on or off, and a subset in any order.
+round_cases = st.tuples(
+    st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    st.integers(1, 12),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([0.0, 0.05]),
+    st.integers(0, 2**16),
+    st.randoms(use_true_random=False),
+)
+
+
+class TestTrainClients:
+    model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
+
+    def subset_and_theta(self, sizes, seed, shuffle):
+        subset = list(range(len(sizes)))
+        shuffle.shuffle(subset)
+        subset = subset[: shuffle.randint(1, len(subset))]
+        theta = 0.1 * np.random.default_rng(seed).standard_normal(self.model.dim)
+        return subset, theta
+
+    @settings(max_examples=60, deadline=None)
+    @given(round_cases)
+    def test_batched_matches_per_client_calls(self, case):
+        sizes, b, e, wd, seed, shuffle = case
+        clients = ragged_clients(seed, sizes)
+        subset, theta = self.subset_and_theta(sizes, seed, shuffle)
+        lr = 0.3
+
+        def rng(i):
+            return stream(seed, 2, 1, i)
+
+        losses, deltas = train_clients(
+            self.model, theta, [clients[i] for i in subset], [rng(i) for i in subset], e, b, lr, wd
+        )
+        assert losses.shape == (len(subset),) and deltas.shape == (len(subset), self.model.dim)
+        for row, i in enumerate(subset):
+            loss, delta = client_update(self.model, theta, clients[i], e, b, lr, rng(i), wd)
+            ref_loss, ref_delta = reference_update(self.model, theta, clients[i], e, b, lr, rng(i), wd)
+            np.testing.assert_allclose(losses[row], loss, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(deltas[row], delta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(loss, ref_loss, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(delta, ref_delta, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(round_cases, st.data())
+    def test_divergence_names_first_client_in_subset_order(self, case, data):
+        # A NaN feature makes the pre-update loss non-finite; huge features
+        # keep it finite but overflow the parameters once a client takes a
+        # second step.
+        sizes, b, e, wd, seed, shuffle = case
+        scales = data.draw(st.lists(st.sampled_from([1.0, np.nan, 1e200]),
+                                    min_size=len(sizes), max_size=len(sizes)))
+        clients = ragged_clients(seed, sizes, scales)
+        subset, theta = self.subset_and_theta(sizes, seed, shuffle)
+        datasets = [clients[i] for i in subset]
+
+        def rngs():
+            return [stream(seed, 2, 1, i) for i in subset]
+
+        with np.errstate(all="ignore"):
+            expected = None
+            for ds, rng in zip(datasets, rngs()):
+                try:
+                    reference_update(self.model, theta, ds, e, b, 0.3, rng, wd)
+                except DivergenceError as err:
+                    expected = err
+                    break
+            if expected is None:
+                train_clients(self.model, theta, datasets, rngs(), e, b, 0.3, wd)
+                return
+            with pytest.raises(DivergenceError) as got:
+                train_clients(self.model, theta, datasets, rngs(), e, b, 0.3, wd, round_index=7)
+        assert got.value.client_id == expected.client_id
+        assert str(got.value) == str(expected)
+        assert got.value.round_index == 7
+
+
 class TestSampleClients:
     def test_full_participation(self):
         got = sample_clients(6, 1.0, stream(0, 1, 1))
@@ -211,6 +320,10 @@ class TestConfigValidation:
             FederationConfig(k=2, t_rounds=1, method="aaggff-d", setting="cross_silo")
         with pytest.raises(ConfigError, match="cross_silo"):
             FederationConfig(k=2, t_rounds=1, method="aaggff-s", setting="cross_device", c=0.5)
+
+    def test_unknown_setting_is_config_error(self):
+        with pytest.raises(ConfigError, match="setting"):
+            FederationConfig(k=2, t_rounds=1, method="fedavg", setting="cross_planet")
 
     def test_c_bounds(self):
         with pytest.raises(ConfigError, match=r"\(0,1\]"):
@@ -262,13 +375,6 @@ class TestRunSilo:
         assert records_equal(a.records, b.records)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.client_accuracy, b.client_accuracy)
-
-    def test_workers_do_not_change_results(self):
-        cfg = small_config(method="term", t_rounds=4)
-        a = run_silo(cfg, workers=1)
-        b = run_silo(cfg, workers=8)
-        assert records_equal(a.records, b.records)
-        assert np.array_equal(a.theta, b.theta)
 
     def test_wrong_setting_rejected(self):
         cfg = small_config(setting="cross_device", c=0.5)
