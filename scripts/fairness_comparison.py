@@ -12,7 +12,7 @@ import numpy as np
 
 from fedfair import metrics
 from fedfair.datasets import SyntheticDataSpec
-from fedfair.federation import FederationConfig, run_silo
+from fedfair.federation import FederationConfig, run_federation
 
 
 def main():
@@ -50,7 +50,7 @@ def main():
                 seed=seed,
                 data=data,
             )
-            acc = run_silo(cfg).client_accuracy
+            acc = run_federation(cfg).client_accuracy
             _, best10 = metrics.worst_best(acc, 0.1)
             rows.append(
                 (acc.mean(), acc.min(), best10, 100 * metrics.gini(acc), metrics.accuracy_parity_gap(acc))

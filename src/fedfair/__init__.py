@@ -29,7 +29,7 @@ from .decision import (
     lipschitz_dr,
     lipschitz_full,
 )
-from .federation import FederationConfig, RoundRecord, run_device, run_federation, run_silo
+from .federation import FederationConfig, RoundRecord, run_federation
 from .metrics import accuracy_parity_gap, cumulative_objective, gini, regret, system_loss, worst_best
 from .simplex import normalize_subset, project_euclidean, project_mahalanobis
 from .transform import CdfKind, CdfSpec, ResponseRange, Setting, cdf_eval, default_range, transform_responses
@@ -69,9 +69,7 @@ __all__ = [
     "project_euclidean",
     "project_mahalanobis",
     "regret",
-    "run_device",
     "run_federation",
-    "run_silo",
     "system_loss",
     "transform_responses",
     "worst_best",

@@ -21,10 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,10 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import decision, metrics, simplex
-from .datasets import SyntheticDataSpec
 from .errors import ConfigError, DegenerateSubsetError, DivergenceError
-from .federation import ADAPTIVE_DEVICE, ADAPTIVE_SILO, FLOAT_FIELDS, FederationConfig, run_federation
-from .transform import CdfKind, CdfSpec, default_range
+from .federation import ADAPTIVE_DEVICE, ADAPTIVE_SILO, FederationConfig, RunResult, run_federation
+from .transform import default_range
 
 logger = logging.getLogger(__name__)
 
@@ -59,19 +60,9 @@ CSV_COLUMNS = [
     "status",
 ]
 
-_INT_KEYS = {"k", "t_rounds", "e", "b", "lr_decay_step", "seed"}
-_FLOAT_KEYS = set(FLOAT_FIELDS)
-_STR_KEYS = {"method", "setting"}
-_CDF_KEYS = {"cdf.kind", "cdf.scale", "cdf.shape"}
-_DATA_INT_KEYS = {
-    "data.input_dim",
-    "data.num_classes",
-    "data.samples_per_client_mean",
-    "data.samples_per_client_spread",
-}
-_DATA_FLOAT_KEYS = {"data.dirichlet_concentration", "data.feature_shift"}
 _SUITE_KEYS = {"seeds", "out"}
-_REQUIRED = ("k", "t_rounds", "method", "setting")
+# Resolving the string annotations costs more than the rest of a parse.
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 @dataclass
@@ -89,12 +80,37 @@ class ExperimentSuite:
             raise ConfigError("seeds", "duplicate (config, seed) pair")
 
 
-def _parse_number(field, raw, cast):
+def _parse_value(key, raw, hint):
+    """Parse ``raw`` as the annotation says: int, float, or else the raw
+    string, which the dataclass converts and validates itself."""
+    if hint is int:
+        cast, kind = int, "an integer"
+    elif float in (hint, *typing.get_args(hint)):
+        cast, kind = float, "a number"
+    else:
+        return raw
     try:
         return cast(raw)
     except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(field, f"expected {kind}, got {raw!r}") from None
+        raise ConfigError(key, f"expected {kind}, got {raw!r}") from None
+
+
+def _config_kwargs(cls, pairs, prefix=""):
+    """Keyword arguments of the config dataclass ``cls`` from the file's
+    ``pairs``, popping each entry it uses. A field's file key is its name,
+    dotted under ``prefix``; a nested dataclass field is built from its own
+    ``<field>.<name>`` entries, and a field without a default is required."""
+    hints = _type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[f.name] = hint(**_config_kwargs(hint, pairs, key + "."))
+        elif key in pairs:
+            kwargs[f.name] = _parse_value(key, pairs.pop(key), hint)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(key, "required field is missing")
+    return kwargs
 
 
 def _parse_seeds(field, raw):
@@ -134,39 +150,11 @@ def parse_config(path, out_dir=None, seeds=None) -> ExperimentSuite:
         raise ConfigError("config", f"no such file: {path}")
     pairs = read_key_values(path)
 
-    for key in _REQUIRED:
-        if key not in pairs:
-            raise ConfigError(key, "required field is missing")
-    known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _CDF_KEYS | _DATA_INT_KEYS | _DATA_FLOAT_KEYS | _SUITE_KEYS
-    for key in pairs:
-        if key not in known:
+    unused = dict(pairs)
+    kwargs = _config_kwargs(FederationConfig, unused)
+    for key in unused:
+        if key not in _SUITE_KEYS:
             raise ConfigError(key, "unknown field")
-
-    kwargs = {}
-    for key in _INT_KEYS & pairs.keys():
-        kwargs[key] = _parse_number(key, pairs[key], int)
-    for key in _FLOAT_KEYS & pairs.keys():
-        kwargs[key] = _parse_number(key, pairs[key], float)
-    for key in _STR_KEYS & pairs.keys():
-        kwargs[key] = pairs[key]
-
-    cdf_kwargs = {}
-    if "cdf.kind" in pairs:
-        if pairs["cdf.kind"] not in [k.value for k in CdfKind]:
-            raise ConfigError("cdf.kind", f"must be one of {[k.value for k in CdfKind]}")
-        cdf_kwargs["kind"] = CdfKind(pairs["cdf.kind"])
-    if "cdf.scale" in pairs:
-        cdf_kwargs["scale"] = _parse_number("cdf.scale", pairs["cdf.scale"], float)
-    if "cdf.shape" in pairs:
-        cdf_kwargs["shape"] = _parse_number("cdf.shape", pairs["cdf.shape"], float)
-    kwargs["cdf"] = CdfSpec(**cdf_kwargs)
-
-    data_kwargs = {}
-    for key in _DATA_INT_KEYS & pairs.keys():
-        data_kwargs[key.split(".", 1)[1]] = _parse_number(key, pairs[key], int)
-    for key in _DATA_FLOAT_KEYS & pairs.keys():
-        data_kwargs[key.split(".", 1)[1]] = _parse_number(key, pairs[key], float)
-    kwargs["data"] = SyntheticDataSpec(**data_kwargs)
 
     if seeds is None:
         if "seeds" in pairs:
@@ -193,11 +181,24 @@ def _meta_line(cfg: FederationConfig) -> dict:
 
 
 def run_log_lines(result) -> list:
-    """Serialize a run into its round-log lines (meta, rounds, client eval)."""
-    lines = [_meta_line(result.config)]
-    lines.extend(rec.to_dict() for rec in result.records)
-    lines.append({"type": "client_eval", "accuracy": [float(a) for a in result.client_accuracy]})
+    """Serialize a run into its round-log lines: meta, rounds and client eval.
+
+    A diverged run has no ``client_accuracy`` and no client eval line."""
+    lines = [_meta_line(result.config)] + [rec.to_dict() for rec in result.records]
+    if result.client_accuracy is not None:
+        lines.append({"type": "client_eval", "accuracy": result.client_accuracy.tolist()})
     return lines
+
+
+def round_series(lines: list) -> list:
+    """(round, cumulative objective, decision entropy) of every round in a
+    round log; the objective sums the decision-weighted sampled losses."""
+    series, cum = [], 0.0
+    for r in lines:
+        if r["type"] == "round":
+            cum += float(np.asarray(r["decision_prev"])[r["sampled"]] @ np.asarray(r["losses"]))
+            series.append((r["round"], cum, metrics.decision_entropy(np.asarray(r["decision"]))))
+    return series
 
 
 def _subset_loss(decision_prev, sampled, observed):
@@ -209,8 +210,10 @@ def _subset_loss(decision_prev, sampled, observed):
     return -float(np.log1p(weights @ observed))
 
 
-def summary_from_log(lines: list) -> dict:
-    """Recompute every reported number from serialized round-log lines."""
+def summary_from_log(lines: list, series=None) -> dict:
+    """Recompute every reported number from serialized round-log lines.
+
+    ``series`` is ``round_series(lines)``, for a caller that already has it."""
     meta = lines[0]["config"]
     rounds = [line for line in lines if line["type"] == "round"]
     accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
@@ -222,11 +225,9 @@ def summary_from_log(lines: list) -> dict:
     regret = metrics.regret(decisions_prev, responses)
 
     observed_vs_uniform = 0.0
-    cumobj = 0.0
     for r in rounds:
         sampled = np.asarray(r["sampled"], dtype=int)
         response = np.asarray(r["response"])
-        losses = np.asarray(r["losses"])
         if r["response_estimated"]:
             # Invert the estimate: imputed value is the full-vector mean.
             rbar = response.mean()
@@ -236,7 +237,7 @@ def summary_from_log(lines: list) -> dict:
             observed = response[sampled]
         observed_vs_uniform += _subset_loss(r["decision_prev"], sampled, observed)
         observed_vs_uniform -= -float(np.log1p(simplex.uniform(sampled.size) @ observed))
-        cumobj += float(np.asarray(r["decision_prev"])[sampled] @ losses)
+    _, cumobj, entropy = (round_series(lines) if series is None else series)[-1]
 
     method = meta["method"]
     c_incl = len(rounds[0]["sampled"]) / k
@@ -268,29 +269,21 @@ def summary_from_log(lines: list) -> dict:
         "regret_vs_uniform_observed": float(observed_vs_uniform),
         "regret_bound": None if bound is None else float(bound),
         "bound_satisfied": None if bound is None else bool(regret <= bound),
-        "cumulative_objective": float(cumobj),
+        "cumulative_objective": cumobj,
         "final_decision_loss": float(last["decision_loss"]),
         "final_system_loss": -float(last["decision_loss"]),
-        "final_decision_entropy": metrics.decision_entropy(np.asarray(last["decision"])),
-        "per_client_accuracy": [float(a) for a in accuracy],
+        "final_decision_entropy": entropy,
+        "per_client_accuracy": accuracy.tolist(),
         "config": meta,
         "error": None,
     }
 
 
-def _plot_files(lines: list) -> tuple[str, str]:
-    rounds = [line for line in lines if line["type"] == "round"]
-    cum = 0.0
-    cum_rows, ent_rows = [], []
-    for r in rounds:
-        sampled = np.asarray(r["sampled"], dtype=int)
-        cum += float(np.asarray(r["decision_prev"])[sampled] @ np.asarray(r["losses"]))
-        cum_rows.append(f"{r['round']} {cum!r}")
-        ent_rows.append(f"{r['round']} {metrics.decision_entropy(np.asarray(r['decision']))!r}")
+def _plot_files(series: list) -> tuple[str, str]:
     header = f"# fedfair schema={SCHEMA_VERSION} columns=round,"
     return (
-        header + "cumulative_objective\n" + "\n".join(cum_rows) + "\n",
-        header + "decision_entropy\n" + "\n".join(ent_rows) + "\n",
+        header + "cumulative_objective\n" + "".join(f"{t} {cum!r}\n" for t, cum, _ in series),
+        header + "decision_entropy\n" + "".join(f"{t} {ent!r}\n" for t, _, ent in series),
     )
 
 
@@ -317,11 +310,12 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
         result = run_federation(cfg)
         lines = run_log_lines(result)
         _write_log(runs_dir / f"{run_id}.rounds.jsonl", lines)
-        summary = summary_from_log(lines)
+        series = round_series(lines)
+        summary = summary_from_log(lines, series)
         (runs_dir / f"{run_id}.summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n"
         )
-        cumobj_text, entropy_text = _plot_files(lines)
+        cumobj_text, entropy_text = _plot_files(series)
         (runs_dir / f"{run_id}.cumobj.dat").write_text(cumobj_text)
         (runs_dir / f"{run_id}.entropy.dat").write_text(entropy_text)
         logger.info("run %s finished in %.2fs", run_id, result.runtime)
@@ -340,8 +334,8 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
         if isinstance(err, DivergenceError):
             # The rounds completed before the divergence, for diagnosis; a
             # failed run has no client_eval line.
-            partial = [_meta_line(cfg)] + [rec.to_dict() for rec in err.records]
-            _write_log(runs_dir / f"{run_id}.rounds.jsonl", partial)
+            partial = RunResult(cfg, err.records, theta=None, client_accuracy=None, runtime=None)
+            _write_log(runs_dir / f"{run_id}.rounds.jsonl", run_log_lines(partial))
         (runs_dir / f"{run_id}.summary.json").write_text(
             json.dumps({"schema": SCHEMA_VERSION, "run_id": run_id, "error": str(err)}, indent=2) + "\n"
         )

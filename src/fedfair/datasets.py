@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 # Cluster geometry: unit noise with means one noise-std apart keeps the
 # classification task genuinely hard, so weighting choices show up in
@@ -70,6 +70,7 @@ class SyntheticDataSpec:
             raise ConfigError("data.dirichlet_concentration", "must be > 0")
         if self.feature_shift < 0:
             raise ConfigError("data.feature_shift", "must be >= 0")
+        require_finite(self, "data.")
 
     @property
     def min_samples(self) -> int:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of
+the config dataclasses."""
+
+import dataclasses
+import math
+import numbers
 
 
 class InvalidInputError(ValueError):
@@ -49,3 +54,12 @@ class ConfigError(ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def require_finite(config, prefix=""):
+    """Raise ConfigError naming the first numeric field of the dataclass
+    ``config`` that is not finite; ``prefix`` dots nested names (``cdf.``)."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ConfigError(prefix + f.name, "must be finite")

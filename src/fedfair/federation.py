@@ -13,7 +13,6 @@ results are reduced in fixed index order, so every rerun is bit-identical.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,15 +27,13 @@ from .datasets import (
     generate_federation,
     stream,
 )
-from .errors import ConfigError, DegenerateSubsetError, DivergenceError
+from .errors import ConfigError, DegenerateSubsetError, DivergenceError, require_finite
 from .transform import CdfSpec, ResponseRange, Setting, default_range, transform_responses
 
 logger = logging.getLogger(__name__)
 
 ADAPTIVE_SILO = "aaggff-s"
 ADAPTIVE_DEVICE = "aaggff-d"
-
-FLOAT_FIELDS = ("c", "lr", "lr_decay", "weight_decay", "qfedavg_q", "term_lambda", "propfair_m", "afl_q")
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,7 @@ class FederationConfig:
             object.__setattr__(self, "setting", Setting(self.setting))
         except ValueError:
             raise ConfigError("setting", f"must be one of {[s.value for s in Setting]}") from None
-        for name in FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(name, "must be finite")
+        require_finite(self)
         if self.k < 2:
             raise ConfigError("k", "must be >= 2")
         if self.t_rounds < 1:
@@ -88,6 +83,8 @@ class FederationConfig:
             raise ConfigError("lr_decay_step", "must be >= 1")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay", "must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.method not in aggregators.STRATEGIES:
             raise ConfigError("method", f"must be one of {aggregators.STRATEGIES}")
         if self.method == ADAPTIVE_DEVICE and self.setting is not Setting.CROSS_DEVICE:
@@ -149,12 +146,12 @@ class RoundRecord:
         return {
             "type": "round",
             "round": self.round,
-            "sampled": [int(i) for i in self.sampled],
-            "losses": [float(v) for v in self.losses],
-            "response": [float(v) for v in self.response],
+            "sampled": self.sampled.tolist(),
+            "losses": self.losses.tolist(),
+            "response": self.response.tolist(),
             "response_estimated": self.response_estimated,
-            "decision_prev": [float(v) for v in self.decision_prev],
-            "decision": [float(v) for v in self.decision],
+            "decision_prev": self.decision_prev.tolist(),
+            "decision": self.decision.tolist(),
             "decision_loss": float(self.decision_loss),
         }
 
@@ -361,7 +358,17 @@ def evaluate_clients(model: LogisticModel, theta: np.ndarray, clients) -> np.nda
     return acc
 
 
-def _run(cfg: FederationConfig, clients=None) -> RunResult:
+def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
+    """Simulate one federation run of ``cfg``.
+
+    Cross-silo runs use full participation: every client trains every round.
+    Cross-device runs sample a client subset each round, fill in the
+    unobserved response entries with the doubly robust estimate, update the
+    full decision from the linearized gradient, and aggregate only over the
+    sampled clients with subset-renormalized coefficients.
+
+    ``clients`` injects pre-built datasets (length k) in place of the
+    generated ones."""
     start_time = time.perf_counter()
     silo = cfg.setting is Setting.CROSS_SILO
     if clients is None:
@@ -462,32 +469,3 @@ def _run(cfg: FederationConfig, clients=None) -> RunResult:
 
     accuracy = evaluate_clients(model, theta, clients)
     return RunResult(cfg, records, theta, accuracy, time.perf_counter() - start_time)
-
-
-def run_silo(cfg: FederationConfig, clients=None) -> RunResult:
-    """Full-participation simulation: every client trains every round.
-
-    ``clients`` injects pre-built datasets (length k) in place of the
-    generated ones."""
-    if cfg.setting is not Setting.CROSS_SILO:
-        raise ConfigError("setting", "run_silo requires setting=cross_silo")
-    return _run(cfg, clients=clients)
-
-
-def run_device(cfg: FederationConfig, clients=None) -> RunResult:
-    """Sampled-participation simulation with estimated responses.
-
-    Each round samples a client subset, fills in the unobserved response
-    entries with the doubly robust estimate, updates the full decision from
-    the linearized gradient, and aggregates only over the sampled clients
-    with subset-renormalized coefficients.
-    """
-    if cfg.setting is not Setting.CROSS_DEVICE:
-        raise ConfigError("setting", "run_device requires setting=cross_device")
-    return _run(cfg, clients=clients)
-
-
-def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
-    if cfg.setting is Setting.CROSS_SILO:
-        return run_silo(cfg, clients)
-    return run_device(cfg, clients)

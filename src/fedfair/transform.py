@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, require_finite
 
 logger = logging.getLogger(__name__)
+
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 class CdfKind(str, enum.Enum):
@@ -50,7 +52,10 @@ class CdfSpec:
     shape: float | None = None
 
     def __post_init__(self):
-        kind = CdfKind(self.kind)
+        try:
+            kind = CdfKind(self.kind)
+        except ValueError:
+            raise ConfigError("cdf.kind", f"must be one of {[k.value for k in CdfKind]}") from None
         object.__setattr__(self, "kind", kind)
         if self.scale <= 0:
             raise ConfigError("cdf.scale", "must be > 0")
@@ -58,6 +63,7 @@ class CdfSpec:
             object.__setattr__(self, "shape", _DEFAULT_SHAPE[kind])
         elif self.shape <= 0:
             raise ConfigError("cdf.shape", "must be > 0")
+        require_finite(self, "cdf.")
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ def cdf_eval(spec: CdfSpec, x) -> np.ndarray | float:
         elif kind is CdfKind.LOGISTIC:
             out = 1.0 / (1.0 + np.exp(-(arr - a) / b))
         elif kind is CdfKind.NORMAL:
-            out = 0.5 * (1.0 + erf((arr - a) / (b * np.sqrt(2.0))))
+            out = 0.5 * (1.0 + _erf((arr - a) / (b * np.sqrt(2.0))))
         else:  # pragma: no cover
             raise InvalidInputError(f"unknown CDF kind {kind!r}")
     out = np.clip(out, 0.0, 1.0)

@@ -23,7 +23,7 @@ from fedfair.aggregators import (
     ons_step,
 )
 from fedfair.datasets import SyntheticDataSpec
-from fedfair.federation import FederationConfig, run_silo
+from fedfair.federation import FederationConfig, run_federation
 from fedfair.simplex import project_mahalanobis
 from fedfair.transform import CdfSpec, ResponseRange, cdf_eval
 
@@ -302,7 +302,7 @@ def test_criterion_10_directional_fairness():
                 k=20, t_rounds=100, method=method, setting="cross_silo",
                 b=20, lr=0.3, lr_decay=0.98, lr_decay_step=10, seed=seed, data=data,
             )
-            acc = run_silo(cfg).client_accuracy
+            acc = run_federation(cfg).client_accuracy
             ginis.append(metrics.gini(acc))
             worsts.append(float(acc.min()))
             avgs.append(float(acc.mean()))

@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfair import cli
 from fedfair.errors import ConfigError
@@ -75,6 +80,10 @@ class TestParseConfig:
             ("lr = inf", "lr"),
             ("lr = nan", "lr"),
             ("qfedavg_q = nan", "qfedavg_q"),
+            ("data.feature_shift = nan", "data.feature_shift"),
+            ("cdf.scale = nan", "cdf.scale"),
+            ("cdf.shape = inf", "cdf.shape"),
+            ("data.dirichlet_concentration = inf", "data.dirichlet_concentration"),
         ],
     )
     def test_values_that_break_training_exit_1(self, tmp_path, capsys, line, field):
@@ -127,6 +136,87 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such file"):
             cli.parse_config(tmp_path / "absent.cfg")
+
+    def test_every_field_is_a_key(self, tmp_path):
+        keys = [
+            "k", "t_rounds", "method", "setting", "c", "e", "b", "lr", "lr_decay",
+            "lr_decay_step", "weight_decay", "seed", "qfedavg_q", "term_lambda", "propfair_m",
+            "afl_q", "cdf.kind", "cdf.scale", "cdf.shape", "data.input_dim", "data.num_classes",
+            "data.samples_per_client_mean", "data.samples_per_client_spread",
+            "data.dirichlet_concentration", "data.feature_shift",
+        ]
+        text = MINIMAL + "".join(f"{key} = {TINY_VALUES[key][0]}\n" for key in keys[4:])
+        suite = cli.parse_config(write_config(tmp_path, text + "seeds = 3\nout = elsewhere\n"))
+        assert suite.out_dir == Path("elsewhere")
+        raw = dataclasses.asdict(suite.configs[0])
+        for section in ("cdf", "data"):
+            raw.update({f"{section}.{name}": value for name, value in raw.pop(section).items()})
+        assert sorted(raw) == sorted(keys)
+        assert raw.pop("seed") == 3
+        for key in keys[4:]:
+            if key != "seed":
+                assert raw[key] == type(raw[key])(TINY_VALUES[key][0]), key
+
+
+# Valid values of every config key that keep a run tiny, and values that are
+# invalid for most keys: non-finite, negative, non-numeric, not an enum member.
+TINY_VALUES = {
+    "k": ["2", "3"],
+    "t_rounds": ["1", "2"],
+    "method": ["fedavg", "afl", "qfedavg", "term", "propfair", "aaggff-s", "aaggff-d"],
+    "setting": ["cross_silo", "cross_device"],
+    "c": ["1", "0.5"],
+    "e": ["1", "2"],
+    "b": ["5"],
+    "lr": ["0.1"],
+    "lr_decay": ["0.9", "1"],
+    "lr_decay_step": ["1"],
+    "weight_decay": ["0", "0.01"],
+    "seed": ["0", "7"],
+    "seeds": ["0", "1,4"],
+    "qfedavg_q": ["0", "1"],
+    "term_lambda": ["0.5"],
+    "propfair_m": ["3"],
+    "afl_q": ["0.1"],
+    "cdf.kind": ["weibull", "frechet", "gumbel", "exponential", "logistic", "normal"],
+    "cdf.scale": ["1", "2"],
+    "cdf.shape": ["0.5", "2"],
+    "data.input_dim": ["3"],
+    "data.num_classes": ["2", "3"],
+    "data.samples_per_client_mean": ["10", "12"],
+    "data.samples_per_client_spread": ["0", "4"],
+    "data.dirichlet_concentration": ["0.5"],
+    "data.feature_shift": ["0", "1"],
+}
+BAD_VALUES = ["nan", "inf", "-inf", "-1", "fast", "bogus"]
+
+
+@st.composite
+def assignments(draw):
+    """Valid values for any keys, then at most two keys set to a bad value."""
+    keys = st.sampled_from(sorted(TINY_VALUES))
+    assignment = {key: draw(st.sampled_from(TINY_VALUES[key])) for key in draw(st.lists(keys, unique=True))}
+    for key in draw(st.lists(keys, unique=True, max_size=2)):
+        assignment[key] = draw(st.sampled_from(BAD_VALUES))
+    return assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(assignments())
+def test_any_config_is_rejected_by_field_or_runs(assignment):
+    pairs = {"k": "3", "t_rounds": "2", "method": "fedavg", "setting": "cross_silo"}
+    pairs.update({"b": "5", "data.input_dim": "3", "data.samples_per_client_mean": "10"})
+    pairs.update(assignment)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+        try:
+            suite = cli.parse_config(path, out_dir=Path(tmp) / "out")
+        except ConfigError as err:
+            assert err.field in set(TINY_VALUES)
+            return
+        with np.errstate(all="ignore"):
+            assert cli.run_suite(suite) == 0
 
 
 class TestRunSuite:

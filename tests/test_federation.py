@@ -14,9 +14,7 @@ from fedfair.federation import (
     FederationConfig,
     LogisticModel,
     client_update,
-    run_device,
     run_federation,
-    run_silo,
     sample_clients,
     train_clients,
 )
@@ -345,7 +343,7 @@ class TestRunSilo:
         clients = identical_clients(k)
         n = clients[0].n_train
         cfg = small_config(k=k, t_rounds=10, method="fedavg", b=n, lr=0.5)
-        result = run_silo(cfg, clients=clients)
+        result = run_federation(cfg, clients=clients)
         losses = [rec.losses.mean() for rec in result.records]
         assert all(l2 <= l1 + 1e-12 for l1, l2 in zip(losses, losses[1:]))
 
@@ -364,22 +362,17 @@ class TestRunSilo:
         clients = identical_clients(k)
         n = clients[0].n_train
         cfg = small_config(k=k, t_rounds=8, method="aaggff-s", b=n, lr=0.3)
-        result = run_silo(cfg, clients=clients)
+        result = run_federation(cfg, clients=clients)
         for rec in result.records:
             np.testing.assert_allclose(rec.decision, 0.5, atol=1e-9)
 
     def test_rerun_bit_identical(self):
         cfg = small_config(method="aaggff-s", t_rounds=6)
-        a = run_silo(cfg)
-        b = run_silo(cfg)
+        a = run_federation(cfg)
+        b = run_federation(cfg)
         assert records_equal(a.records, b.records)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.client_accuracy, b.client_accuracy)
-
-    def test_wrong_setting_rejected(self):
-        cfg = small_config(setting="cross_device", c=0.5)
-        with pytest.raises(ConfigError):
-            run_silo(cfg)
 
     def test_lr_decay_applied_every_step_rounds(self):
         # With decay 0.5 every 2 rounds, deltas shrink in jumps; verify via
@@ -389,7 +382,7 @@ class TestRunSilo:
         n = clients[0].n_train
         cfg = small_config(k=k, t_rounds=4, method="fedavg", b=n, lr=0.4,
                            lr_decay=0.5, lr_decay_step=2)
-        result = run_silo(cfg, clients=clients)
+        result = run_federation(cfg, clients=clients)
         model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
         theta = model.init_params()
         for lr in (0.4, 0.4, 0.2, 0.2):
@@ -402,7 +395,7 @@ class TestRunDevice:
         cfg = small_config(
             k=4, t_rounds=6, method="aaggff-d", setting="cross_device", c=1.0, lr=0.3
         )
-        result = run_device(cfg)
+        result = run_federation(cfg)
 
         # Replay: full-length responses, estimate collapses to the identity,
         # linearized gradient at the observed-mean reference.
@@ -422,20 +415,20 @@ class TestRunDevice:
         cfg = small_config(
             k=k, t_rounds=4, method="aaggff-d", setting="cross_device", c=0.1, lr=0.3, b=20
         )
-        result = run_device(cfg, clients=clients)
+        result = run_federation(cfg, clients=clients)
         for rec in result.records:
             weights = simplex.normalize_subset(rec.decision, rec.sampled)
             np.testing.assert_allclose(weights, 1.0 / rec.sampled.size, atol=1e-9)
 
     def test_rerun_bit_identical(self):
         cfg = small_config(k=8, t_rounds=5, method="aaggff-d", setting="cross_device", c=0.4)
-        a = run_device(cfg)
-        b = run_device(cfg)
+        a = run_federation(cfg)
+        b = run_federation(cfg)
         assert records_equal(a.records, b.records)
 
     def test_subset_sizes_and_estimated_flag(self):
         cfg = small_config(k=9, t_rounds=4, method="qfedavg", setting="cross_device", c=0.4)
-        result = run_device(cfg)
+        result = run_federation(cfg)
         for rec in result.records:
             assert rec.sampled.size == 3
             assert rec.response_estimated
@@ -463,7 +456,7 @@ class TestCrossStrategyInvariants:
         common_grad = model.grad(model.init_params(), clients[0].x_train, clients[0].y_train)
         for method in ("fedavg", "qfedavg", "term", "propfair", "afl", "aaggff-s"):
             cfg = small_config(k=k, t_rounds=1, method=method, b=n, lr=0.25)
-            result = run_silo(cfg, clients=[clone_client(c, i) for i, c in enumerate(clients)])
+            result = run_federation(cfg, clients=[clone_client(c, i) for i, c in enumerate(clients)])
             np.testing.assert_allclose(result.theta, -0.25 * common_grad, atol=1e-12)
 
     def test_decision_is_simplex_every_round(self):
@@ -477,4 +470,4 @@ class TestCrossStrategyInvariants:
     def test_mismatched_client_count_rejected(self):
         cfg = small_config(k=4)
         with pytest.raises(ConfigError):
-            run_silo(cfg, clients=identical_clients(3))
+            run_federation(cfg, clients=identical_clients(3))

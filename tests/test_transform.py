@@ -22,6 +22,8 @@ class TestCdfSpec:
             CdfSpec(scale=0.0)
         with pytest.raises(ConfigError):
             CdfSpec(shape=-1.0)
+        with pytest.raises(ConfigError, match=r"cdf.kind: must be one of \['weibull'"):
+            CdfSpec(kind="bogus")
 
     def test_string_kinds_accepted(self):
         for kind in ("weibull", "frechet", "gumbel", "exponential", "logistic", "normal"):
