@@ -210,10 +210,9 @@ def _subset_loss(decision_prev, sampled, observed):
     return -float(np.log1p(weights @ observed))
 
 
-def summary_from_log(lines: list, series=None) -> dict:
-    """Recompute every reported number from serialized round-log lines.
-
-    ``series`` is ``round_series(lines)``, for a caller that already has it."""
+def summary_from_log(lines: list, series: list) -> dict:
+    """Recompute every reported number from serialized round-log lines;
+    ``series`` is ``round_series(lines)``."""
     meta = lines[0]["config"]
     rounds = [line for line in lines if line["type"] == "round"]
     accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
@@ -237,7 +236,7 @@ def summary_from_log(lines: list, series=None) -> dict:
             observed = response[sampled]
         observed_vs_uniform += _subset_loss(r["decision_prev"], sampled, observed)
         observed_vs_uniform -= -float(np.log1p(simplex.uniform(sampled.size) @ observed))
-    _, cumobj, entropy = (round_series(lines) if series is None else series)[-1]
+    _, cumobj, entropy = series[-1]
 
     method = meta["method"]
     c_incl = len(rounds[0]["sampled"]) / k

@@ -75,6 +75,11 @@ class FederationConfig:
             raise ConfigError("e", "must be >= 1")
         if self.b < 1:
             raise ConfigError("b", "must be >= 1")
+        if self.data.min_samples < self.b:
+            raise ConfigError(
+                "data.samples_per_client_mean",
+                f"minimum client sample count {self.data.min_samples} is below the batch size {self.b}",
+            )
         if self.lr <= 0:
             raise ConfigError("lr", "must be > 0")
         if not (0 < self.lr_decay <= 1):

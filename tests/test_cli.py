@@ -84,6 +84,7 @@ class TestParseConfig:
             ("cdf.scale = nan", "cdf.scale"),
             ("cdf.shape = inf", "cdf.shape"),
             ("data.dirichlet_concentration = inf", "data.dirichlet_concentration"),
+            ("data.samples_per_client_spread = 35", "data.samples_per_client_mean"),
         ],
     )
     def test_values_that_break_training_exit_1(self, tmp_path, capsys, line, field):
@@ -167,7 +168,7 @@ TINY_VALUES = {
     "setting": ["cross_silo", "cross_device"],
     "c": ["1", "0.5"],
     "e": ["1", "2"],
-    "b": ["5"],
+    "b": ["5", "20"],
     "lr": ["0.1"],
     "lr_decay": ["0.9", "1"],
     "lr_decay_step": ["1"],
@@ -272,7 +273,7 @@ class TestRunSuite:
         cli.main(["run", str(write_config(tmp_path, DEVICE_RUN, "dev.cfg")), "--out", str(out)])
         log_path = out / "runs/aaggff_d_seed5.rounds.jsonl"
         lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        recomputed = cli.summary_from_log(lines)
+        recomputed = cli.summary_from_log(lines, cli.round_series(lines))
         stored = json.loads((out / "runs/aaggff_d_seed5.summary.json").read_text())
         assert stored == json.loads(json.dumps(recomputed))
 
@@ -310,11 +311,13 @@ class TestRunSuite:
         assert cli.main(["run", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_run_failure_exit_code_and_summary(self, tmp_path):
-        # A batch size larger than any client's sample count fails generation.
-        text = SMALL_RUN.replace("b = 10", "b = 500")
+    def test_run_failure_exit_code_and_summary(self, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(cli, "run_federation", fail)
         out = tmp_path / "out"
-        code = cli.main(["run", str(write_config(tmp_path, text)), "--out", str(out)])
+        code = cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
         assert code == 2
         summary = json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())
         assert summary["error"]
