@@ -30,7 +30,7 @@ from .decision import (
     lipschitz_full,
 )
 from .federation import FederationConfig, RoundRecord, run_federation
-from .metrics import accuracy_parity_gap, cumulative_objective, gini, regret, system_loss, worst_best
+from .metrics import accuracy_parity_gap, gini, regret, system_loss, worst_best
 from .simplex import normalize_subset, project_euclidean, project_mahalanobis
 from .transform import CdfKind, CdfSpec, ResponseRange, Setting, cdf_eval, default_range, transform_responses
 
@@ -51,7 +51,6 @@ __all__ = [
     "accuracy_parity_gap",
     "baseline_response",
     "cdf_eval",
-    "cumulative_objective",
     "decision_gradient",
     "decision_loss",
     "default_range",

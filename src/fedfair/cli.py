@@ -9,9 +9,18 @@ and writes machine-readable results:
     runs/<run_id>.entropy.dat    round vs decision entropy
     suite.csv                    one row per (config, seed)
 
+A round log holds a ``meta`` line (schema, config, and for a baseline its
+sample-size ``prior``), one ``round`` line per round with ``round``,
+``sampled``, ``losses``, ``decision`` and ``decision_loss``, and a
+``client_eval`` line. The decision played in a round is the baseline's
+prior, or the adaptive learner's previous ``decision`` starting from
+uniform. Responses are recomputed from ``losses`` as the run computed them.
+
 Every number in a summary is recomputed from the serialized round log, so
 the log alone reproduces the report. Round logs are byte-identical across
-reruns and across ``--jobs`` values.
+reruns and across ``--jobs`` values. A run that fails has status
+``failed: <error>``; one whose summary fails after its log was written has
+``summary failed: <error>``.
 
 Exit codes: 0 success, 1 configuration error, 2 at least one run failed.
 """
@@ -34,13 +43,13 @@ from pathlib import Path
 import numpy as np
 
 from . import decision, metrics, simplex
-from .errors import ConfigError, DegenerateSubsetError, DivergenceError
-from .federation import ADAPTIVE_DEVICE, ADAPTIVE_SILO, FederationConfig, RunResult, run_federation
-from .transform import default_range
+from .errors import ConfigError, ConvergenceError, DegenerateSubsetError, DivergenceError
+from .federation import ADAPTIVE_DEVICE, ADAPTIVE_SILO, FederationConfig, run_federation
+from .transform import CdfSpec, default_range, transform_responses
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = [
     "schema_version",
@@ -173,38 +182,58 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _meta_line(cfg: FederationConfig) -> dict:
+def _meta_line(result) -> dict:
+    cfg = result.config
     raw = dataclasses.asdict(cfg)
     raw["setting"] = cfg.setting.value
     raw["cdf"]["kind"] = cfg.cdf.kind.value
-    return {"type": "meta", "schema": SCHEMA_VERSION, "config": raw}
+    meta = {"type": "meta", "schema": SCHEMA_VERSION, "config": raw}
+    if result.prior is not None:
+        meta["prior"] = result.prior.tolist()
+    return meta
 
 
 def run_log_lines(result) -> list:
     """Serialize a run into its round-log lines: meta, rounds and client eval.
 
     A diverged run has no ``client_accuracy`` and no client eval line."""
-    lines = [_meta_line(result.config)] + [rec.to_dict() for rec in result.records]
+    lines = [_meta_line(result)] + [rec.to_dict() for rec in result.records]
     if result.client_accuracy is not None:
         lines.append({"type": "client_eval", "accuracy": result.client_accuracy.tolist()})
     return lines
 
 
+def played_rounds(lines: list):
+    """Yield (round line, decision played in that round) for every round of
+    a round log: a baseline's prior every round; for the adaptive learners
+    the previous round's decision, starting from uniform."""
+    config = lines[0]["config"]
+    adaptive = config["method"] in (ADAPTIVE_SILO, ADAPTIVE_DEVICE)
+    played = simplex.uniform(config["k"]) if adaptive else np.asarray(lines[0]["prior"])
+    for r in lines[1:]:
+        if r["type"] == "round":
+            yield r, played
+            if adaptive:
+                played = np.asarray(r["decision"])
+
+
 def round_series(lines: list) -> list:
     """(round, cumulative objective, decision entropy) of every round in a
-    round log; the objective sums the decision-weighted sampled losses."""
+    round log. The objective after round T is the decision-weighted sum of
+    the sampled clients' pre-update losses,
+    sum_{t<=T} sum_{i in S_t} p_i^{(t)} F_i(theta^{(t)}), with p^{(t)} the
+    decision played in round t."""
     series, cum = [], 0.0
-    for r in lines:
-        if r["type"] == "round":
-            cum += float(np.asarray(r["decision_prev"])[r["sampled"]] @ np.asarray(r["losses"]))
-            series.append((r["round"], cum, metrics.decision_entropy(np.asarray(r["decision"]))))
+    for r, played in played_rounds(lines):
+        cum += float(played[r["sampled"]] @ np.asarray(r["losses"]))
+        series.append((r["round"], cum, metrics.decision_entropy(np.asarray(r["decision"]))))
     return series
 
 
-def _subset_loss(decision_prev, sampled, observed):
-    """Decision loss of the prev decision renormalized over the sampled set."""
+def _subset_loss(played, sampled, observed):
+    """Decision loss of the played decision renormalized over the sampled set."""
     try:
-        weights = simplex.normalize_subset(np.asarray(decision_prev), sampled)
+        weights = simplex.normalize_subset(played, sampled)
     except DegenerateSubsetError:
         weights = simplex.uniform(len(sampled))
     return -float(np.log1p(weights @ observed))
@@ -212,35 +241,32 @@ def _subset_loss(decision_prev, sampled, observed):
 
 def summary_from_log(lines: list, series: list) -> dict:
     """Recompute every reported number from serialized round-log lines;
-    ``series`` is ``round_series(lines)``."""
+    ``series`` is ``round_series(lines)``.
+
+    Each round's response is rebuilt from its ``losses`` with the calls the
+    run made: the configured transform, then for cross-device runs the doubly
+    robust estimate over the sampled clients."""
     meta = lines[0]["config"]
-    rounds = [line for line in lines if line["type"] == "round"]
     accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
     k, t = meta["k"], meta["t_rounds"]
+    rounds = list(played_rounds(lines))
+    c_incl = len(rounds[0][0]["sampled"]) / k
+    response_range = default_range(meta["setting"], k, c_incl)
+    cdf = CdfSpec(**meta["cdf"])
+    estimated = meta["setting"] == "cross_device"
 
-    decisions_prev = np.array([r["decision_prev"] for r in rounds])
-    responses = np.array([r["response"] for r in rounds])
-    estimated = any(r["response_estimated"] for r in rounds)
-    regret = metrics.regret(decisions_prev, responses)
-
+    responses = []
     observed_vs_uniform = 0.0
-    for r in rounds:
+    for r, played in rounds:
         sampled = np.asarray(r["sampled"], dtype=int)
-        response = np.asarray(r["response"])
-        if r["response_estimated"]:
-            # Invert the estimate: imputed value is the full-vector mean.
-            rbar = response.mean()
-            c_incl = sampled.size / k
-            observed = c_incl * (response[sampled] - rbar) + rbar
-        else:
-            observed = response[sampled]
-        observed_vs_uniform += _subset_loss(r["decision_prev"], sampled, observed)
+        observed = transform_responses(np.asarray(r["losses"]), response_range, cdf)
+        responses.append(decision.dr_estimate(observed, sampled, c_incl, k) if estimated else observed)
+        observed_vs_uniform += _subset_loss(played, sampled, observed)
         observed_vs_uniform -= -float(np.log1p(simplex.uniform(sampled.size) @ observed))
+    regret = metrics.regret(np.array([played for _, played in rounds]), np.array(responses))
     _, cumobj, entropy = series[-1]
 
     method = meta["method"]
-    c_incl = len(rounds[0]["sampled"]) / k
-    response_range = default_range(meta["setting"], k, c_incl)
     bound = None
     if method == ADAPTIVE_SILO:
         bound = decision.regret_bound(decision.lipschitz_full(response_range), k, t, second_order=True)
@@ -249,7 +275,7 @@ def summary_from_log(lines: list, series: list) -> dict:
         bound = decision.regret_bound(l_inf, k, t, second_order=False)
 
     worst, best = metrics.worst_best(accuracy, 0.1)
-    last = rounds[-1]
+    last = rounds[-1][0]
     return {
         "schema": SCHEMA_VERSION,
         "method": method,
@@ -291,7 +317,9 @@ def run_id_for(cfg: FederationConfig) -> str:
 
 
 def _write_log(path: Path, lines: list):
-    path.write_text("\n".join(_json_line(line) for line in lines) + "\n")
+    with path.open("w") as fh:
+        for line in lines:
+            fh.write(_json_line(line) + "\n")
 
 
 def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
@@ -305,10 +333,14 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
         "c": cfg.c,
         "seed": cfg.seed,
     }
+    log_path = runs_dir / f"{run_id}.rounds.jsonl"
+    failure = "failed"
     try:
         result = run_federation(cfg)
         lines = run_log_lines(result)
-        _write_log(runs_dir / f"{run_id}.rounds.jsonl", lines)
+        _write_log(log_path, lines)
+        # From here on the round log is intact; a failure is the summary's.
+        failure = "summary failed"
         series = round_series(lines)
         summary = summary_from_log(lines, series)
         (runs_dir / f"{run_id}.summary.json").write_text(
@@ -329,19 +361,19 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
             status="ok",
         )
     except Exception as err:  # noqa: BLE001 - failures must land in the report
-        logger.error("run %s failed: %s", run_id, err)
+        logger.error("run %s %s: %s", run_id, failure, err)
         if isinstance(err, DivergenceError):
             # The rounds completed before the divergence, for diagnosis; a
             # failed run has no client_eval line.
-            partial = RunResult(cfg, err.records, theta=None, client_accuracy=None, runtime=None)
-            _write_log(runs_dir / f"{run_id}.rounds.jsonl", run_log_lines(partial))
-        (runs_dir / f"{run_id}.summary.json").write_text(
-            json.dumps({"schema": SCHEMA_VERSION, "run_id": run_id, "error": str(err)}, indent=2) + "\n"
-        )
+            _write_log(log_path, run_log_lines(err.partial))
+        report = {"schema": SCHEMA_VERSION, "run_id": run_id, "error": str(err)}
+        if isinstance(err, ConvergenceError):
+            report["residual"] = err.residual
+        (runs_dir / f"{run_id}.summary.json").write_text(json.dumps(report, indent=2) + "\n")
         row.update(
             avg_accuracy_pct=None, worst10_accuracy_pct=None, best10_accuracy_pct=None,
             gini_x100=None, accuracy_parity_gap_pct=None, regret=None,
-            regret_vs_uniform_observed=None, status=f"failed: {err}",
+            regret_vs_uniform_observed=None, status=f"{failure}: {err}",
         )
     return row
 

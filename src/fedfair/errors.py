@@ -38,14 +38,15 @@ class DegenerateRoundError(ValueError):
 class DivergenceError(RuntimeError):
     """Local training produced a non-finite loss or parameter.
 
-    ``records`` holds the rounds a simulation completed before it diverged.
+    ``partial`` is set by the simulation to the result of the rounds it
+    completed before it diverged.
     """
 
     def __init__(self, message, round_index=None, client_id=None):
         super().__init__(message)
         self.round_index = round_index
         self.client_id = client_id
-        self.records = []
+        self.partial = None
 
 
 class ConfigError(ValueError):

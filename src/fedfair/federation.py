@@ -131,18 +131,18 @@ class FederationConfig:
 
 @dataclass
 class RoundRecord:
-    """Everything the server learned and decided in one round.
+    """What the server observed and decided in one round.
 
-    ``duration`` is wall-clock seconds and is intentionally left out of the
-    serialized round log, which must be byte-identical across reruns.
+    The decision played in the round and the responses are not stored: they
+    follow from the previous round's decision (or the run's prior) and from
+    ``losses``. ``duration`` is wall-clock seconds and is intentionally left
+    out of the serialized round log, which must be byte-identical across
+    reruns.
     """
 
     round: int
     sampled: np.ndarray
     losses: np.ndarray
-    response: np.ndarray
-    response_estimated: bool
-    decision_prev: np.ndarray
     decision: np.ndarray
     decision_loss: float
     duration: float = 0.0
@@ -153,9 +153,6 @@ class RoundRecord:
             "round": self.round,
             "sampled": self.sampled.tolist(),
             "losses": self.losses.tolist(),
-            "response": self.response.tolist(),
-            "response_estimated": self.response_estimated,
-            "decision_prev": self.decision_prev.tolist(),
             "decision": self.decision.tolist(),
             "decision_loss": float(self.decision_loss),
         }
@@ -163,11 +160,17 @@ class RoundRecord:
 
 @dataclass
 class RunResult:
+    """A run's rounds and final model. ``prior`` is the constant decision a
+    baseline plays every round (the sample-size prior); the adaptive learners
+    have none. A diverged run has no ``theta``, ``client_accuracy`` or
+    ``runtime``."""
+
     config: FederationConfig
     records: list
-    theta: np.ndarray
-    client_accuracy: np.ndarray
-    runtime: float
+    theta: np.ndarray | None
+    client_accuracy: np.ndarray | None
+    runtime: float | None
+    prior: np.ndarray | None = None
 
 
 class LogisticModel:
@@ -386,7 +389,7 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
 
     rng_range = cfg.response_range
     c_incl = cfg.inclusion_probability
-    ons_state = ftrl_state = baseline = None
+    ons_state = ftrl_state = baseline = prior = None
     if cfg.method == ADAPTIVE_SILO:
         ons_state = aggregators.OnsState.init(cfg.k, decision.lipschitz_full(rng_range))
         p_cur = ons_state.decision
@@ -398,7 +401,7 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
             cfg.method, sample_sizes, q=cfg.qfedavg_q, tilt=cfg.term_lambda,
             propfair_m=cfg.propfair_m, afl_q=cfg.afl_q,
         )
-        p_cur = baseline.prior
+        p_cur = prior = baseline.prior
 
     records = []
     lr = cfg.lr
@@ -423,10 +426,9 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
 
             observed = transform_responses(losses, rng_range, cfg.cdf)
             if silo:
-                response, estimated = observed, False
+                response = observed
             else:
                 response = decision.dr_estimate(observed, subset, c_incl, cfg.k)
-                estimated = True
             dloss = decision.decision_loss(p_cur, response)
 
             if ons_state is not None:
@@ -437,10 +439,10 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
                 g = decision.linearized_gradient(p_cur, response, reference)
                 ftrl_state, p_next = aggregators.ftrl_eg_step(ftrl_state, g)
             else:
-                prior = baseline.sample_sizes[subset]
-                prior = prior / prior.sum()
+                sub_prior = baseline.sample_sizes[subset]
+                sub_prior = sub_prior / sub_prior.sum()
                 sub_weights = aggregators.eg_step(
-                    prior, aggregators.baseline_response(baseline, losses), baseline.step_size
+                    sub_prior, aggregators.baseline_response(baseline, losses), baseline.step_size
                 )
                 p_next = np.zeros(cfg.k)
                 p_next[subset] = sub_weights
@@ -457,20 +459,17 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
                     round=t,
                     sampled=subset,
                     losses=losses,
-                    response=response,
-                    response_estimated=estimated,
-                    decision_prev=p_cur,
                     decision=p_next,
                     decision_loss=dloss,
                     duration=time.perf_counter() - tic,
                 )
             )
-            p_cur = p_next if baseline is None else baseline.prior
+            p_cur = p_next if baseline is None else prior
             if t % cfg.lr_decay_step == 0:
                 lr *= cfg.lr_decay
     except DivergenceError as err:
-        err.records = records
+        err.partial = RunResult(cfg, records, theta=None, client_accuracy=None, runtime=None, prior=prior)
         raise
 
     accuracy = evaluate_clients(model, theta, clients)
-    return RunResult(cfg, records, theta, accuracy, time.perf_counter() - start_time)
+    return RunResult(cfg, records, theta, accuracy, time.perf_counter() - start_time, prior)

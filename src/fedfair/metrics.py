@@ -73,21 +73,6 @@ def accuracy_parity_gap(perf) -> float:
     return float(x.max() - x.min())
 
 
-def cumulative_objective(records) -> float:
-    """Sum over rounds of the decision-weighted pre-update losses of the
-    participating clients: sum_t sum_{i in S_t} p_i^{(t)} F_i(theta^{(t)}).
-    """
-    if not records:
-        raise InvalidInputError("need at least one round record")
-    total = 0.0
-    for rec in records:
-        p = np.asarray(rec.decision_prev, dtype=float)
-        losses = np.asarray(rec.losses, dtype=float)
-        sampled = np.asarray(rec.sampled, dtype=int)
-        total += float(p[sampled] @ losses)
-    return total
-
-
 def system_loss(p, transformed_losses) -> float:
     """log(1 + sum_i p_i F~_i): the federation-wide loss the server drives
     down; equals the negated decision loss by construction.

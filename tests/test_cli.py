@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import cli
-from fedfair.errors import ConfigError
+from fedfair import cli, decision, federation
+from fedfair.datasets import generate_federation
+from fedfair.errors import ConfigError, ConvergenceError
+from fedfair.transform import transform_responses
 
 MINIMAL = """\
 k = 2
@@ -53,6 +55,26 @@ def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def read_log(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class RecordingDecision:
+    """Stands in for the ``decision`` module inside ``federation`` and keeps
+    every (decision, response) pair the run passes to ``decision_loss``."""
+
+    def __init__(self):
+        self.played, self.responses = [], []
+
+    def __getattr__(self, name):
+        return getattr(decision, name)
+
+    def decision_loss(self, p, r):
+        self.played.append(np.array(p))
+        self.responses.append(np.array(r))
+        return decision.decision_loss(p, r)
 
 
 class TestParseConfig:
@@ -244,10 +266,64 @@ class TestRunSuite:
         assert lines[-1]["type"] == "client_eval"
         assert len(lines[-1]["accuracy"]) == 4
         for r in rounds:
-            assert set(r) == {
-                "type", "round", "sampled", "losses", "response",
-                "response_estimated", "decision_prev", "decision", "decision_loss",
-            }
+            assert set(r) == {"type", "round", "sampled", "losses", "decision", "decision_loss"}
+
+    def test_meta_line_carries_baseline_prior_only(self, tmp_path):
+        path = write_config(tmp_path, SMALL_RUN.replace("method = aaggff-s", "method = fedavg"))
+        cli.main(["run", str(path), "--out", str(tmp_path / "base")])
+        cfg = cli.parse_config(path).configs[0]
+        sizes = np.array([ds.n_train for ds in generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b)])
+        meta = read_log(tmp_path / "base/runs/fedavg_seed5.rounds.jsonl")[0]
+        assert meta["prior"] == (sizes / sizes.sum()).tolist()
+
+        cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(tmp_path / "adaptive")])
+        assert "prior" not in read_log(tmp_path / "adaptive/runs/aaggff_s_seed5.rounds.jsonl")[0]
+
+    @pytest.mark.parametrize(
+        "text, method",
+        [(SMALL_RUN, "aaggff-s"), (DEVICE_RUN, "aaggff-d"), (SMALL_RUN, "qfedavg"), (DEVICE_RUN, "qfedavg")],
+        ids=["aaggff-s", "aaggff-d", "qfedavg-silo", "qfedavg-device"],
+    )
+    def test_summary_replays_the_run_decisions_and_responses(self, tmp_path, monkeypatch, text, method):
+        # The summary rebuilds the decision played and the response of every
+        # round from the log; they must be the very floats the run used.
+        text = text.replace("aaggff-s", method).replace("aaggff-d", method)
+        run = RecordingDecision()
+        monkeypatch.setattr(federation, "decision", run)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        monkeypatch.undo()
+
+        lines = read_log(out / f"runs/{method.replace('-', '_')}_seed5.rounds.jsonl")
+        replayed = []
+        regret = cli.metrics.regret
+
+        def recording_regret(decisions, responses):
+            replayed.append((decisions, responses))
+            return regret(decisions, responses)
+
+        monkeypatch.setattr(cli.metrics, "regret", recording_regret)
+        cli.summary_from_log(lines, cli.round_series(lines))
+        [(played, responses)] = replayed
+        assert len(run.responses) == 3
+        assert np.array_equal(played, np.array(run.played))
+        assert np.array_equal(responses, np.array(run.responses))
+
+    def test_regret_vs_uniform_observed_sums_transformed_losses(self, tmp_path):
+        path = write_config(tmp_path, DEVICE_RUN, "dev.cfg")
+        out = tmp_path / "out"
+        cli.main(["run", str(path), "--out", str(out)])
+        cfg = cli.parse_config(path).configs[0]
+        lines = read_log(out / "runs/aaggff_d_seed5.rounds.jsonl")
+        played, expected = np.full(cfg.k, 1 / cfg.k), 0.0
+        for r in lines[1:-1]:
+            sampled = np.array(r["sampled"])
+            observed = transform_responses(np.array(r["losses"]), cfg.response_range, cfg.cdf)
+            weights = played[sampled] / played[sampled].sum()
+            expected += np.log1p(observed.mean()) - np.log1p(weights @ observed)
+            played = np.array(r["decision"])
+        summary = json.loads((out / "runs/aaggff_d_seed5.summary.json").read_text())
+        assert summary["regret_vs_uniform_observed"] == pytest.approx(expected, rel=1e-12)
 
     def test_rerun_byte_identical_log(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_RUN)
@@ -321,8 +397,22 @@ class TestRunSuite:
         assert code == 2
         summary = json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())
         assert summary["error"]
-        csv_text = (out / "suite.csv").read_text()
-        assert "failed" in csv_text
+        assert (out / "suite.csv").read_text().splitlines()[1].endswith(",failed: injected failure")
+
+    def test_summary_failure_keeps_round_log(self, tmp_path, monkeypatch):
+        def fail(lines, series):
+            raise ConvergenceError("hindsight solver stalled", residual=1e-5)
+
+        monkeypatch.setattr(cli, "summary_from_log", fail)
+        out = tmp_path / "out"
+        code = cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
+        assert code == 2
+        row = (out / "suite.csv").read_text().splitlines()[1]
+        assert row.endswith(",summary failed: hindsight solver stalled")
+        assert len(read_log(out / "runs/aaggff_s_seed5.rounds.jsonl")) == 5
+        summary = json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())
+        assert summary["error"] == "hindsight solver stalled"
+        assert summary["residual"] == 1e-5
 
     def test_divergence_keeps_partial_round_log(self, tmp_path):
         # One step per epoch with a huge weight decay: the parameters grow

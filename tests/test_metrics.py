@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import decision, metrics
+from fedfair import cli, decision, metrics
 from fedfair.errors import InvalidInputError
 from fedfair.federation import RoundRecord
 
@@ -18,21 +18,27 @@ def gini_double_sum(x):
     return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * x.mean()))
 
 
-def make_record(t, sampled, losses, decision_prev, **kw):
-    defaults = dict(
-        response=np.zeros(len(decision_prev)),
-        response_estimated=False,
-        decision=np.asarray(decision_prev),
-        decision_loss=0.0,
-    )
-    defaults.update(kw)
+def make_record(t, sampled, losses, p, decision_loss=0.0):
     return RoundRecord(
         round=t,
         sampled=np.asarray(sampled),
         losses=np.asarray(losses),
-        decision_prev=np.asarray(decision_prev),
-        **defaults,
+        decision=np.asarray(p),
+        decision_loss=decision_loss,
     )
+
+
+def round_log(records, k, prior=None):
+    """v3 round-log lines of ``records``: an adaptive learner's run, or a
+    baseline's when ``prior`` is given."""
+    meta = {"type": "meta", "config": {"method": "aaggff-s" if prior is None else "fedavg", "k": k}}
+    if prior is not None:
+        meta["prior"] = list(prior)
+    return [meta] + [rec.to_dict() for rec in records]
+
+
+def cumulative_objective(lines):
+    return cli.round_series(lines)[-1][1]
 
 
 class TestRegret:
@@ -152,28 +158,41 @@ class TestAccuracyParityGap:
 
 
 class TestCumulativeObjective:
+    """``cli.round_series`` over hand-built round logs."""
+
     def test_single_round_uniform(self):
-        rec = make_record(1, [0, 1, 2], [1.0, 2.0, 3.0], np.full(3, 1 / 3))
-        assert metrics.cumulative_objective([rec]) == pytest.approx(2.0, abs=1e-12)
+        # An adaptive learner plays uniform in its first round.
+        rec = make_record(1, [0, 1, 2], [1.0, 2.0, 3.0], np.array([0.2, 0.3, 0.5]))
+        assert cumulative_objective(round_log([rec], k=3)) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_losses(self):
         rec = make_record(1, [0, 1], [0.0, 0.0], np.array([0.4, 0.6]))
-        assert metrics.cumulative_objective([rec]) == 0.0
+        assert cumulative_objective(round_log([rec], k=2, prior=[0.4, 0.6])) == 0.0
 
     def test_hand_accumulated_three_rounds(self):
+        # Each round plays the previous round's decision, from uniform.
         # round 1: p=(.5,.5), S={0,1}, F=(1,3)        -> 2.0
         # round 2: p=(.2,.8), S={1},   F=(2,)         -> 1.6
         # round 3: p=(.9,.1), S={0,1}, F=(1,1)        -> 1.0
         records = [
-            make_record(1, [0, 1], [1.0, 3.0], np.array([0.5, 0.5])),
-            make_record(2, [1], [2.0], np.array([0.2, 0.8])),
-            make_record(3, [0, 1], [1.0, 1.0], np.array([0.9, 0.1])),
+            make_record(1, [0, 1], [1.0, 3.0], np.array([0.2, 0.8])),
+            make_record(2, [1], [2.0], np.array([0.9, 0.1])),
+            make_record(3, [0, 1], [1.0, 1.0], np.array([0.6, 0.4])),
         ]
-        assert metrics.cumulative_objective(records) == pytest.approx(4.6, abs=1e-12)
+        series = cli.round_series(round_log(records, k=2))
+        assert [t for t, _, _ in series] == [1, 2, 3]
+        assert series[-1][1] == pytest.approx(4.6, abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            metrics.cumulative_objective([])
+    def test_baseline_plays_its_prior_every_round(self):
+        records = [
+            make_record(1, [0, 1], [1.0, 3.0], np.array([0.5, 0.5])),
+            make_record(2, [1], [2.0], np.array([0.0, 1.0])),
+        ]
+        lines = round_log(records, k=2, prior=[0.25, 0.75])
+        assert cumulative_objective(lines) == pytest.approx(2.5 + 1.5, abs=1e-12)
+
+    def test_no_rounds_empty_series(self):
+        assert cli.round_series(round_log([], k=2)) == []
 
 
 class TestSystemLoss:
