@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from fedfair import decision
-from fedfair.aggregators import FtrlState, OnsState, cumulative_loss, ftrl_eg_step, hindsight_best, ons_step
+from fedfair import decision, metrics
+from fedfair.aggregators import FtrlState, OnsState, ftrl_eg_step, ons_step
 from fedfair.transform import ResponseRange
 
 
@@ -29,11 +29,6 @@ def adversarial_responses(rng, t, k, c2):
     return r
 
 
-def measured_regret(played, responses):
-    loss = -float(np.log1p(np.einsum("ij,ij->i", played, responses)).sum())
-    return loss - cumulative_loss(hindsight_best(responses), responses)
-
-
 def run_ons(seed, k=10, t=1000):
     rng = np.random.default_rng(seed)
     c2 = 1.0 / k
@@ -43,7 +38,7 @@ def run_ons(seed, k=10, t=1000):
     for i in range(t):
         played[i] = state.decision
         state, _ = ons_step(state, decision.decision_gradient(state.decision, responses[i]))
-    return measured_regret(played, responses), decision.regret_bound(c2, k, t, second_order=True)
+    return metrics.regret(played, responses), decision.regret_bound(c2, k, t, second_order=True)
 
 
 def run_ftrl(seed, k=50, t=2000):
@@ -55,7 +50,7 @@ def run_ftrl(seed, k=50, t=2000):
     for i in range(t):
         played[i] = p
         state, p = ftrl_eg_step(state, decision.decision_gradient(p, responses[i]))
-    return measured_regret(played, responses), decision.regret_bound(1.0, k, t, second_order=False)
+    return metrics.regret(played, responses), decision.regret_bound(1.0, k, t, second_order=False)
 
 
 def run_sampled(seed, k=50, t=2000, c=0.1):
@@ -72,7 +67,7 @@ def run_sampled(seed, k=50, t=2000, c=0.1):
         est = decision.dr_estimate(responses[i, subset], subset, m / k, k)
         g = decision.linearized_gradient(p, est, np.full(k, responses[i, subset].mean()))
         state, p = ftrl_eg_step(state, g)
-    return measured_regret(played, responses), decision.regret_bound(l_dr, k, t, second_order=False)
+    return metrics.regret(played, responses), decision.regret_bound(l_dr, k, t, second_order=False)
 
 
 def main():

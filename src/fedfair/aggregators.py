@@ -162,7 +162,6 @@ class OnsState:
     -b_matrix^{-1} linear_term onto the simplex.
     """
 
-    t: int
     decision: np.ndarray
     b_matrix: np.ndarray
     linear_term: np.ndarray
@@ -178,7 +177,6 @@ class OnsState:
         alpha = 4.0 * k * l_inf
         beta = 1.0 / (4.0 * l_inf)
         return cls(
-            t=0,
             decision=simplex.uniform(k),
             b_matrix=alpha * np.eye(k),
             linear_term=np.zeros(k),
@@ -186,6 +184,21 @@ class OnsState:
             beta=beta,
             l_inf=l_inf,
         )
+
+
+def _checked_gradient(gradient, k: int, l_inf: float) -> np.ndarray:
+    """``gradient`` as a float array, checked to be a finite length-``k``
+    vector within the learner's sup-norm bound ``l_inf``."""
+    g = np.asarray(gradient, dtype=float)
+    if g.shape != (k,):
+        raise InvalidInputError("gradient dimension mismatch")
+    if not np.all(np.isfinite(g)):
+        raise InvalidInputError("gradient must be finite")
+    if np.max(np.abs(g)) > l_inf + 1e-9:
+        raise InvalidInputError(
+            f"gradient sup norm {np.max(np.abs(g)):.6g} exceeds Lipschitz bound {l_inf:.6g}"
+        )
+    return g
 
 
 def ons_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.ndarray]:
@@ -196,20 +209,12 @@ def ons_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.ndarra
     minimizes the accumulated linearized losses plus the quadratic proximal
     regularizer over the simplex.
     """
-    g = np.asarray(gradient, dtype=float)
-    if g.shape != state.decision.shape:
-        raise InvalidInputError("gradient dimension mismatch")
-    if not np.all(np.isfinite(g)):
-        raise InvalidInputError("gradient must be finite")
-    if np.max(np.abs(g)) > state.l_inf + 1e-9:
-        raise InvalidInputError(
-            f"gradient sup norm {np.max(np.abs(g)):.6g} exceeds Lipschitz bound {state.l_inf:.6g}"
-        )
+    g = _checked_gradient(gradient, state.decision.size, state.l_inf)
     b_new = state.b_matrix + state.beta * np.outer(g, g)
     lin_new = state.linear_term + (1.0 - state.beta * float(g @ state.decision)) * g
     newton = np.linalg.solve(b_new, -lin_new)
     decision = simplex.project_mahalanobis(newton, b_new, start=state.decision)
-    new_state = replace(state, t=state.t + 1, decision=decision, b_matrix=b_new, linear_term=lin_new)
+    new_state = replace(state, decision=decision, b_matrix=b_new, linear_term=lin_new)
     return new_state, decision
 
 
@@ -245,15 +250,7 @@ def ftrl_eg_step(state: FtrlState, gradient: np.ndarray) -> tuple[FtrlState, np.
     stabilized by subtracting the max exponent. A single-client federation
     (log K = 0) short-circuits to the trivial decision.
     """
-    g = np.asarray(gradient, dtype=float)
-    if g.shape != state.cumulative_gradient.shape:
-        raise InvalidInputError("gradient dimension mismatch")
-    if not np.all(np.isfinite(g)):
-        raise InvalidInputError("gradient must be finite")
-    if np.max(np.abs(g)) > state.l_inf + 1e-9:
-        raise InvalidInputError(
-            f"gradient sup norm {np.max(np.abs(g)):.6g} exceeds Lipschitz bound {state.l_inf:.6g}"
-        )
+    g = _checked_gradient(gradient, state.k, state.l_inf)
     cum = state.cumulative_gradient + g
     t_new = state.t + 1
     new_state = replace(state, t=t_new, cumulative_gradient=cum)

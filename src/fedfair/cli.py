@@ -14,7 +14,8 @@ sample-size ``prior``), one ``round`` line per round with ``round``,
 ``sampled``, ``losses``, ``decision`` and ``decision_loss``, and a
 ``client_eval`` line. The decision played in a round is the baseline's
 prior, or the adaptive learner's previous ``decision`` starting from
-uniform. Responses are recomputed from ``losses`` as the run computed them.
+uniform. The summary reads the log only through the round rules the run
+itself used, which ``federation`` owns: responses, subset weights, bound.
 
 Every number in a summary is recomputed from the serialized round log, so
 the log alone reproduces the report. Round logs are byte-identical across
@@ -42,10 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decision, metrics, simplex
-from .errors import ConfigError, ConvergenceError, DegenerateSubsetError, DivergenceError
-from .federation import ADAPTIVE_DEVICE, ADAPTIVE_SILO, FederationConfig, run_federation
-from .transform import CdfSpec, default_range, transform_responses
+from . import metrics, simplex
+from .errors import ConfigError, ConvergenceError, DivergenceError
+from .federation import FederationConfig, round_responses, run_federation, subset_weights
 
 logger = logging.getLogger(__name__)
 
@@ -205,15 +205,14 @@ def run_log_lines(result) -> list:
 
 def played_rounds(lines: list):
     """Yield (round line, decision played in that round) for every round of
-    a round log: a baseline's prior every round; for the adaptive learners
-    the previous round's decision, starting from uniform."""
-    config = lines[0]["config"]
-    adaptive = config["method"] in (ADAPTIVE_SILO, ADAPTIVE_DEVICE)
-    played = simplex.uniform(config["k"]) if adaptive else np.asarray(lines[0]["prior"])
+    a round log: the meta line's ``prior`` every round if it has one (a
+    baseline), else the previous round's decision, starting from uniform."""
+    prior = lines[0].get("prior")
+    played = simplex.uniform(lines[0]["config"]["k"]) if prior is None else np.asarray(prior)
     for r in lines[1:]:
         if r["type"] == "round":
             yield r, played
-            if adaptive:
+            if prior is None:
                 played = np.asarray(r["decision"])
 
 
@@ -230,59 +229,40 @@ def round_series(lines: list) -> list:
     return series
 
 
-def _subset_loss(played, sampled, observed):
-    """Decision loss of the played decision renormalized over the sampled set."""
-    try:
-        weights = simplex.normalize_subset(played, sampled)
-    except DegenerateSubsetError:
-        weights = simplex.uniform(len(sampled))
-    return -float(np.log1p(weights @ observed))
-
-
 def summary_from_log(lines: list, series: list) -> dict:
     """Recompute every reported number from serialized round-log lines;
     ``series`` is ``round_series(lines)``.
 
-    Each round's response is rebuilt from its ``losses`` with the calls the
-    run made: the configured transform, then for cross-device runs the doubly
-    robust estimate over the sampled clients."""
+    The meta line is rebuilt into the run's (validated) ``FederationConfig``,
+    and every round is replayed through the run's own rules in ``federation``:
+    ``round_responses`` for the responses, ``subset_weights`` for the played
+    decision's weights on the sampled set, and the config's regret bound."""
     meta = lines[0]["config"]
+    cfg = FederationConfig.from_dict(meta)
     accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
-    k, t = meta["k"], meta["t_rounds"]
     rounds = list(played_rounds(lines))
-    c_incl = len(rounds[0][0]["sampled"]) / k
-    response_range = default_range(meta["setting"], k, c_incl)
-    cdf = CdfSpec(**meta["cdf"])
-    estimated = meta["setting"] == "cross_device"
 
     responses = []
     observed_vs_uniform = 0.0
     for r, played in rounds:
         sampled = np.asarray(r["sampled"], dtype=int)
-        observed = transform_responses(np.asarray(r["losses"]), response_range, cdf)
-        responses.append(decision.dr_estimate(observed, sampled, c_incl, k) if estimated else observed)
-        observed_vs_uniform += _subset_loss(played, sampled, observed)
-        observed_vs_uniform -= -float(np.log1p(simplex.uniform(sampled.size) @ observed))
+        observed, response = round_responses(cfg, np.asarray(r["losses"]), sampled)
+        responses.append(response)
+        observed_vs_uniform -= float(np.log1p(subset_weights(played, sampled, r["round"]) @ observed))
+        observed_vs_uniform += float(np.log1p(simplex.uniform(sampled.size) @ observed))
     regret = metrics.regret(np.array([played for _, played in rounds]), np.array(responses))
     _, cumobj, entropy = series[-1]
-
-    method = meta["method"]
-    bound = None
-    if method == ADAPTIVE_SILO:
-        bound = decision.regret_bound(decision.lipschitz_full(response_range), k, t, second_order=True)
-    elif method == ADAPTIVE_DEVICE:
-        l_inf = decision.lipschitz_dr(response_range, c_incl)
-        bound = decision.regret_bound(l_inf, k, t, second_order=False)
+    bound = cfg.regret_bound
 
     worst, best = metrics.worst_best(accuracy, 0.1)
     last = rounds[-1][0]
     return {
         "schema": SCHEMA_VERSION,
-        "method": method,
-        "k": k,
-        "t_rounds": t,
-        "c": meta["c"],
-        "seed": meta["seed"],
+        "method": cfg.method,
+        "k": cfg.k,
+        "t_rounds": cfg.t_rounds,
+        "c": cfg.c,
+        "seed": cfg.seed,
         "avg_accuracy": float(accuracy.mean()),
         "worst10_accuracy": worst,
         "best10_accuracy": best,
@@ -290,7 +270,7 @@ def summary_from_log(lines: list, series: list) -> dict:
         "gini": metrics.gini(accuracy) if accuracy.sum() > 0 else None,
         "accuracy_parity_gap": metrics.accuracy_parity_gap(accuracy),
         "regret": float(regret),
-        "regret_responses_estimated": estimated,
+        "regret_responses_estimated": cfg.setting == "cross_device",
         "regret_vs_uniform_observed": float(observed_vs_uniform),
         "regret_bound": None if bound is None else float(bound),
         "bound_satisfied": None if bound is None else bool(regret <= bound),

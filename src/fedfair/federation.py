@@ -128,6 +128,29 @@ class FederationConfig:
     def response_range(self) -> ResponseRange:
         return default_range(self.setting, self.k, self.inclusion_probability)
 
+    @property
+    def lipschitz(self) -> float | None:
+        """Sup-norm bound on the adaptive learner's gradients (the doubly robust
+        one for ``aaggff-d``); None for a baseline."""
+        if self.method == ADAPTIVE_SILO:
+            return decision.lipschitz_full(self.response_range)
+        if self.method == ADAPTIVE_DEVICE:
+            return decision.lipschitz_dr(self.response_range, self.inclusion_probability)
+        return None
+
+    @property
+    def regret_bound(self) -> float | None:
+        """The adaptive learner's regret bound after ``t_rounds``; None for a baseline."""
+        l_inf = self.lipschitz
+        if l_inf is None:
+            return None
+        return decision.regret_bound(l_inf, self.k, self.t_rounds, second_order=self.method == ADAPTIVE_SILO)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "FederationConfig":
+        """Rebuild (and so validate) a config from its ``dataclasses.asdict`` or JSON form."""
+        return cls(**{**raw, "cdf": CdfSpec(**raw["cdf"]), "data": SyntheticDataSpec(**raw["data"])})
+
 
 @dataclass
 class RoundRecord:
@@ -341,15 +364,32 @@ def client_update(
     return float(losses[0]), deltas[0]
 
 
-def sample_clients(k: int, c: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement of size max(1, floor(c*k)).
+def sample_clients(k: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample of ``m`` of the ``k`` clients without replacement.
 
     Returned sorted so downstream reductions run in fixed index order.
     """
-    if not (0 < c <= 1):
-        raise ConfigError("c", "must be in (0,1]")
-    m = max(1, int(np.floor(c * k)))
     return np.sort(rng.choice(k, size=m, replace=False))
+
+
+def round_responses(cfg: FederationConfig, losses, subset) -> tuple[np.ndarray, np.ndarray]:
+    """(observed, response) of one round: the sampled clients' ``losses``
+    through the configured transform, and the response the decision is scored
+    on: the observed one (cross-silo) or its doubly robust estimate (cross-device)."""
+    observed = transform_responses(losses, cfg.response_range, cfg.cdf)
+    if cfg.setting is Setting.CROSS_SILO:
+        return observed, observed
+    return observed, decision.dr_estimate(observed, subset, cfg.inclusion_probability, cfg.k)
+
+
+def subset_weights(p: np.ndarray, subset, round_index: int) -> np.ndarray:
+    """Aggregation weights of the sampled clients: ``p`` renormalized over
+    ``subset``, or uniform (logged) when the subset carries no decision mass."""
+    try:
+        return simplex.normalize_subset(p, subset)
+    except DegenerateSubsetError:
+        logger.warning("round %d: zero decision mass on the sampled set; using uniform", round_index)
+        return simplex.uniform(len(subset))
 
 
 def evaluate_clients(model: LogisticModel, theta: np.ndarray, clients) -> np.ndarray:
@@ -378,7 +418,6 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
     ``clients`` injects pre-built datasets (length k) in place of the
     generated ones."""
     start_time = time.perf_counter()
-    silo = cfg.setting is Setting.CROSS_SILO
     if clients is None:
         clients = generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b)
     elif len(clients) != cfg.k:
@@ -387,14 +426,12 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
     theta = model.init_params()
     sample_sizes = np.array([ds.n_train for ds in clients], dtype=float)
 
-    rng_range = cfg.response_range
-    c_incl = cfg.inclusion_probability
     ons_state = ftrl_state = baseline = prior = None
     if cfg.method == ADAPTIVE_SILO:
-        ons_state = aggregators.OnsState.init(cfg.k, decision.lipschitz_full(rng_range))
+        ons_state = aggregators.OnsState.init(cfg.k, cfg.lipschitz)
         p_cur = ons_state.decision
     elif cfg.method == ADAPTIVE_DEVICE:
-        ftrl_state = aggregators.FtrlState.init(cfg.k, decision.lipschitz_dr(rng_range, c_incl))
+        ftrl_state = aggregators.FtrlState.init(cfg.k, cfg.lipschitz)
         p_cur = simplex.uniform(cfg.k)
     else:
         baseline = aggregators.baseline_params_for(
@@ -408,10 +445,10 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
     try:
         for t in range(1, cfg.t_rounds + 1):
             tic = time.perf_counter()
-            if silo:
+            if cfg.setting is Setting.CROSS_SILO:
                 subset = np.arange(cfg.k)
             else:
-                subset = sample_clients(cfg.k, cfg.c, stream(cfg.seed, STREAM_SAMPLING, t))
+                subset = sample_clients(cfg.k, cfg.subset_size, stream(cfg.seed, STREAM_SAMPLING, t))
             losses, deltas = train_clients(
                 model,
                 theta,
@@ -424,11 +461,7 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
                 round_index=t,
             )
 
-            observed = transform_responses(losses, rng_range, cfg.cdf)
-            if silo:
-                response = observed
-            else:
-                response = decision.dr_estimate(observed, subset, c_incl, cfg.k)
+            observed, response = round_responses(cfg, losses, subset)
             dloss = decision.decision_loss(p_cur, response)
 
             if ons_state is not None:
@@ -447,12 +480,7 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
                 p_next = np.zeros(cfg.k)
                 p_next[subset] = sub_weights
 
-            try:
-                weights = simplex.normalize_subset(p_next, subset)
-            except DegenerateSubsetError:
-                logger.warning("round %d: zero decision mass on the sampled set; using uniform", t)
-                weights = simplex.uniform(subset.size)
-            theta = theta - weights @ deltas
+            theta = theta - subset_weights(p_next, subset, t) @ deltas
 
             records.append(
                 RoundRecord(

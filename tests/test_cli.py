@@ -353,6 +353,16 @@ class TestRunSuite:
         stored = json.loads((out / "runs/aaggff_d_seed5.summary.json").read_text())
         assert stored == json.loads(json.dumps(recomputed))
 
+    def test_summary_validates_the_logged_config(self, tmp_path):
+        out = tmp_path / "out"
+        cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
+        lines = read_log(out / "runs/aaggff_s_seed5.rounds.jsonl")
+        series = cli.round_series(lines)
+        lines[0]["config"]["k"] = 1
+        with pytest.raises(ConfigError) as err:
+            cli.summary_from_log(lines, series)
+        assert err.value.field == "k"
+
     def test_device_summary_flags_estimated_regret_and_bound(self, tmp_path):
         out = tmp_path / "out"
         cli.main(["run", str(write_config(tmp_path, DEVICE_RUN, "dev.cfg")), "--out", str(out)])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fedfair import decision
+from fedfair import aggregators, decision
 from fedfair.errors import DegenerateRoundError, InvalidInputError
+from fedfair.federation import FederationConfig
 from fedfair.transform import ResponseRange, Setting, default_range
 
 from conftest import random_simplex
@@ -260,3 +261,20 @@ class TestRegretBound:
         assert l_inf == c + 2.0
         expected = 2.0 * (c + 2.0) * np.sqrt(t * np.log(k))
         assert decision.regret_bound(l_inf, k, t, second_order=False) == expected
+
+    @pytest.mark.parametrize("setting, c", [("cross_silo", 1.0), ("cross_device", 0.1)])
+    def test_config_bound_is_none_for_every_baseline(self, setting, c):
+        for method in aggregators.STRATEGIES:
+            if method.startswith("aaggff"):
+                continue
+            cfg = FederationConfig(k=50, t_rounds=20, method=method, setting=setting, c=c)
+            assert cfg.lipschitz is None
+            assert cfg.regret_bound is None
+
+    def test_config_bound_of_the_adaptive_learners(self):
+        silo = FederationConfig(k=20, t_rounds=100, method="aaggff-s", setting="cross_silo")
+        assert silo.lipschitz == decision.lipschitz_full(silo.response_range)
+        assert silo.regret_bound == decision.regret_bound(silo.lipschitz, 20, 100, second_order=True)
+        device = FederationConfig(k=10000, t_rounds=50, method="aaggff-d", setting="cross_device", c=0.005)
+        assert device.lipschitz == decision.lipschitz_dr(device.response_range, device.inclusion_probability)
+        assert device.regret_bound == decision.regret_bound(device.lipschitz, 10000, 50, second_order=False)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from fedfair import decision, simplex
+from fedfair import aggregators, decision, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
 from fedfair.datasets import ClientDataset, SyntheticDataSpec, generate_federation, stream
 from fedfair.errors import ConfigError, DivergenceError
@@ -16,9 +16,10 @@ from fedfair.federation import (
     client_update,
     run_federation,
     sample_clients,
+    subset_weights,
     train_clients,
 )
-from fedfair.transform import transform_responses
+from fedfair.transform import CdfSpec, transform_responses
 
 SMALL_DATA = SyntheticDataSpec(
     input_dim=4, num_classes=3, samples_per_client_mean=40, dirichlet_concentration=0.5
@@ -285,27 +286,38 @@ class TestTrainClients:
 
 class TestSampleClients:
     def test_full_participation(self):
-        got = sample_clients(6, 1.0, stream(0, 1, 1))
+        got = sample_clients(6, 6, stream(0, 1, 1))
         np.testing.assert_array_equal(got, np.arange(6))
 
+    # The cohort size is the config's subset_size, max(1, floor(c*k)).
     def test_reference_cohort_size(self):
-        got = sample_clients(817, 0.00612, stream(0, 1, 1))
-        assert got.size == 5
+        cfg = FederationConfig(k=817, t_rounds=1, method="aaggff-d", setting="cross_device", c=0.00612)
+        assert cfg.subset_size == 5
+        assert sample_clients(cfg.k, cfg.subset_size, stream(0, 1, 1)).size == 5
 
     def test_floor_clamps_to_one(self):
-        got = sample_clients(10, 0.05, stream(0, 1, 1))
-        assert got.size == 1
+        cfg = FederationConfig(k=10, t_rounds=1, method="aaggff-d", setting="cross_device", c=0.05)
+        assert cfg.subset_size == 1
+        assert sample_clients(cfg.k, cfg.subset_size, stream(0, 1, 1)).size == 1
 
     def test_without_replacement_and_sorted(self):
-        got = sample_clients(20, 0.5, stream(0, 1, 1))
+        got = sample_clients(20, 10, stream(0, 1, 1))
         assert got.size == 10
         assert np.unique(got).size == 10
         assert np.all(np.diff(got) > 0)
 
     def test_deterministic_per_stream(self):
-        a = sample_clients(50, 0.2, stream(7, 1, 3))
-        b = sample_clients(50, 0.2, stream(7, 1, 3))
+        a = sample_clients(50, 10, stream(7, 1, 3))
+        b = sample_clients(50, 10, stream(7, 1, 3))
         np.testing.assert_array_equal(a, b)
+
+
+class TestSubsetWeights:
+    def test_zero_mass_subset_falls_back_to_uniform(self, caplog):
+        with caplog.at_level("WARNING", logger="fedfair.federation"):
+            got = subset_weights(np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([2, 3, 4]), round_index=7)
+        np.testing.assert_array_equal(got, np.full(3, 1 / 3))
+        assert "round 7: zero decision mass on the sampled set; using uniform" in caplog.text
 
 
 class TestConfigValidation:
@@ -335,6 +347,16 @@ class TestConfigValidation:
         cfg = FederationConfig(k=10, t_rounds=1, method="fedavg", setting="cross_device", c=0.05)
         assert cfg.subset_size == 1
         assert cfg.inclusion_probability == 0.1
+
+    @pytest.mark.parametrize(
+        "method, setting",
+        [(m, "cross_silo") for m in aggregators.STRATEGIES if m != "aaggff-d"]
+        + [(m, "cross_device") for m in aggregators.STRATEGIES if m != "aaggff-s"],
+    )
+    def test_from_dict_inverts_asdict(self, method, setting):
+        c = 1.0 if setting == "cross_silo" else 0.3
+        cfg = small_config(method=method, setting=setting, c=c, cdf=CdfSpec(kind="gumbel", scale=0.5))
+        assert FederationConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 class TestRunSilo:
