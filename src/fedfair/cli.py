@@ -203,12 +203,13 @@ def run_log_lines(result) -> list:
     return lines
 
 
-def played_rounds(lines: list):
+def played_rounds(lines: list, cfg: FederationConfig):
     """Yield (round line, decision played in that round) for every round of
-    a round log: the meta line's ``prior`` every round if it has one (a
-    baseline), else the previous round's decision, starting from uniform."""
+    a round log of ``cfg``: the meta line's ``prior`` every round if it has
+    one (a baseline), else the previous round's decision, starting from
+    uniform."""
     prior = lines[0].get("prior")
-    played = simplex.uniform(lines[0]["config"]["k"]) if prior is None else np.asarray(prior)
+    played = simplex.uniform(cfg.k) if prior is None else np.asarray(prior)
     for r in lines[1:]:
         if r["type"] == "round":
             yield r, played
@@ -221,9 +222,9 @@ def round_series(lines: list) -> list:
     round log. The objective after round T is the decision-weighted sum of
     the sampled clients' pre-update losses,
     sum_{t<=T} sum_{i in S_t} p_i^{(t)} F_i(theta^{(t)}), with p^{(t)} the
-    decision played in round t."""
+    decision played in round t. The meta line's config is validated first."""
     series, cum = [], 0.0
-    for r, played in played_rounds(lines):
+    for r, played in played_rounds(lines, FederationConfig.from_dict(lines[0]["config"])):
         cum += float(played[r["sampled"]] @ np.asarray(r["losses"]))
         series.append((r["round"], cum, metrics.decision_entropy(np.asarray(r["decision"]))))
     return series
@@ -240,7 +241,7 @@ def summary_from_log(lines: list, series: list) -> dict:
     meta = lines[0]["config"]
     cfg = FederationConfig.from_dict(meta)
     accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
-    rounds = list(played_rounds(lines))
+    rounds = list(played_rounds(lines, cfg))
 
     responses = []
     observed_vs_uniform = 0.0

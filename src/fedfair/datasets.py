@@ -1,14 +1,22 @@
-"""Synthetic heterogeneous client datasets.
+"""Synthetic heterogeneous client datasets, and the run's named random streams.
 
 Clients hold Gaussian-cluster classification data. Heterogeneity has two
 knobs: label skew, drawn per client from a Dirichlet prior over classes, and
 a per-client feature shift. Features are standardized with global statistics
 so all clients share one input scale. Generation is deterministic given the
 master seed: every client draws from its own named counter-based stream.
+
+Every random draw of a run comes from a named stream: a Philox generator
+whose key is exactly the one ``np.random.SeedSequence(seed,
+spawn_key=path).generate_state(2, np.uint64)`` gives. ``stream_keys``
+computes those keys for many paths in one vectorized pass, and ``rekey``
+points one existing Philox at the start of any of them, so a run pays for
+neither a SeedSequence nor a new bit generator per (round, client) stream.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,22 +28,143 @@ from .errors import ConfigError, require_finite
 # per-client accuracy instead of saturating at 100%.
 _CLASS_SEPARATION = 1.0
 _NOISE_STD = 1.0
+_TEST_FRACTION = 0.2
 
 # Stream labels for the seed tree; see stream().
 STREAM_DATA = 0
 STREAM_SAMPLING = 1
 STREAM_BATCHING = 2
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on a pool of
+# four uint32 words.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_const(i: int) -> int:
+    """The entropy hash constant after ``i`` hashmix calls."""
+    return _INIT_A * pow(_MULT_A, i, 1 << 32) & _MASK32
+
+
+def _hashmix(value: int, i: int) -> int:
+    value = (value ^ _hash_const(i)) * _hash_const(i + 1) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    result = (int(_MIX_MULT_L) * x - int(_MIX_MULT_R) * y) & _MASK32
+    return result ^ result >> 16
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
+    """The pool after mixing in the seed's words (zero-padded to the pool
+    size, as numpy does when a spawn key follows), and the number of hashmix
+    calls made so far."""
+    if seed < 0:
+        raise ValueError("stream seed must be >= 0")
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = [_hashmix(w, i) for i, w in enumerate(words[:_POOL_SIZE])]
+    calls = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], calls))
+                calls += 1
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, calls))
+            calls += 1
+    pool = np.array(pool, dtype=np.uint32)
+    pool.flags.writeable = False  # cached: shared by every caller
+    return pool, calls
+
+
+@functools.lru_cache(maxsize=64)
+def _path_consts(calls: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) constants, each (length, pool size), of the hashmix
+    calls that mix ``length`` path words into the pool after ``calls``."""
+    consts = np.array([_hash_const(calls + i) for i in range(length * _POOL_SIZE + 1)], dtype=np.uint32)
+    consts.flags.writeable = False  # cached: shared by every caller
+    return consts[:-1].reshape(length, _POOL_SIZE), consts[1:].reshape(length, _POOL_SIZE)
+
+
+# generate_state(2, np.uint64) hashes the four pool words with these
+# constants: word i is xor-ed with _OUT[i] and multiplied by _OUT[i + 1].
+_OUT = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(5)], dtype=np.uint32)
+
+
+def stream_keys(seed: int, *path) -> np.ndarray:
+    """Philox keys of the named streams ``(seed, *path)``, as uint64 pairs.
+
+    Each path entry is an integer or an integer array; the entries broadcast
+    together, and the result has the broadcast shape plus a trailing 2, so
+    ``stream_keys(seed, STREAM_BATCHING, t, clients)`` keys every client's
+    stream of round t at once. Each key equals
+    ``np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``.
+    Entries must lie in [0, 2**32): numpy would spread a larger one over
+    several words, which this emulation does not.
+    """
+    pool, calls = _seed_pool(int(seed))
+    words = np.broadcast_arrays(*(np.asarray(p) for p in path)) if path else []
+    for w in words:
+        if w.dtype.kind not in "iu" or (w.size and (w.min() < 0 or w.max() > _MASK32)):
+            raise ValueError("stream path entries must be integers in [0, 2**32)")
+    shape = words[0].shape if words else ()
+    mixer = np.broadcast_to(pool, shape + (_POOL_SIZE,)).copy()
+    xor, mul = _path_consts(calls, len(words))
+    for w, x, m in zip(words, xor, mul):
+        hashed = w.astype(np.uint32)[..., None] ^ x
+        hashed *= m
+        hashed ^= hashed >> 16
+        mixer *= _MIX_MULT_L
+        hashed *= _MIX_MULT_R
+        mixer -= hashed
+        mixer ^= mixer >> 16
+    mixer ^= _OUT[:-1]
+    mixer *= _OUT[1:]
+    mixer ^= mixer >> 16
+    keys = mixer[..., 1::2].astype(np.uint64) << np.uint64(32)
+    keys |= mixer[..., 0::2]
+    return keys
+
+
+_FRESH = [0, 0, 0, 0]
+
+
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """Point ``rng``'s Philox at the start of the stream with Philox ``key``
+    (one row of ``stream_keys``) and return it.
+
+    The counter, the output buffer and the buffered 32-bit half are all
+    reset, so the draws that follow equal a fresh ``Generator(Philox(key=key))``
+    whatever was drawn before. A run keeps its own generator: one rekeyed
+    Generator is one live stream at a time.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _FRESH, "key": key},
+        "buffer": _FRESH,
+        "buffer_pos": 4,  # the buffer's size: nothing buffered
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent named random stream derived from the master seed.
 
     Streams are keyed by an integer path, e.g. (STREAM_BATCHING, round,
-    client). Philox is counter-based, so streams can be created in any order
-    on any thread and still produce identical draws.
+    client), exactly as ``SeedSequence(seed, spawn_key=path)`` would key
+    them (see ``stream_keys``). Philox is counter-based, so streams can be
+    created in any order on any thread and still produce identical draws.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(key=stream_keys(seed, *path)))
 
 
 @dataclass(frozen=True)
@@ -93,27 +222,19 @@ class ClientDataset:
         return self.y_train.size
 
 
-def _stratified_split(x, y, num_classes, rng, test_fraction=0.2):
-    """Per-class 80/20 split; classes with a single sample stay in train."""
-    train_idx, test_idx = [], []
-    for c in range(num_classes):
-        idx = np.nonzero(y == c)[0]
-        if idx.size == 0:
-            continue
-        idx = idx[rng.permutation(idx.size)]
-        n_test = int(np.floor(test_fraction * idx.size)) if idx.size >= 2 else 0
-        test_idx.extend(idx[:n_test])
-        train_idx.extend(idx[n_test:])
-    train_idx = np.sort(np.asarray(train_idx, dtype=int))
-    test_idx = np.sort(np.asarray(test_idx, dtype=int))
-    return x[train_idx], y[train_idx], x[test_idx], y[test_idx]
-
-
 def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: int = 1):
     """Generate ``k`` deterministic client datasets.
 
     ``min_batch`` is the local batch size the training loop will use; client
     sample counts below it are a configuration error.
+
+    Client i draws, from stream (STREAM_DATA, 1 + i), its label mix, sample
+    count, labels, shift direction and noise; the class means come from
+    (STREAM_DATA, 0). Features are standardized over all clients. Each
+    (client, class) group of size s >= 2 puts floor(0.2 s) of its rows,
+    picked by one permutation from (STREAM_DATA, 1 + i, 0), in the test set;
+    every other row trains, so each client has at least one training row.
+    Rows keep their drawn order within each client's train and test sets.
     """
     if k < 1:
         raise ConfigError("k", "must be >= 1")
@@ -122,34 +243,70 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
             "data.samples_per_client_mean",
             f"minimum client sample count {spec.min_samples} is below the batch size {min_batch}",
         )
-    shared = stream(seed, STREAM_DATA, 0)
-    means = shared.standard_normal((spec.num_classes, spec.input_dim)) * _CLASS_SEPARATION
+    rng = stream(seed, STREAM_DATA, 0)
+    means = rng.standard_normal((spec.num_classes, spec.input_dim)) * _CLASS_SEPARATION
 
-    raw = []
-    for i in range(k):
-        g = stream(seed, STREAM_DATA, 1 + i)
-        probs = g.dirichlet(np.full(spec.num_classes, spec.dirichlet_concentration))
-        lo, hi = spec.min_samples, spec.samples_per_client_mean + spec.samples_per_client_spread
-        n = int(g.integers(lo, hi + 1))
-        labels = g.choice(spec.num_classes, size=n, p=probs)
-        shift = np.zeros(spec.input_dim)
+    ids = 1 + np.arange(k)
+    lo, hi = spec.min_samples, spec.samples_per_client_mean + spec.samples_per_client_spread
+    alpha = np.full(spec.num_classes, spec.dirichlet_concentration)
+    probs = np.empty((k, spec.num_classes))
+    sizes = np.empty(k, dtype=np.intp)
+    directions = np.zeros((k, spec.input_dim))
+    sq_norms = np.ones(k)
+    labels = np.empty(k * hi, dtype=np.int64)
+    x = np.empty((k * hi, spec.input_dim))
+    total = 0
+    for i, key in enumerate(stream_keys(seed, STREAM_DATA, ids).tolist()):
+        rekey(rng, key)
+        probs[i] = rng.dirichlet(alpha)
+        n = sizes[i] = rng.integers(lo, hi + 1)
+        labels[total : total + n] = rng.choice(spec.num_classes, size=n, p=probs[i])
         if spec.feature_shift > 0:
-            direction = g.standard_normal(spec.input_dim)
-            shift = spec.feature_shift * direction / np.linalg.norm(direction)
-        x = means[labels] + shift + _NOISE_STD * g.standard_normal((n, spec.input_dim))
-        raw.append((probs, x, labels))
+            rng.standard_normal(out=directions[i])
+            sq_norms[i] = directions[i].dot(directions[i])
+        rng.standard_normal(out=x[total : total + n])
+        total += n
+    x, labels = x[:total], labels[:total]
+    owner = np.repeat(np.arange(k), sizes)
 
-    pooled = np.concatenate([x for _, x, _ in raw])
-    mu = pooled.mean(axis=0)
-    sigma = pooled.std(axis=0)
+    # Noise plus (class mean + client shift), standardized over all clients.
+    shifts = spec.feature_shift * directions / np.sqrt(sq_norms)[:, None]
+    x *= _NOISE_STD
+    x += (means + shifts[:, None, :])[owner, labels]
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
     sigma[sigma == 0.0] = 1.0
+    x -= mu
+    x /= sigma
 
-    clients = []
-    for i, (probs, x, labels) in enumerate(raw):
-        x = (x - mu) / sigma
-        g = stream(seed, STREAM_DATA, 1 + i, 0)
-        xtr, ytr, xte, yte = _stratified_split(x, labels, spec.num_classes, g)
-        if ytr.size == 0:  # pathological tiny client: keep everything for training
-            xtr, ytr, xte, yte = x, labels, x[:0], labels[:0]
-        clients.append(ClientDataset(i, xtr, ytr, xte, yte, probs))
-    return clients
+    # Stratified split: rows grouped by (client, class), drawn order kept
+    # within a group; group g's permutation ranks its rows, and the
+    # floor(0.2 s) lowest ranks go to test.
+    by_group = np.lexsort((labels, owner))
+    group_id = owner[by_group] * spec.num_classes + labels[by_group]
+    starts = np.flatnonzero(np.r_[True, group_id[1:] != group_id[:-1]])
+    counts = np.diff(np.r_[starts, total])
+    split_keys = stream_keys(seed, STREAM_DATA, ids, 0).tolist()
+    perms, client = [], -1
+    for g_owner, s in zip((group_id[starts] // spec.num_classes).tolist(), counts.tolist()):
+        if g_owner != client:
+            client = g_owner
+            rekey(rng, split_keys[client])
+        perms.append(rng.permutation(s))
+    first = np.repeat(starts, counts)
+    rank = np.empty(total, dtype=np.intp)
+    rank[first + np.concatenate(perms)] = np.arange(total) - first
+    n_test = np.floor(_TEST_FRACTION * counts).astype(np.intp)
+    is_test = np.empty(total, dtype=bool)
+    is_test[by_group] = rank < np.repeat(n_test, counts)
+
+    # Each client's training rows, then its test rows, in one array.
+    order = np.argsort(2 * owner + is_test, kind="stable")
+    x, labels = x[order], labels[order]
+    test_sizes = np.bincount(owner, weights=is_test, minlength=k).astype(np.intp)
+    ends = np.cumsum(sizes)
+    bounds = zip(range(k), (ends - sizes).tolist(), (ends - test_sizes).tolist(), ends.tolist())
+    return [
+        ClientDataset(i, x[a:b], labels[a:b], x[b:c], labels[b:c], probs[i])
+        for i, a, b, c in bounds
+    ]

@@ -25,7 +25,9 @@ from .datasets import (
     ClientDataset,
     SyntheticDataSpec,
     generate_federation,
+    rekey,
     stream,
+    stream_keys,
 )
 from .errors import ConfigError, DegenerateSubsetError, DivergenceError, require_finite
 from .transform import CdfSpec, ResponseRange, Setting, default_range, transform_responses
@@ -273,20 +275,23 @@ def train_clients(
     model: LogisticModel,
     theta: np.ndarray,
     datasets,
-    rngs,
+    keys,
     epochs: int,
     batch_size: int,
     lr: float,
     weight_decay: float = 0.0,
     round_index: int | None = None,
+    rng: np.random.Generator | None = None,
 ):
     """Evaluate then locally train the received model on every client at once.
 
     Returns (losses, deltas) with one row per entry of ``datasets``: the
     full-dataset mean loss at the received parameters, computed before any
     step, and received-minus-trained parameters after ``epochs`` passes of
-    minibatch SGD. Client j shuffles its rows with one ``rngs[j].permutation``
-    per epoch and takes ceil(n_j / batch_size) steps per epoch, the last one
+    minibatch SGD. Client j shuffles its rows with one permutation per epoch
+    from the stream with Philox key ``keys[j]`` (a row of
+    ``datasets.stream_keys``), drawn through ``rng`` rekeyed (a new Generator
+    if None), and takes ceil(n_j / batch_size) steps per epoch, the last one
     on the remainder. Step s of every client that still has a minibatch s is
     one vectorized update. Weight decay enters the update only; the reported
     loss is the plain data loss.
@@ -329,9 +334,22 @@ def train_clients(
     counts = np.minimum(n_sorted[:, None] - np.arange(0, width, batch_size), batch_size)
     active = np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0)
 
+    # Every epoch's shuffles of every client, in training order. Streams are
+    # independent, so drawing a client's epochs together changes no draw.
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(key=0))
+    shuffles = np.empty((epochs, offsets.size), dtype=np.intp)
+    end = 0
+    for key, n in zip(np.asarray(keys)[order].tolist(), n_sorted.tolist()):
+        rekey(rng, key)
+        for shuffle in shuffles[:, end : end + n]:
+            shuffle[:] = rng.permutation(n)
+        end += n
+    shuffles += offsets
+
     rows = np.full((sizes.size, width), total)
-    for _ in range(epochs):
-        rows[real] = offsets + np.concatenate([rngs[j].permutation(sizes[j]) for j in order])
+    for shuffle in shuffles:
+        rows[real] = shuffle
         for s, a in enumerate(active):
             idx = rows[:a, s * batch_size : (s + 1) * batch_size]
             params[:a] -= lr * model.grad_many(params[:a], x[idx], y[idx], counts[:a, s], weight_decay)
@@ -353,13 +371,14 @@ def client_update(
     epochs: int,
     batch_size: int,
     lr: float,
-    rng: np.random.Generator,
+    key,
     weight_decay: float = 0.0,
     round_index: int | None = None,
 ):
-    """``train_clients`` for one client: returns (loss_before, delta)."""
+    """``train_clients`` for one client, shuffling from the stream with Philox
+    ``key``: returns (loss_before, delta)."""
     losses, deltas = train_clients(
-        model, theta, [dataset], [rng], epochs, batch_size, lr, weight_decay, round_index
+        model, theta, [dataset], [key], epochs, batch_size, lr, weight_decay, round_index
     )
     return float(losses[0]), deltas[0]
 
@@ -426,6 +445,7 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
     theta = model.init_params()
     sample_sizes = np.array([ds.n_train for ds in clients], dtype=float)
 
+    batching = np.random.Generator(np.random.Philox(key=0))
     ons_state = ftrl_state = baseline = prior = None
     if cfg.method == ADAPTIVE_SILO:
         ons_state = aggregators.OnsState.init(cfg.k, cfg.lipschitz)
@@ -453,12 +473,13 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
                 model,
                 theta,
                 [clients[int(i)] for i in subset],
-                [stream(cfg.seed, STREAM_BATCHING, t, int(i)) for i in subset],
+                stream_keys(cfg.seed, STREAM_BATCHING, t, subset),
                 cfg.e,
                 cfg.b,
                 lr,
                 cfg.weight_decay,
                 round_index=t,
+                rng=batching,
             )
 
             observed, response = round_responses(cfg, losses, subset)

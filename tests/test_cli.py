@@ -357,10 +357,9 @@ class TestRunSuite:
         out = tmp_path / "out"
         cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
         lines = read_log(out / "runs/aaggff_s_seed5.rounds.jsonl")
-        series = cli.round_series(lines)
         lines[0]["config"]["k"] = 1
         with pytest.raises(ConfigError) as err:
-            cli.summary_from_log(lines, series)
+            cli.round_series(lines)
         assert err.value.field == "k"
 
     def test_device_summary_flags_estimated_regret_and_bound(self, tmp_path):

@@ -1,0 +1,168 @@
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fedfair.datasets import (
+    STREAM_DATA,
+    ClientDataset,
+    SyntheticDataSpec,
+    generate_federation,
+    rekey,
+    stream,
+    stream_keys,
+)
+
+
+def seed_sequence_key(seed, path):
+    return np.random.SeedSequence(seed, spawn_key=tuple(path)).generate_state(2, np.uint64)
+
+
+def seed_sequence_stream(seed, *path):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+def reference_generate_federation(spec, k, seed):
+    """The per-client generator that ``generate_federation`` vectorizes: one
+    SeedSequence-keyed stream per client, standardization over the pooled
+    rows, then a per-class 80/20 split of each client."""
+    means = seed_sequence_stream(seed, STREAM_DATA, 0).standard_normal((spec.num_classes, spec.input_dim))
+    raw = []
+    for i in range(k):
+        g = seed_sequence_stream(seed, STREAM_DATA, 1 + i)
+        probs = g.dirichlet(np.full(spec.num_classes, spec.dirichlet_concentration))
+        lo, hi = spec.min_samples, spec.samples_per_client_mean + spec.samples_per_client_spread
+        n = int(g.integers(lo, hi + 1))
+        labels = g.choice(spec.num_classes, size=n, p=probs)
+        shift = np.zeros(spec.input_dim)
+        if spec.feature_shift > 0:
+            direction = g.standard_normal(spec.input_dim)
+            shift = spec.feature_shift * direction / np.linalg.norm(direction)
+        x = means[labels] + shift + 1.0 * g.standard_normal((n, spec.input_dim))
+        raw.append((probs, x, labels))
+
+    pooled = np.concatenate([x for _, x, _ in raw])
+    mu = pooled.mean(axis=0)
+    sigma = pooled.std(axis=0)
+    sigma[sigma == 0.0] = 1.0
+
+    clients = []
+    for i, (probs, x, y) in enumerate(raw):
+        x = (x - mu) / sigma
+        g = seed_sequence_stream(seed, STREAM_DATA, 1 + i, 0)
+        train_idx, test_idx = [], []
+        for c in range(spec.num_classes):
+            idx = np.nonzero(y == c)[0]
+            if idx.size == 0:
+                continue
+            idx = idx[g.permutation(idx.size)]
+            n_test = int(np.floor(0.2 * idx.size)) if idx.size >= 2 else 0
+            test_idx.extend(idx[:n_test])
+            train_idx.extend(idx[n_test:])
+        train_idx = np.sort(np.asarray(train_idx, dtype=int))
+        test_idx = np.sort(np.asarray(test_idx, dtype=int))
+        clients.append(ClientDataset(i, x[train_idx], y[train_idx], x[test_idx], y[test_idx], probs))
+    return clients
+
+
+seeds = st.integers(0, 2**130 - 1)
+path_entries = st.integers(0, 2**32 - 1)
+paths = st.lists(path_entries, min_size=1, max_size=3)
+
+
+class TestStreamKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(seeds, paths)
+    @example(0, [0])
+    @example(2**32 - 1, [2**32 - 1])
+    @example(2**32, [0, 2**32 - 1])
+    @example(2**128, [2, 2**32 - 1, 0])
+    @example(2**130 - 1, [1, 2, 3])
+    def test_equal_seed_sequence_keys(self, seed, path):
+        np.testing.assert_array_equal(stream_keys(seed, *path), seed_sequence_key(seed, path))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, st.lists(path_entries, min_size=1, max_size=20), st.sampled_from(["first", "middle", "last"]))
+    def test_array_entry_keys_every_path(self, seed, ids, where):
+        prefix, suffix = {"first": ((), (7, 0)), "middle": ((2,), (0,)), "last": ((2, 9), ())}[where]
+        keys = stream_keys(seed, *prefix, np.array(ids, dtype=np.int64), *suffix)
+        assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+        for key, i in zip(keys, ids):
+            np.testing.assert_array_equal(key, seed_sequence_key(seed, (*prefix, i, *suffix)))
+
+    @pytest.mark.parametrize("entry", [2**32, 2**64, -1])
+    def test_entry_outside_one_word_raises(self, entry):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream_keys(0, 1, entry)
+        with pytest.raises(ValueError):
+            stream_keys(0, np.array([0, entry], dtype=object if entry >= 2**63 else np.int64))
+
+
+class TestRekey:
+    @staticmethod
+    def draws(rng):
+        return (rng.integers(0, 2**31, size=3, dtype=np.int32), rng.standard_normal(5), rng.permutation(9),
+                rng.random(2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, paths, paths)
+    def test_rekeyed_draws_equal_a_fresh_generator(self, seed, previous, path):
+        rng = stream(seed, *previous)
+        # One 32-bit draw leaves the other half of a 64-bit output buffered.
+        rng.integers(0, 100, dtype=np.int32)
+        rng.standard_normal(3)
+        got = self.draws(rekey(rng, stream_keys(seed, *path)))
+        expected = self.draws(seed_sequence_stream(seed, *path))
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds, paths)
+    def test_stream_equals_seed_sequence_stream(self, seed, path):
+        for a, b in zip(self.draws(stream(seed, *path)), self.draws(seed_sequence_stream(seed, *path))):
+            np.testing.assert_array_equal(a, b)
+
+
+# Small federations: few classes and rows, so spreads down to a mean minus
+# spread of 1 give clients and classes with a single row.
+specs = st.builds(
+    lambda dim, classes, low, spread, alpha, shift: SyntheticDataSpec(
+        input_dim=dim,
+        num_classes=classes,
+        samples_per_client_mean=low + spread,
+        samples_per_client_spread=spread,
+        dirichlet_concentration=alpha,
+        feature_shift=shift,
+    ),
+    st.integers(1, 4),
+    st.integers(2, 5),
+    st.integers(1, 6),
+    st.integers(0, 12),
+    st.sampled_from([0.05, 0.5, 5.0]),
+    st.sampled_from([0.0, 0.7, 3.0]),
+)
+
+
+class TestGenerateFederation:
+    @settings(max_examples=80, deadline=None)
+    @given(specs, st.integers(1, 30), st.integers(0, 2**40))
+    def test_equals_per_client_reference(self, spec, k, seed):
+        got = generate_federation(spec, k, seed)
+        expected = reference_generate_federation(spec, k, seed)
+        assert len(got) == k
+        for a, b in zip(got, expected):
+            assert a.client_id == b.client_id
+            for name in ("x_train", "y_train", "x_test", "y_test", "class_probs"):
+                u, v = getattr(a, name), getattr(b, name)
+                assert u.dtype == v.dtype and u.shape == v.shape, name
+                assert u.tobytes() == v.tobytes(), name
+
+    @pytest.mark.parametrize("spread", [0, 1, 4])
+    def test_every_client_trains_on_at_least_one_row(self, spread):
+        spec = SyntheticDataSpec(
+            input_dim=2, num_classes=4, samples_per_client_mean=1 + spread, samples_per_client_spread=spread
+        )
+        clients = generate_federation(spec, 200, seed=3)
+        assert min(c.n_train for c in clients) >= 1
+        if spread == 0:
+            assert all(c.n_train == 1 and c.y_test.size == 0 for c in clients)

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from fedfair import aggregators, decision, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
-from fedfair.datasets import ClientDataset, SyntheticDataSpec, generate_federation, stream
+from fedfair.datasets import ClientDataset, SyntheticDataSpec, generate_federation, stream, stream_keys
 from fedfair.errors import ConfigError, DivergenceError
 from fedfair.federation import (
     FederationConfig,
@@ -129,7 +129,7 @@ class TestClientUpdate:
     def test_zero_lr_no_movement(self):
         ds = self.clients[0]
         theta = self.model.init_params() + 0.1
-        loss, delta = client_update(self.model, theta, ds, 1, 10, 0.0, stream(0, 2, 1, 0))
+        loss, delta = client_update(self.model, theta, ds, 1, 10, 0.0, stream_keys(0, 2, 1, 0))
         assert loss == pytest.approx(self.model.loss(theta, ds.x_train, ds.y_train))
         np.testing.assert_array_equal(delta, np.zeros_like(theta))
 
@@ -139,7 +139,7 @@ class TestClientUpdate:
         ds = self.clients[0]
         theta = np.linspace(-0.2, 0.3, self.model.dim)
         lr = 0.37
-        _, delta = client_update(self.model, theta, ds, 1, ds.n_train, lr, stream(0, 2, 1, 0))
+        _, delta = client_update(self.model, theta, ds, 1, ds.n_train, lr, stream_keys(0, 2, 1, 0))
 
         x, y = ds.x_train, ds.y_train
         w = theta[: 3 * 4].reshape(3, 4)
@@ -166,15 +166,15 @@ class TestClientUpdate:
         assert np.linalg.norm(gradient(res.x)) <= 1e-6
         lr = 0.5
         _, delta = client_update(
-            self.model, res.x, ds, 1, ds.n_train, lr, stream(0, 2, 1, 0), weight_decay=wd
+            self.model, res.x, ds, 1, ds.n_train, lr, stream_keys(0, 2, 1, 0), weight_decay=wd
         )
         assert np.linalg.norm(delta) <= lr * 1e-6
 
     def test_multiple_epochs_take_more_steps(self):
         ds = self.clients[0]
         theta = self.model.init_params()
-        _, d1 = client_update(self.model, theta, ds, 1, 10, 0.1, stream(0, 2, 1, 0))
-        _, d4 = client_update(self.model, theta, ds, 4, 10, 0.1, stream(0, 2, 1, 0))
+        _, d1 = client_update(self.model, theta, ds, 1, 10, 0.1, stream_keys(0, 2, 1, 0))
+        _, d4 = client_update(self.model, theta, ds, 4, 10, 0.1, stream_keys(0, 2, 1, 0))
         assert np.linalg.norm(d4) > np.linalg.norm(d1)
 
 
@@ -235,16 +235,15 @@ class TestTrainClients:
         subset, theta = self.subset_and_theta(sizes, seed, shuffle)
         lr = 0.3
 
-        def rng(i):
-            return stream(seed, 2, 1, i)
-
         losses, deltas = train_clients(
-            self.model, theta, [clients[i] for i in subset], [rng(i) for i in subset], e, b, lr, wd
+            self.model, theta, [clients[i] for i in subset], stream_keys(seed, 2, 1, subset), e, b, lr, wd
         )
         assert losses.shape == (len(subset),) and deltas.shape == (len(subset), self.model.dim)
         for row, i in enumerate(subset):
-            loss, delta = client_update(self.model, theta, clients[i], e, b, lr, rng(i), wd)
-            ref_loss, ref_delta = reference_update(self.model, theta, clients[i], e, b, lr, rng(i), wd)
+            loss, delta = client_update(self.model, theta, clients[i], e, b, lr, stream_keys(seed, 2, 1, i), wd)
+            ref_loss, ref_delta = reference_update(
+                self.model, theta, clients[i], e, b, lr, stream(seed, 2, 1, i), wd
+            )
             np.testing.assert_allclose(losses[row], loss, rtol=0, atol=1e-12)
             np.testing.assert_allclose(deltas[row], delta, rtol=0, atol=1e-12)
             np.testing.assert_allclose(loss, ref_loss, rtol=0, atol=1e-12)
@@ -263,22 +262,21 @@ class TestTrainClients:
         subset, theta = self.subset_and_theta(sizes, seed, shuffle)
         datasets = [clients[i] for i in subset]
 
-        def rngs():
-            return [stream(seed, 2, 1, i) for i in subset]
+        keys = stream_keys(seed, 2, 1, subset)
 
         with np.errstate(all="ignore"):
             expected = None
-            for ds, rng in zip(datasets, rngs()):
+            for ds, i in zip(datasets, subset):
                 try:
-                    reference_update(self.model, theta, ds, e, b, 0.3, rng, wd)
+                    reference_update(self.model, theta, ds, e, b, 0.3, stream(seed, 2, 1, i), wd)
                 except DivergenceError as err:
                     expected = err
                     break
             if expected is None:
-                train_clients(self.model, theta, datasets, rngs(), e, b, 0.3, wd)
+                train_clients(self.model, theta, datasets, keys, e, b, 0.3, wd)
                 return
             with pytest.raises(DivergenceError) as got:
-                train_clients(self.model, theta, datasets, rngs(), e, b, 0.3, wd, round_index=7)
+                train_clients(self.model, theta, datasets, keys, e, b, 0.3, wd, round_index=7)
         assert got.value.client_id == expected.client_id
         assert str(got.value) == str(expected)
         assert got.value.round_index == 7

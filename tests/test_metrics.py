@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedfair import cli, decision, metrics
 from fedfair.errors import InvalidInputError
-from fedfair.federation import RoundRecord
+from fedfair.federation import FederationConfig, RoundRecord
 
 from conftest import random_simplex
 from test_aggregators import hindsight_grid_oracle
@@ -31,7 +33,10 @@ def make_record(t, sampled, losses, p, decision_loss=0.0):
 def round_log(records, k, prior=None):
     """v3 round-log lines of ``records``: an adaptive learner's run, or a
     baseline's when ``prior`` is given."""
-    meta = {"type": "meta", "config": {"method": "aaggff-s" if prior is None else "fedavg", "k": k}}
+    cfg = FederationConfig(
+        k=k, t_rounds=max(len(records), 1), method="aaggff-s" if prior is None else "fedavg", setting="cross_silo"
+    )
+    meta = {"type": "meta", "config": dataclasses.asdict(cfg)}
     if prior is not None:
         meta["prior"] = list(prior)
     return [meta] + [rec.to_dict() for rec in records]
