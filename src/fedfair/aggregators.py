@@ -158,8 +158,10 @@ class OnsState:
 
     b_matrix is alpha*I plus beta times the running sum of gradient outer
     products; linear_term accumulates (1 - beta <g, p>) g. The next decision
-    is the b_matrix-metric projection of the unconstrained Newton point
-    -b_matrix^{-1} linear_term onto the simplex.
+    minimizes x^T b_matrix x + 2 linear_term^T x over the simplex. Up to a
+    constant this is the b_matrix-metric distance to the Newton point
+    -b_matrix^{-1} linear_term, so the step needs no Newton point, solve or
+    eigendecomposition.
     """
 
     decision: np.ndarray
@@ -207,13 +209,18 @@ def ons_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.ndarra
     The gradient must be the decision-loss gradient evaluated at
     ``state.decision``. Returns the updated state and the new decision, which
     minimizes the accumulated linearized losses plus the quadratic proximal
-    regularizer over the simplex.
+    regularizer over the simplex: x^T B x + 2 lin^T x with B = b_matrix and
+    lin = linear_term, warm-started at the previous decision. Each round
+    costs O(K^2) per projected-gradient iteration and makes no O(K^3) call.
+    B is alpha*I (alpha > 0) plus outer products of checked, finite
+    gradients, so it is positive definite by construction and is not
+    re-validated here; only the public ``simplex.project_mahalanobis``
+    validates its metric.
     """
     g = _checked_gradient(gradient, state.decision.size, state.l_inf)
     b_new = state.b_matrix + state.beta * np.outer(g, g)
     lin_new = state.linear_term + (1.0 - state.beta * float(g @ state.decision)) * g
-    newton = np.linalg.solve(b_new, -lin_new)
-    decision = simplex.project_mahalanobis(newton, b_new, start=state.decision)
+    decision = simplex.minimize_quadratic(b_new, lin_new, start=state.decision)
     new_state = replace(state, decision=decision, b_matrix=b_new, linear_term=lin_new)
     return new_state, decision
 

@@ -2,8 +2,9 @@
 
 The server's decision space is the probability simplex
 ``{p in R^K : p_i >= 0, sum(p) = 1}``. This module provides the exact
-Euclidean projection, a generalized (Mahalanobis) projection used by the
-second-order aggregator, and renormalization of a decision onto a sampled
+Euclidean projection, a generalized (Mahalanobis) projection and the
+simplex-constrained quadratic minimizer behind it, which the second-order
+aggregator calls directly, and renormalization of a decision onto a sampled
 subset of coordinates.
 
 All functions are pure and thread-safe.
@@ -57,19 +58,92 @@ def project_euclidean(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _check_psd(b: np.ndarray) -> np.ndarray:
-    """Validate symmetry and positive definiteness; return eigenvalues."""
+def _check_psd(b, k: int) -> np.ndarray:
+    """``b`` as a float array, checked to be a finite, symmetric, positive
+    definite ``k`` x ``k`` matrix. The size is checked before the O(K^3)
+    eigendecomposition."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InvalidMatrixError("metric must be a square matrix")
+    if b.shape[0] != k:
+        raise InvalidInputError("metric dimension does not match vector")
     if not np.all(np.isfinite(b)):
         raise InvalidMatrixError("metric must be finite")
     if np.max(np.abs(b - b.T)) > 1e-12 * max(1.0, np.max(np.abs(b))):
         raise InvalidMatrixError("metric must be symmetric")
-    eigs = np.linalg.eigvalsh(b)
-    if eigs[0] <= 0.0:
-        raise InvalidMatrixError(f"metric must be positive definite (min eigenvalue {eigs[0]:.3e})")
-    return eigs
+    lam_min = np.linalg.eigvalsh(b)[0]
+    if lam_min <= 0.0:
+        raise InvalidMatrixError(f"metric must be positive definite (min eigenvalue {lam_min:.3e})")
+    return b
+
+
+def minimize_quadratic(
+    b: np.ndarray,
+    lin: np.ndarray,
+    start: np.ndarray,
+    tol: float = 1e-8,
+    max_iter: int | None = None,
+) -> np.ndarray:
+    """argmin over the simplex of x^T B x + 2 lin^T x for positive definite B.
+
+    Solved by projected-gradient descent in the Euclidean metric with a
+    Barzilai-Borwein trial step and Armijo backtracking, starting from the
+    Euclidean projection of ``start`` and stopping when the iterate moves
+    less than ``tol`` in sup norm. Steps are scaled by the largest absolute
+    row sum of B, an upper bound on its largest eigenvalue, so each
+    iteration costs O(K^2) matrix-vector work and nothing O(K^3).
+
+    B is trusted to be symmetric positive definite and ``lin`` to be a
+    finite vector of matching size: only ``project_mahalanobis`` checks its
+    metric. Raises ConvergenceError (carrying the best iterate and its
+    movement residual) if the cap ``max_iter`` (default 10*K*(-log10 tol))
+    is hit.
+    """
+    k = lin.size
+    if max_iter is None:
+        max_iter = int(10 * k * max(1.0, -np.log10(tol)))
+    if max_iter < 1:
+        raise InvalidInputError("max_iter must be >= 1")
+
+    lam_bound = float(np.max(np.sum(np.abs(b), axis=1)))
+    lin2 = 2.0 * lin
+    x = project_euclidean(start)
+    bx = b @ x
+    f_x = float(x @ (bx + lin2))
+    grad = 2.0 * bx + lin2
+    step = 1.0 / (2.0 * lam_bound)
+    prev_x = None
+    prev_grad = None
+    for _ in range(max_iter):
+        # Barzilai-Borwein trial step, safeguarded to a sane range.
+        if prev_x is not None:
+            dx = x - prev_x
+            dg = grad - prev_grad
+            denom = float(dx @ dg)
+            if denom > 0:
+                step = float(dx @ dx) / denom
+        step = float(np.clip(step, 1.0 / (20.0 * lam_bound), 1e6 / lam_bound))
+
+        # Armijo backtracking on the proximal-gradient decrease condition.
+        for _ in range(60):
+            x_new = project_euclidean(x - step * grad)
+            d = x_new - x
+            bx_new = b @ x_new
+            f_new = float(x_new @ (bx_new + lin2))
+            if f_new <= f_x + grad @ d + (d @ d) / (2.0 * step) + 1e-18:
+                break
+            step *= 0.5
+        move = float(np.max(np.abs(d)))
+        prev_x, prev_grad = x, grad
+        x, f_x = x_new, f_new
+        grad = 2.0 * bx_new + lin2
+        if move <= tol:
+            return x
+    raise ConvergenceError(
+        f"simplex projection did not converge in {max_iter} iterations",
+        iterate=x,
+        residual=move,
+    )
 
 
 def project_mahalanobis(
@@ -81,67 +155,22 @@ def project_mahalanobis(
 ) -> np.ndarray:
     """argmin over the simplex of (x - v)^T B (x - v) for positive definite B.
 
-    Solved by projected-gradient descent in the Euclidean metric with a
-    Barzilai-Borwein trial step and Armijo backtracking, stopping when the
-    iterate moves less than ``tol`` in sup norm. ``start`` warm-starts the
-    iteration (callers stepping a slowly-moving decision benefit a lot).
+    Checks ``v`` (a finite vector) and ``b`` (a finite, symmetric, positive
+    definite matrix of matching size), then minimizes the same objective up
+    to a constant, x^T B x - 2 (B v)^T x, with ``minimize_quadratic``.
+    ``start`` (default ``v``) warm-starts the iteration (callers stepping a
+    slowly-moving decision benefit a lot).
 
     Raises ConvergenceError (carrying the best iterate and its movement
     residual) if the cap ``max_iter`` (default 10*K*(-log10 tol)) is hit.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise InvalidInputError("expected a nonempty 1-d vector")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("projection input must be finite")
-    eigs = _check_psd(b)
-    k = v.size
-    if b.shape[0] != k:
-        raise InvalidInputError("metric dimension does not match vector")
-    if max_iter is None:
-        max_iter = int(10 * k * max(1.0, -np.log10(tol)))
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be >= 1")
-
-    lam_max = eigs[-1]
-    x = project_euclidean(v if start is None else np.asarray(start, dtype=float))
-
-    def fval(y):
-        d = y - v
-        return float(d @ (b @ d))
-
-    f_x = fval(x)
-    grad = 2.0 * (b @ (x - v))
-    step = 1.0 / (2.0 * lam_max)
-    prev_x = None
-    prev_grad = None
-    for _ in range(max_iter):
-        # Barzilai-Borwein trial step, safeguarded to a sane range.
-        if prev_x is not None:
-            dx = x - prev_x
-            dg = grad - prev_grad
-            denom = float(dx @ dg)
-            if denom > 0:
-                step = float(dx @ dx) / denom
-        step = float(np.clip(step, 1.0 / (20.0 * lam_max), 1e6 / lam_max))
-
-        # Armijo backtracking on the proximal-gradient decrease condition.
-        for _ in range(60):
-            x_new = project_euclidean(x - step * grad)
-            d = x_new - x
-            f_new = fval(x_new)
-            if f_new <= f_x + grad @ d + (d @ d) / (2.0 * step) + 1e-18:
-                break
-            step *= 0.5
-        move = float(np.max(np.abs(x_new - x)))
-        prev_x, prev_grad = x, grad
-        x, f_x = x_new, f_new
-        grad = 2.0 * (b @ (x - v))
-        if move <= tol:
-            return x
-    raise ConvergenceError(
-        f"simplex projection did not converge in {max_iter} iterations",
-        iterate=x,
-        residual=move,
-    )
+    b = _check_psd(b, v.size)
+    return minimize_quadratic(b, -(b @ v), v if start is None else start, tol=tol, max_iter=max_iter)
 
 
 def normalize_subset(p: np.ndarray, subset: np.ndarray) -> np.ndarray:

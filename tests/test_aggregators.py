@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfair import aggregators, decision, simplex
 from fedfair.aggregators import (
@@ -257,6 +259,38 @@ class TestOnsStep:
             r = rng.uniform(0, 0.2, size=5)
             g = decision.decision_gradient(state.decision, r)
             state, p = ons_step(state, g)
+            assert simplex.is_simplex(p)
+
+    @given(
+        k=st.integers(2, 64),
+        steps=st.integers(1, 6),
+        l_inf=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_metric_projection_of_newton_point(self, k, steps, l_inf, seed):
+        # Reference: the metric projection of the Newton point -B^{-1} lin,
+        # warm-started at the previous decision.
+        rng = np.random.default_rng(seed)
+        state = OnsState.init(k, l_inf)
+        for _ in range(steps):
+            r = rng.uniform(0, l_inf, size=k)
+            prev = state.decision
+            state, p = ons_step(state, decision.decision_gradient(prev, r))
+            b, lin = state.b_matrix, state.linear_term
+            reference = simplex.project_mahalanobis(np.linalg.solve(b, -lin), b, start=prev)
+            assert np.max(np.abs(p - reference)) <= 1e-6
+
+    def test_makes_no_cubic_call(self, rng, monkeypatch):
+        def cubic(*_, **__):
+            raise AssertionError("O(K^3) linear algebra in ons_step")
+
+        for name in ("solve", "inv", "eigvalsh", "eigh", "eig", "cholesky", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name, cubic)
+        state = OnsState.init(30, l_inf=0.1)
+        for _ in range(5):
+            r = rng.uniform(0, 0.1, size=30)
+            state, p = ons_step(state, decision.decision_gradient(state.decision, r))
             assert simplex.is_simplex(p)
 
 

@@ -110,6 +110,16 @@ def random_psd(rng, k, spread=3.0):
     return 0.1 * np.eye(k) + spread * (g @ g.T) / k
 
 
+def assert_kkt(x, v, b):
+    """KKT conditions of the Mahalanobis projection of ``v`` at ``x``: the
+    gradient is a constant on the support and >= that constant off it."""
+    grad = 2.0 * (b @ (x - v))
+    free = x > 1e-9
+    mu = grad[free].mean()
+    assert np.max(np.abs(grad[free] - mu)) <= 1e-5
+    assert np.all(grad[~free] >= mu - 1e-5)
+
+
 class TestProjectMahalanobis:
     def test_feasible_point_fixed(self, rng):
         for _ in range(20):
@@ -170,13 +180,7 @@ class TestProjectMahalanobis:
             k = int(rng.integers(2, 7))
             v = rng.normal(size=k) * 2
             b = random_psd(rng, k)
-            x = simplex.project_mahalanobis(v, b, tol=1e-10)
-            grad = 2.0 * (b @ (x - v))
-            free = x > 1e-9
-            mu = grad[free].mean()
-            # Gradient is a constant on the support and >= that constant off it.
-            assert np.max(np.abs(grad[free] - mu)) <= 1e-5
-            assert np.all(grad[~free] >= mu - 1e-5)
+            assert_kkt(simplex.project_mahalanobis(v, b, tol=1e-10), v, b)
 
     def test_rejects_non_pd_matrix(self):
         with pytest.raises(InvalidMatrixError):
@@ -195,6 +199,62 @@ class TestProjectMahalanobis:
             simplex.project_mahalanobis(v, b, max_iter=1)
         assert err.value.iterate is not None
         assert err.value.residual is not None
+
+    def test_accepts_array_like_metric(self):
+        got = simplex.project_mahalanobis([0.8, 0.8], [[1, 0], [0, 1]])
+        np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-8)
+
+    def test_size_mismatch_rejected_before_eigendecomposition(self, monkeypatch):
+        def no_eigvalsh(_):
+            raise AssertionError("eigvalsh called on a mismatched metric")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        with pytest.raises(InvalidInputError):
+            simplex.project_mahalanobis([0.8, 0.8], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(InvalidInputError):
+            simplex.project_mahalanobis(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "v, b, error",
+        [
+            ([np.nan, 0.0], np.eye(2), InvalidInputError),
+            ([np.inf, 0.0], np.eye(2), InvalidInputError),
+            ([[0.5, 0.5]], np.eye(2), InvalidInputError),
+            ([0.5, 0.5], np.ones((2, 3)), InvalidMatrixError),
+            ([0.5, 0.5], np.ones(2), InvalidMatrixError),
+            ([0.5, 0.5], [[1.0, np.nan], [np.nan, 1.0]], InvalidMatrixError),
+            ([0.5, 0.5], [[1.0, np.inf], [np.inf, 1.0]], InvalidMatrixError),
+            ([0.5, 0.5], [[1.0, 2.0], [2.0, 1.0]], InvalidMatrixError),
+        ],
+    )
+    def test_public_boundary_rejects(self, v, b, error):
+        with pytest.raises(error):
+            simplex.project_mahalanobis(v, b)
+
+    def test_equals_minimize_quadratic_on_shifted_objective(self, rng):
+        # (x - v)^T B (x - v) = x^T B x - 2 (B v)^T x + const.
+        for _ in range(30):
+            k = int(rng.integers(2, 9))
+            v = rng.normal(size=k) * 2
+            b = random_psd(rng, k)
+            np.testing.assert_array_equal(
+                simplex.minimize_quadratic(b, -(b @ v), v), simplex.project_mahalanobis(v, b)
+            )
+
+    def test_converges_when_row_sums_overstate_the_spectrum(self):
+        # Identity plus a small symmetric +-1 perturbation: the absolute row
+        # sums (the step scale) are several times the largest eigenvalue.
+        r = np.random.default_rng(7)
+        k = 200
+        signs = np.triu(r.choice([-1.0, 1.0], size=(k, k)), 1)
+        b = np.eye(k) + 0.025 * (signs + signs.T)
+        eigs = np.linalg.eigvalsh(b)
+        assert eigs[0] > 0.0
+        assert np.max(np.abs(b).sum(axis=1)) >= 3.0 * eigs[-1]
+        v = r.normal(size=k) * 0.01
+        x = simplex.project_mahalanobis(v, b, tol=1e-10)
+        assert simplex.is_simplex(x)
+        assert_kkt(x, v, b)
 
 
 class TestNormalizeSubset:
