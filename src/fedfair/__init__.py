@@ -9,6 +9,7 @@ update built for sampled clients. A deterministic simulator and regret /
 fairness instrumentation round out the package.
 """
 
+from ._allocator import pin_mmap_threshold as _pin_mmap_threshold
 from .aggregators import (
     BaselineMethod,
     BaselineParams,
@@ -35,6 +36,8 @@ from .simplex import normalize_subset, project_euclidean, project_mahalanobis
 from .transform import CdfKind, CdfSpec, ResponseRange, Setting, cdf_eval, default_range, transform_responses
 
 __version__ = "0.1.0"
+
+_pin_mmap_threshold()
 
 __all__ = [
     "BaselineMethod",

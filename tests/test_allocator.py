@@ -1,0 +1,43 @@
+import platform
+import sys
+
+import numpy as np
+import pytest
+
+import fedfair  # noqa: F401 - importing the package pins the threshold
+from fedfair import _allocator
+
+on_glibc = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the mmap threshold is a glibc setting",
+)
+
+
+def heap_range():
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            if line.rstrip().endswith("[heap]"):
+                lo, hi = line.split()[0].split("-")
+                return int(lo, 16), int(hi, 16)
+    return None
+
+
+@on_glibc
+def test_large_arrays_stay_out_of_the_heap():
+    # Unpinned, freeing the 8 MiB block raises glibc's threshold past 4 MiB
+    # and the next 4 MiB array comes from the brk heap.
+    big = np.ones(1 << 20)
+    del big
+    arr = np.ones(1 << 19)
+    heap = heap_range()
+    assert heap is None or not heap[0] <= arr.ctypes.data < heap[1]
+
+
+@on_glibc
+def test_pin_reports_success_on_glibc():
+    assert _allocator.pin_mmap_threshold() is True
+
+
+def test_pin_is_a_no_op_off_linux(monkeypatch):
+    monkeypatch.setattr(_allocator.sys, "platform", "darwin")
+    assert _allocator.pin_mmap_threshold() is False
