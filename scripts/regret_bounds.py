@@ -22,6 +22,8 @@ from fedfair.transform import ResponseRange
 
 
 def adversarial_responses(rng, t, k, c2):
+    """Bounded response stream: iid uniform rounds mixed with spiky rounds
+    concentrating the whole range on a rotating coordinate."""
     r = rng.uniform(0, c2, size=(t, k))
     spiky = np.nonzero(rng.random(t) < 0.3)[0]
     r[spiky] = 0.0
@@ -29,7 +31,11 @@ def adversarial_responses(rng, t, k, c2):
     return r
 
 
-def run_ons(seed, k=10, t=1000):
+# Each harness plays one seed's adversarial stream and returns the decisions
+# it played, the responses and the learner's regret bound.
+
+
+def play_ons(seed, k=10, t=1000):
     rng = np.random.default_rng(seed)
     c2 = 1.0 / k
     responses = adversarial_responses(rng, t, k, c2)
@@ -38,10 +44,10 @@ def run_ons(seed, k=10, t=1000):
     for i in range(t):
         played[i] = state.decision
         state, _ = ons_step(state, decision.decision_gradient(state.decision, responses[i]))
-    return metrics.regret(played, responses), decision.regret_bound(c2, k, t, second_order=True)
+    return played, responses, decision.regret_bound(c2, k, t, second_order=True)
 
 
-def run_ftrl(seed, k=50, t=2000):
+def play_ftrl(seed, k=50, t=2000):
     rng = np.random.default_rng(seed)
     responses = adversarial_responses(rng, t, k, 1.0)
     state = FtrlState.init(k, 1.0)
@@ -50,10 +56,10 @@ def run_ftrl(seed, k=50, t=2000):
     for i in range(t):
         played[i] = p
         state, p = ftrl_eg_step(state, decision.decision_gradient(p, responses[i]))
-    return metrics.regret(played, responses), decision.regret_bound(1.0, k, t, second_order=False)
+    return played, responses, decision.regret_bound(1.0, k, t, second_order=False)
 
 
-def run_sampled(seed, k=50, t=2000, c=0.1):
+def play_sampled(seed, k=50, t=2000, c=0.1):
     rng = np.random.default_rng(seed)
     m = round(c * k)
     responses = adversarial_responses(rng, t, k, c)
@@ -67,7 +73,7 @@ def run_sampled(seed, k=50, t=2000, c=0.1):
         est = decision.dr_estimate(responses[i, subset], subset, m / k, k)
         g = decision.linearized_gradient(p, est, np.full(k, responses[i, subset].mean()))
         state, p = ftrl_eg_step(state, g)
-    return metrics.regret(played, responses), decision.regret_bound(l_dr, k, t, second_order=False)
+    return played, responses, decision.regret_bound(l_dr, k, t, second_order=False)
 
 
 def main():
@@ -75,12 +81,12 @@ def main():
     parser.add_argument("--seeds", type=int, default=20, help="seeds per harness")
     args = parser.parse_args()
 
-    for name, harness in (("ons", run_ons), ("ftrl", run_ftrl), ("sampled", run_sampled)):
+    for name, harness in (("ons", play_ons), ("ftrl", play_ftrl), ("sampled", play_sampled)):
         tic = time.perf_counter()
         regrets, bound = [], None
         for seed in range(args.seeds):
-            regret, bound = harness(seed)
-            regrets.append(regret)
+            played, responses, bound = harness(seed)
+            regrets.append(metrics.regret(played, responses))
         elapsed = time.perf_counter() - tic
         print(
             f"{name:8s} mean={np.mean(regrets):8.4f} worst={np.max(regrets):8.4f} "

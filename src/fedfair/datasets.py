@@ -206,24 +206,24 @@ class SyntheticDataSpec:
         return self.samples_per_client_mean - self.samples_per_client_spread
 
 
-@dataclass
-class ClientDataset:
-    """One client's local data, already split 80/20 train/test."""
+@dataclass(frozen=True)
+class Federation:
+    """Every client's data as whole arrays: the training rows of client 0,
+    then of client 1, and so on, and the test rows in the same client order.
+    Client i has ``train_sizes[i]``/``test_sizes[i]`` of them and label mix
+    ``class_probs[i]``."""
 
-    client_id: int
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
+    train_sizes: np.ndarray
+    test_sizes: np.ndarray
     class_probs: np.ndarray
 
-    @property
-    def n_train(self) -> int:
-        return self.y_train.size
 
-
-def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: int = 1):
-    """Generate ``k`` deterministic client datasets.
+def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: int = 1) -> Federation:
+    """Generate a deterministic ``Federation`` of ``k`` clients.
 
     ``min_batch`` is the local batch size the training loop will use; client
     sample counts below it are a configuration error.
@@ -300,13 +300,6 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     is_test = np.empty(total, dtype=bool)
     is_test[by_group] = rank < np.repeat(n_test, counts)
 
-    # Each client's training rows, then its test rows, in one array.
-    order = np.argsort(2 * owner + is_test, kind="stable")
-    x, labels = x[order], labels[order]
     test_sizes = np.bincount(owner, weights=is_test, minlength=k).astype(np.intp)
-    ends = np.cumsum(sizes)
-    bounds = zip(range(k), (ends - sizes).tolist(), (ends - test_sizes).tolist(), ends.tolist())
-    return [
-        ClientDataset(i, x[a:b], labels[a:b], x[b:c], labels[b:c], probs[i])
-        for i, a, b, c in bounds
-    ]
+    train = ~is_test
+    return Federation(x[train], labels[train], x[is_test], labels[is_test], sizes - test_sizes, test_sizes, probs)

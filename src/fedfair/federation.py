@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import aggregators, decision, simplex
 from .datasets import (
     STREAM_BATCHING,
     STREAM_SAMPLING,
-    ClientDataset,
+    Federation,
     SyntheticDataSpec,
     generate_federation,
     rekey,
@@ -111,10 +112,10 @@ class FederationConfig:
 
     @property
     def subset_size(self) -> int:
-        """Clients sampled per round: max(1, floor(c*k)); k in silo mode."""
+        """Clients sampled per round: max(1, floor(c*k)) for c's decimal value; k in silo mode."""
         if self.setting is Setting.CROSS_SILO:
             return self.k
-        return max(1, int(np.floor(self.c * self.k)))
+        return max(1, int(Fraction(repr(float(self.c))) * self.k))
 
     @property
     def inclusion_probability(self) -> float:
@@ -274,7 +275,8 @@ class LogisticModel:
 def train_clients(
     model: LogisticModel,
     theta: np.ndarray,
-    datasets,
+    fed: Federation,
+    subset,
     keys,
     epochs: int,
     batch_size: int,
@@ -285,21 +287,21 @@ def train_clients(
 ):
     """Evaluate then locally train the received model on every client at once.
 
-    Returns (losses, deltas) with one row per entry of ``datasets``: the
-    full-dataset mean loss at the received parameters, computed before any
-    step, and received-minus-trained parameters after ``epochs`` passes of
-    minibatch SGD. Client j shuffles its rows with one permutation per epoch
-    from the stream with Philox key ``keys[j]`` (a row of
-    ``datasets.stream_keys``), drawn through ``rng`` rekeyed (a new Generator
-    if None), and takes ceil(n_j / batch_size) steps per epoch, the last one
-    on the remainder. Step s of every client that still has a minibatch s is
-    one vectorized update. Weight decay enters the update only; the reported
-    loss is the plain data loss.
+    Returns (losses, deltas) with one row per client of ``fed`` in ``subset``
+    (all of them in a silo round): the full-dataset mean loss at the received
+    parameters, computed before any step, and received-minus-trained
+    parameters after ``epochs`` passes of minibatch SGD. Client ``subset[j]``
+    shuffles its rows with one permutation per epoch from the stream with
+    Philox key ``keys[j]`` (a row of ``datasets.stream_keys``), drawn through
+    ``rng`` rekeyed (a new Generator if None), and takes ceil(n_j / batch_size)
+    steps per epoch, the last one on the remainder. Step s of every client
+    that still has a minibatch s is one vectorized update. Weight decay enters
+    the update only; the reported loss is the plain data loss.
 
     A non-finite loss or trained parameter raises DivergenceError naming the
-    first such client in ``datasets`` order.
+    first such client in ``subset`` order.
     """
-    sizes = np.array([ds.n_train for ds in datasets])
+    sizes = fed.train_sizes[subset]
     # The outputs outlive this call (the round log keeps the losses). Taken
     # before the large temporaries, they cannot pin the top of the heap, which
     # would otherwise grow by the freed temporaries every round.
@@ -307,13 +309,14 @@ def train_clients(
     deltas = np.empty((sizes.size, model.dim))
     starts = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
-    # Every client's training rows, each with a trailing 1 for the bias, then
+    # The subset's training rows, each with a trailing 1 for the bias, then
     # one zero row (label 0) that minibatch padding points at.
+    gather = np.repeat(np.cumsum(fed.train_sizes)[subset] - sizes - starts, sizes) + np.arange(total)
     x = np.zeros((total + 1, model.input_dim + 1))
-    np.concatenate([ds.x_train for ds in datasets], out=x[:total, :-1])
+    x[:total, :-1] = fed.x_train[gather]
     x[:total, -1] = 1.0
     y = np.zeros(total + 1, dtype=np.intp)
-    np.concatenate([ds.y_train for ds in datasets], out=y[:total])
+    y[:total] = fed.y_train[gather]
 
     params = model.stacked(theta, sizes.size)
     logits = params[0] @ x[:total].T
@@ -359,7 +362,7 @@ def train_clients(
     if bad.any():
         j = int(np.argmax(bad))
         what = "local training diverged" if np.isfinite(losses[j]) else "non-finite local loss"
-        client = datasets[j].client_id
+        client = int(subset[j])
         raise DivergenceError(f"{what} for client {client}", round_index=round_index, client_id=client)
     return losses, deltas
 
@@ -367,7 +370,8 @@ def train_clients(
 def client_update(
     model: LogisticModel,
     theta: np.ndarray,
-    dataset: ClientDataset,
+    fed: Federation,
+    client: int,
     epochs: int,
     batch_size: int,
     lr: float,
@@ -375,10 +379,10 @@ def client_update(
     weight_decay: float = 0.0,
     round_index: int | None = None,
 ):
-    """``train_clients`` for one client, shuffling from the stream with Philox
-    ``key``: returns (loss_before, delta)."""
+    """``train_clients`` for client ``client`` of ``fed`` alone, shuffling
+    from the stream with Philox ``key``: returns (loss_before, delta)."""
     losses, deltas = train_clients(
-        model, theta, [dataset], [key], epochs, batch_size, lr, weight_decay, round_index
+        model, theta, fed, [client], [key], epochs, batch_size, lr, weight_decay, round_index
     )
     return float(losses[0]), deltas[0]
 
@@ -411,21 +415,23 @@ def subset_weights(p: np.ndarray, subset, round_index: int) -> np.ndarray:
         return simplex.uniform(len(subset))
 
 
-def evaluate_clients(model: LogisticModel, theta: np.ndarray, clients) -> np.ndarray:
-    """Per-client held-out accuracy of the final global model, in [0, 1].
+def evaluate_clients(model: LogisticModel, theta: np.ndarray, fed: Federation) -> np.ndarray:
+    """Per-client held-out accuracy of the final global model, in [0, 1], from
+    one prediction over every test row. Clients whose split produced no test
+    samples are scored on their training set instead (logged)."""
+    k = fed.test_sizes.size
+    ids = np.arange(k)
+    hits = np.bincount(np.repeat(ids, fed.test_sizes), model.predict(theta, fed.x_test) == fed.y_test, minlength=k)
+    empty = fed.test_sizes == 0
+    for i in np.flatnonzero(empty).tolist():
+        logger.warning("client %d has no held-out samples; evaluating on training data", i)
+    owner = np.repeat(ids, fed.train_sizes)
+    rows = empty[owner]
+    hits += np.bincount(owner[rows], model.predict(theta, fed.x_train[rows]) == fed.y_train[rows], minlength=k)
+    return hits / np.where(empty, fed.train_sizes, fed.test_sizes)
 
-    Clients whose split produced no test samples are scored on their
-    training set instead (logged)."""
-    acc = np.empty(len(clients))
-    for i, ds in enumerate(clients):
-        x, y = (ds.x_test, ds.y_test) if ds.y_test.size else (ds.x_train, ds.y_train)
-        if ds.y_test.size == 0:
-            logger.warning("client %d has no held-out samples; evaluating on training data", i)
-        acc[i] = float(np.mean(model.predict(theta, x) == y))
-    return acc
 
-
-def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
+def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunResult:
     """Simulate one federation run of ``cfg``.
 
     Cross-silo runs use full participation: every client trains every round.
@@ -434,16 +440,15 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
     full decision from the linearized gradient, and aggregate only over the
     sampled clients with subset-renormalized coefficients.
 
-    ``clients`` injects pre-built datasets (length k) in place of the
-    generated ones."""
+    ``fed`` injects a pre-built ``Federation`` of k clients in place of the
+    generated one; the baselines' sample sizes are its ``train_sizes``."""
     start_time = time.perf_counter()
-    if clients is None:
-        clients = generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b)
-    elif len(clients) != cfg.k:
-        raise ConfigError("k", f"{len(clients)} client datasets supplied for k={cfg.k}")
+    if fed is None:
+        fed = generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b)
+    elif fed.train_sizes.size != cfg.k:
+        raise ConfigError("k", f"{fed.train_sizes.size} client datasets supplied for k={cfg.k}")
     model = LogisticModel(cfg.data.input_dim, cfg.data.num_classes)
     theta = model.init_params()
-    sample_sizes = np.array([ds.n_train for ds in clients], dtype=float)
 
     batching = np.random.Generator(np.random.Philox(key=0))
     ons_state = ftrl_state = baseline = prior = None
@@ -455,7 +460,7 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
         p_cur = simplex.uniform(cfg.k)
     else:
         baseline = aggregators.baseline_params_for(
-            cfg.method, sample_sizes, q=cfg.qfedavg_q, tilt=cfg.term_lambda,
+            cfg.method, fed.train_sizes.astype(float), q=cfg.qfedavg_q, tilt=cfg.term_lambda,
             propfair_m=cfg.propfair_m, afl_q=cfg.afl_q,
         )
         p_cur = prior = baseline.prior
@@ -472,7 +477,8 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
             losses, deltas = train_clients(
                 model,
                 theta,
-                [clients[int(i)] for i in subset],
+                fed,
+                subset,
                 stream_keys(cfg.seed, STREAM_BATCHING, t, subset),
                 cfg.e,
                 cfg.b,
@@ -520,5 +526,5 @@ def run_federation(cfg: FederationConfig, clients=None) -> RunResult:
         err.partial = RunResult(cfg, records, theta=None, client_accuracy=None, runtime=None, prior=prior)
         raise
 
-    accuracy = evaluate_clients(model, theta, clients)
+    accuracy = evaluate_clients(model, theta, fed)
     return RunResult(cfg, records, theta, accuracy, time.perf_counter() - start_time, prior)

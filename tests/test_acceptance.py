@@ -27,18 +27,9 @@ from fedfair.federation import FederationConfig, run_federation
 from fedfair.simplex import project_mahalanobis
 from fedfair.transform import CdfSpec, ResponseRange, cdf_eval
 
+from regret_bounds import play_ftrl, play_ons, play_sampled
 from test_aggregators import entropic_descent_oracle, ons_objective_oracle
 from test_simplex import qp_face_oracle, random_psd
-
-
-def adversarial_responses(rng, t, k, c2):
-    """Bounded response stream: iid uniform rounds mixed with spiky rounds
-    concentrating the whole range on a rotating coordinate."""
-    r = rng.uniform(0, c2, size=(t, k))
-    spiky = np.nonzero(rng.random(t) < 0.3)[0]
-    r[spiky] = 0.0
-    r[spiky, spiky % k] = c2
-    return r
 
 
 def played_loss(decisions, responses):
@@ -53,14 +44,8 @@ def test_criterion_01_ons_regret_bound():
     tic = time.perf_counter()
     worst = -np.inf
     for seed in range(seeds):
-        rng = np.random.default_rng(seed)
-        responses = adversarial_responses(rng, t, k, c2)
-        state = OnsState.init(k, l_inf)
-        played = np.empty((t, k))
-        for i in range(t):
-            played[i] = state.decision
-            g = decision.decision_gradient(state.decision, responses[i])
-            state, _ = ons_step(state, g)
+        # The learner runs at L = c2 = 1/k, the constant of this bound.
+        played, responses, _ = play_ons(seed, k, t)
         regret = played_loss(played, responses) - cumulative_loss(hindsight_best(responses), responses)
         worst = max(worst, regret)
         assert regret <= bound, f"seed {seed}: regret {regret:.4f} > bound {bound:.4f}"
@@ -76,15 +61,8 @@ def test_criterion_02_ftrl_regret_bound():
     tic = time.perf_counter()
     worst = -np.inf
     for seed in range(seeds):
-        rng = np.random.default_rng(seed)
-        responses = adversarial_responses(rng, t, k, 1.0)
-        state = FtrlState.init(k, l_inf)
-        p = np.full(k, 1.0 / k)
-        played = np.empty((t, k))
-        for i in range(t):
-            played[i] = p
-            g = decision.decision_gradient(p, responses[i])
-            state, p = ftrl_eg_step(state, g)
+        # The learner runs at L = 1, the constant of this bound.
+        played, responses, _ = play_ftrl(seed, k, t)
         regret = played_loss(played, responses) - cumulative_loss(hindsight_best(responses), responses)
         worst = max(worst, regret)
         assert regret <= bound, f"seed {seed}: regret {regret:.4f} > bound {bound:.4f}"
@@ -95,25 +73,15 @@ def test_criterion_02_ftrl_regret_bound():
 
 def test_criterion_03_sampled_expected_regret():
     k, t, c, seeds = 50, 2000, 0.1, 50
-    m = round(c * k)
     c2 = c
     l_inf_dr = decision.lipschitz_dr(ResponseRange(0.0, c2), c)
     bound = 2.0 * l_inf_dr * np.sqrt(t * np.log(k))
     tic = time.perf_counter()
     regrets = []
     for seed in range(seeds):
-        rng = np.random.default_rng(seed)
-        responses = adversarial_responses(rng, t, k, c2)
-        state = FtrlState.init(k, l_inf_dr)
-        p = np.full(k, 1.0 / k)
-        played = np.empty((t, k))
-        for i in range(t):
-            played[i] = p
-            subset = np.sort(rng.choice(k, size=m, replace=False))
-            est = decision.dr_estimate(responses[i, subset], subset, m / k, k)
-            reference = np.full(k, responses[i, subset].mean())
-            g = decision.linearized_gradient(p, est, reference)
-            state, p = ftrl_eg_step(state, g)
+        # Responses in [0, c], round(c k) clients sampled a round, and the
+        # learner run at L = l_inf_dr, the constant of this bound.
+        played, responses, _ = play_sampled(seed, k, t, c)
         regrets.append(
             played_loss(played, responses) - cumulative_loss(hindsight_best(responses), responses)
         )

@@ -78,6 +78,15 @@ class RecordingDecision:
 
 
 class TestParseConfig:
+    # The shipped experiment configs and the benchmark's workloads: a renamed
+    # or re-validated field must not break them unnoticed.
+    @pytest.mark.parametrize("folder", ["configs", "bench/configs"])
+    def test_every_shipped_config_parses(self, folder):
+        paths = sorted((Path(__file__).resolve().parents[1] / folder).glob("*.cfg"))
+        assert paths
+        for path in paths:
+            assert cli.parse_config(path).configs, path
+
     def test_minimal_single_run(self, tmp_path):
         suite = cli.parse_config(write_config(tmp_path, MINIMAL))
         assert len(suite.configs) == 1
@@ -272,7 +281,7 @@ class TestRunSuite:
         path = write_config(tmp_path, SMALL_RUN.replace("method = aaggff-s", "method = fedavg"))
         cli.main(["run", str(path), "--out", str(tmp_path / "base")])
         cfg = cli.parse_config(path).configs[0]
-        sizes = np.array([ds.n_train for ds in generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b)])
+        sizes = generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b).train_sizes
         meta = read_log(tmp_path / "base/runs/fedavg_seed5.rounds.jsonl")[0]
         assert meta["prior"] == (sizes / sizes.sum()).tolist()
 

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedfair.datasets import (
-    STREAM_DATA,
-    ClientDataset,
-    SyntheticDataSpec,
-    generate_federation,
-    rekey,
-    stream,
-    stream_keys,
-)
+from fedfair.datasets import STREAM_DATA, SyntheticDataSpec, generate_federation, rekey, stream, stream_keys
+from packing import unpack
 
 
 def seed_sequence_key(seed, path):
@@ -25,7 +18,8 @@ def seed_sequence_stream(seed, *path):
 def reference_generate_federation(spec, k, seed):
     """The per-client generator that ``generate_federation`` vectorizes: one
     SeedSequence-keyed stream per client, standardization over the pooled
-    rows, then a per-class 80/20 split of each client."""
+    rows, then a per-class 80/20 split of each client. Returns one
+    (x_train, y_train, x_test, y_test, class_probs) tuple per client."""
     means = seed_sequence_stream(seed, STREAM_DATA, 0).standard_normal((spec.num_classes, spec.input_dim))
     raw = []
     for i in range(k):
@@ -61,7 +55,7 @@ def reference_generate_federation(spec, k, seed):
             train_idx.extend(idx[n_test:])
         train_idx = np.sort(np.asarray(train_idx, dtype=int))
         test_idx = np.sort(np.asarray(test_idx, dtype=int))
-        clients.append(ClientDataset(i, x[train_idx], y[train_idx], x[test_idx], y[test_idx], probs))
+        clients.append((x[train_idx], y[train_idx], x[test_idx], y[test_idx], probs))
     return clients
 
 
@@ -147,22 +141,21 @@ class TestGenerateFederation:
     @settings(max_examples=80, deadline=None)
     @given(specs, st.integers(1, 30), st.integers(0, 2**40))
     def test_equals_per_client_reference(self, spec, k, seed):
-        got = generate_federation(spec, k, seed)
+        fed = generate_federation(spec, k, seed)
+        got = unpack(fed)
         expected = reference_generate_federation(spec, k, seed)
-        assert len(got) == k
-        for a, b in zip(got, expected):
-            assert a.client_id == b.client_id
-            for name in ("x_train", "y_train", "x_test", "y_test", "class_probs"):
-                u, v = getattr(a, name), getattr(b, name)
-                assert u.dtype == v.dtype and u.shape == v.shape, name
-                assert u.tobytes() == v.tobytes(), name
+        assert fed.train_sizes.size == fed.test_sizes.size == len(got) == len(expected) == k
+        for client, (a, b) in enumerate(zip(got, expected)):
+            for name, u, v in zip(("x_train", "y_train", "x_test", "y_test", "class_probs"), a, b):
+                assert u.dtype == v.dtype and u.shape == v.shape, (client, name)
+                assert u.tobytes() == v.tobytes(), (client, name)
 
     @pytest.mark.parametrize("spread", [0, 1, 4])
     def test_every_client_trains_on_at_least_one_row(self, spread):
         spec = SyntheticDataSpec(
             input_dim=2, num_classes=4, samples_per_client_mean=1 + spread, samples_per_client_spread=spread
         )
-        clients = generate_federation(spec, 200, seed=3)
-        assert min(c.n_train for c in clients) >= 1
+        fed = generate_federation(spec, 200, seed=3)
+        assert fed.train_sizes.min() >= 1
         if spread == 0:
-            assert all(c.n_train == 1 and c.y_test.size == 0 for c in clients)
+            assert np.all(fed.train_sizes == 1) and np.all(fed.test_sizes == 0)

@@ -8,18 +8,20 @@ from scipy.optimize import minimize
 
 from fedfair import aggregators, decision, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
-from fedfair.datasets import ClientDataset, SyntheticDataSpec, generate_federation, stream, stream_keys
+from fedfair.datasets import SyntheticDataSpec, generate_federation, stream, stream_keys
 from fedfair.errors import ConfigError, DivergenceError
 from fedfair.federation import (
     FederationConfig,
     LogisticModel,
     client_update,
+    evaluate_clients,
     run_federation,
     sample_clients,
     subset_weights,
     train_clients,
 )
 from fedfair.transform import CdfSpec, transform_responses
+from packing import pack, unpack
 
 SMALL_DATA = SyntheticDataSpec(
     input_dim=4, num_classes=3, samples_per_client_mean=40, dirichlet_concentration=0.5
@@ -41,20 +43,11 @@ def small_config(**overrides):
     return FederationConfig(**base)
 
 
-def clone_client(template: ClientDataset, client_id: int) -> ClientDataset:
-    return ClientDataset(
-        client_id,
-        template.x_train.copy(),
-        template.y_train.copy(),
-        template.x_test.copy(),
-        template.y_test.copy(),
-        template.class_probs.copy(),
-    )
-
-
 def identical_clients(k, seed=3):
-    template = generate_federation(SMALL_DATA, 1, seed)[0]
-    return [clone_client(template, i) for i in range(k)]
+    """A federation of ``k`` copies of one generated client, and that
+    client's training rows."""
+    template = unpack(generate_federation(SMALL_DATA, 1, seed))
+    return pack(template * k), template[0][0], template[0][1]
 
 
 def records_equal(a, b):
@@ -73,22 +66,19 @@ class TestGenerateFederation:
     def test_same_seed_bit_identical(self):
         a = generate_federation(SMALL_DATA, 5, 123)
         b = generate_federation(SMALL_DATA, 5, 123)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.x_train, cb.x_train)
-            assert np.array_equal(ca.y_train, cb.y_train)
-            assert np.array_equal(ca.x_test, cb.x_test)
-            assert np.array_equal(ca.class_probs, cb.class_probs)
+        for name in ("x_train", "y_train", "x_test", "y_test", "train_sizes", "test_sizes", "class_probs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_different_seeds_differ(self):
         a = generate_federation(SMALL_DATA, 3, 1)
         b = generate_federation(SMALL_DATA, 3, 2)
-        assert not np.array_equal(a[0].x_train, b[0].x_train)
+        assert not np.array_equal(unpack(a)[0][0], unpack(b)[0][0])
 
     def test_huge_concentration_near_uniform_labels(self):
         spec = dataclasses.replace(SMALL_DATA, dirichlet_concentration=1e6)
         for seed in range(10):
-            for c in generate_federation(spec, 8, seed):
-                tv = 0.5 * np.abs(c.class_probs - 1.0 / spec.num_classes).sum()
+            for probs in generate_federation(spec, 8, seed).class_probs:
+                tv = 0.5 * np.abs(probs - 1.0 / spec.num_classes).sum()
                 assert tv <= 0.05
 
     def test_tiny_concentration_label_skew(self):
@@ -98,17 +88,18 @@ class TestGenerateFederation:
         spec = dataclasses.replace(SMALL_DATA, num_classes=5, dirichlet_concentration=0.01)
         dominated = []
         for seed in range(100):
-            clients = generate_federation(spec, 10, seed)
-            dominated.append(sum(1 for c in clients if c.class_probs.max() >= 0.8))
+            probs = generate_federation(spec, 10, seed).class_probs
+            dominated.append(int(np.sum(probs.max(axis=1) >= 0.8)))
         dominated = np.array(dominated)
         assert dominated.min() >= 6
         assert np.mean(dominated >= 8) >= 0.9
 
     def test_split_is_80_20ish_and_disjoint(self):
-        for c in generate_federation(SMALL_DATA, 4, 9):
-            n = c.y_train.size + c.y_test.size
-            assert c.y_test.size >= 1
-            assert c.y_train.size >= 0.7 * n
+        fed = generate_federation(SMALL_DATA, 4, 9)
+        for n_train, n_test in zip(fed.train_sizes, fed.test_sizes):
+            n = n_train + n_test
+            assert n_test >= 1
+            assert n_train >= 0.7 * n
 
     def test_sample_count_below_batch_rejected(self):
         with pytest.raises(ConfigError):
@@ -116,32 +107,31 @@ class TestGenerateFederation:
 
     def test_feature_shift_separates_clients(self):
         spec = dataclasses.replace(SMALL_DATA, feature_shift=5.0)
-        clients = generate_federation(spec, 3, 7)
-        centers = [c.x_train.mean(axis=0) for c in clients]
+        centers = [x.mean(axis=0) for x, *_ in unpack(generate_federation(spec, 3, 7))]
         assert np.linalg.norm(centers[0] - centers[1]) > 0.5
 
 
 class TestClientUpdate:
     def setup_method(self):
-        self.clients = generate_federation(SMALL_DATA, 2, 21)
+        self.fed = generate_federation(SMALL_DATA, 2, 21)
+        self.clients = unpack(self.fed)
         self.model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
 
     def test_zero_lr_no_movement(self):
-        ds = self.clients[0]
+        x, y, *_ = self.clients[0]
         theta = self.model.init_params() + 0.1
-        loss, delta = client_update(self.model, theta, ds, 1, 10, 0.0, stream_keys(0, 2, 1, 0))
-        assert loss == pytest.approx(self.model.loss(theta, ds.x_train, ds.y_train))
+        loss, delta = client_update(self.model, theta, self.fed, 0, 1, 10, 0.0, stream_keys(0, 2, 1, 0))
+        assert loss == pytest.approx(self.model.loss(theta, x, y))
         np.testing.assert_array_equal(delta, np.zeros_like(theta))
 
     def test_full_batch_step_matches_analytic_gradient(self):
         # e=1 and batch covering the dataset: delta must equal lr * gradient
         # of the mean cross-entropy, reproduced here from its closed form.
-        ds = self.clients[0]
+        x, y, *_ = self.clients[0]
         theta = np.linspace(-0.2, 0.3, self.model.dim)
         lr = 0.37
-        _, delta = client_update(self.model, theta, ds, 1, ds.n_train, lr, stream_keys(0, 2, 1, 0))
+        _, delta = client_update(self.model, theta, self.fed, 0, 1, y.size, lr, stream_keys(0, 2, 1, 0))
 
-        x, y = ds.x_train, ds.y_train
         w = theta[: 3 * 4].reshape(3, 4)
         b = theta[3 * 4 :]
         logits = x @ w.T + b
@@ -152,57 +142,57 @@ class TestClientUpdate:
         np.testing.assert_allclose(delta, lr * grad, atol=1e-9)
 
     def test_stationary_at_regularized_optimum(self):
-        ds = self.clients[1]
+        x, y, *_ = self.clients[1]
         wd = 0.05
 
         def objective(theta):
-            return self.model.loss(theta, ds.x_train, ds.y_train) + 0.5 * wd * theta @ theta
+            return self.model.loss(theta, x, y) + 0.5 * wd * theta @ theta
 
         def gradient(theta):
-            return self.model.grad(theta, ds.x_train, ds.y_train, weight_decay=wd)
+            return self.model.grad(theta, x, y, weight_decay=wd)
 
         res = minimize(objective, self.model.init_params(), jac=gradient, method="BFGS",
                        options={"gtol": 1e-10, "maxiter": 500})
         assert np.linalg.norm(gradient(res.x)) <= 1e-6
         lr = 0.5
         _, delta = client_update(
-            self.model, res.x, ds, 1, ds.n_train, lr, stream_keys(0, 2, 1, 0), weight_decay=wd
+            self.model, res.x, self.fed, 1, 1, y.size, lr, stream_keys(0, 2, 1, 0), weight_decay=wd
         )
         assert np.linalg.norm(delta) <= lr * 1e-6
 
     def test_multiple_epochs_take_more_steps(self):
-        ds = self.clients[0]
         theta = self.model.init_params()
-        _, d1 = client_update(self.model, theta, ds, 1, 10, 0.1, stream_keys(0, 2, 1, 0))
-        _, d4 = client_update(self.model, theta, ds, 4, 10, 0.1, stream_keys(0, 2, 1, 0))
+        _, d1 = client_update(self.model, theta, self.fed, 0, 1, 10, 0.1, stream_keys(0, 2, 1, 0))
+        _, d4 = client_update(self.model, theta, self.fed, 0, 4, 10, 0.1, stream_keys(0, 2, 1, 0))
         assert np.linalg.norm(d4) > np.linalg.norm(d1)
 
 
-def reference_update(model, theta, ds, epochs, batch_size, lr, rng, weight_decay=0.0):
-    """One client's evaluate-then-train as a plain per-client SGD loop."""
-    loss_before = model.loss(theta, ds.x_train, ds.y_train)
+def reference_update(model, theta, x, y, client, epochs, batch_size, lr, rng, weight_decay=0.0):
+    """Evaluate-then-train of client ``client``, whose training rows are
+    (x, y), as a plain per-client SGD loop."""
+    loss_before = model.loss(theta, x, y)
     if not np.isfinite(loss_before):
-        raise DivergenceError(f"non-finite local loss for client {ds.client_id}", client_id=ds.client_id)
+        raise DivergenceError(f"non-finite local loss for client {client}", client_id=client)
     th = theta.copy()
     for _ in range(epochs):
-        order = rng.permutation(ds.n_train)
-        for start in range(0, ds.n_train, batch_size):
+        order = rng.permutation(y.size)
+        for start in range(0, y.size, batch_size):
             idx = order[start : start + batch_size]
-            th -= lr * model.grad(th, ds.x_train[idx], ds.y_train[idx], weight_decay)
+            th -= lr * model.grad(th, x[idx], y[idx], weight_decay)
     if not np.all(np.isfinite(th)):
-        raise DivergenceError(f"local training diverged for client {ds.client_id}", client_id=ds.client_id)
+        raise DivergenceError(f"local training diverged for client {client}", client_id=client)
     return loss_before, theta - th
 
 
 def ragged_clients(data_seed, sizes, scales=None):
-    """Clients with the given training sizes; ``scales`` multiplies features."""
+    """A federation with the given training sizes; ``scales`` multiplies features."""
     g = np.random.default_rng(data_seed)
     clients = []
     for i, n in enumerate(sizes):
         x = g.standard_normal((n, SMALL_DATA.input_dim)) * (1.0 if scales is None else scales[i])
         y = g.integers(0, SMALL_DATA.num_classes, size=n)
-        clients.append(ClientDataset(i, x, y, x[:0], y[:0], np.full(3, 1 / 3)))
-    return clients
+        clients.append((x, y, x[:0], y[:0], np.full(3, 1 / 3)))
+    return pack(clients)
 
 
 # A training round: ragged client sizes, a batch size that need not divide
@@ -231,19 +221,17 @@ class TestTrainClients:
     @given(round_cases)
     def test_batched_matches_per_client_calls(self, case):
         sizes, b, e, wd, seed, shuffle = case
-        clients = ragged_clients(seed, sizes)
+        fed = ragged_clients(seed, sizes)
+        clients = unpack(fed)
         subset, theta = self.subset_and_theta(sizes, seed, shuffle)
         lr = 0.3
 
-        losses, deltas = train_clients(
-            self.model, theta, [clients[i] for i in subset], stream_keys(seed, 2, 1, subset), e, b, lr, wd
-        )
+        losses, deltas = train_clients(self.model, theta, fed, subset, stream_keys(seed, 2, 1, subset), e, b, lr, wd)
         assert losses.shape == (len(subset),) and deltas.shape == (len(subset), self.model.dim)
         for row, i in enumerate(subset):
-            loss, delta = client_update(self.model, theta, clients[i], e, b, lr, stream_keys(seed, 2, 1, i), wd)
-            ref_loss, ref_delta = reference_update(
-                self.model, theta, clients[i], e, b, lr, stream(seed, 2, 1, i), wd
-            )
+            loss, delta = client_update(self.model, theta, fed, i, e, b, lr, stream_keys(seed, 2, 1, i), wd)
+            x, y, *_ = clients[i]
+            ref_loss, ref_delta = reference_update(self.model, theta, x, y, i, e, b, lr, stream(seed, 2, 1, i), wd)
             np.testing.assert_allclose(losses[row], loss, rtol=0, atol=1e-12)
             np.testing.assert_allclose(deltas[row], delta, rtol=0, atol=1e-12)
             np.testing.assert_allclose(loss, ref_loss, rtol=0, atol=1e-12)
@@ -258,25 +246,26 @@ class TestTrainClients:
         sizes, b, e, wd, seed, shuffle = case
         scales = data.draw(st.lists(st.sampled_from([1.0, np.nan, 1e200]),
                                     min_size=len(sizes), max_size=len(sizes)))
-        clients = ragged_clients(seed, sizes, scales)
+        fed = ragged_clients(seed, sizes, scales)
+        clients = unpack(fed)
         subset, theta = self.subset_and_theta(sizes, seed, shuffle)
-        datasets = [clients[i] for i in subset]
 
         keys = stream_keys(seed, 2, 1, subset)
 
         with np.errstate(all="ignore"):
             expected = None
-            for ds, i in zip(datasets, subset):
+            for i in subset:
+                x, y, *_ = clients[i]
                 try:
-                    reference_update(self.model, theta, ds, e, b, 0.3, stream(seed, 2, 1, i), wd)
+                    reference_update(self.model, theta, x, y, i, e, b, 0.3, stream(seed, 2, 1, i), wd)
                 except DivergenceError as err:
                     expected = err
                     break
             if expected is None:
-                train_clients(self.model, theta, datasets, keys, e, b, 0.3, wd)
+                train_clients(self.model, theta, fed, subset, keys, e, b, 0.3, wd)
                 return
             with pytest.raises(DivergenceError) as got:
-                train_clients(self.model, theta, datasets, keys, e, b, 0.3, wd, round_index=7)
+                train_clients(self.model, theta, fed, subset, keys, e, b, 0.3, wd, round_index=7)
         assert got.value.client_id == expected.client_id
         assert str(got.value) == str(expected)
         assert got.value.round_index == 7
@@ -293,6 +282,14 @@ class TestSampleClients:
         assert cfg.subset_size == 5
         assert sample_clients(cfg.k, cfg.subset_size, stream(0, 1, 1)).size == 5
 
+    # Floored on the decimal c: in binary floating point c * k lands just
+    # below the integer in each of these cases.
+    @pytest.mark.parametrize("c, k, m", [(0.29, 100, 29), (0.57, 100, 57), (0.58, 50, 29), (0.145, 200, 29)])
+    def test_cohort_size_floors_the_decimal_product(self, c, k, m):
+        cfg = FederationConfig(k=k, t_rounds=1, method="aaggff-d", setting="cross_device", c=c)
+        assert cfg.subset_size == m
+        assert cfg.inclusion_probability == m / k
+
     def test_floor_clamps_to_one(self):
         cfg = FederationConfig(k=10, t_rounds=1, method="aaggff-d", setting="cross_device", c=0.05)
         assert cfg.subset_size == 1
@@ -308,6 +305,30 @@ class TestSampleClients:
         a = sample_clients(50, 10, stream(7, 1, 3))
         b = sample_clients(50, 10, stream(7, 1, 3))
         np.testing.assert_array_equal(a, b)
+
+
+class TestEvaluateClients:
+    def test_clients_without_test_rows_score_on_training_rows(self, caplog):
+        # Clients of 1-9 rows over two classes: a class group needs 5 rows
+        # before one goes to test, so some clients hold test rows and some
+        # are scored on their training rows.
+        spec = SyntheticDataSpec(input_dim=3, num_classes=2, samples_per_client_mean=5,
+                                 samples_per_client_spread=4, dirichlet_concentration=0.3)
+        fed = generate_federation(spec, 40, seed=8)
+        empty = np.flatnonzero(fed.test_sizes == 0)
+        assert 0 < empty.size < 40
+        model = LogisticModel(spec.input_dim, spec.num_classes)
+        theta = np.random.default_rng(0).standard_normal(model.dim)
+        with caplog.at_level("WARNING", logger="fedfair.federation"):
+            got = evaluate_clients(model, theta, fed)
+
+        expected = []
+        for x_train, y_train, x_test, y_test, _ in unpack(fed):
+            x, y = (x_test, y_test) if y_test.size else (x_train, y_train)
+            expected.append(np.mean(model.predict(theta, x) == y))
+        assert np.array_equal(got, np.array(expected))
+        for i in empty:
+            assert f"client {i} has no held-out samples" in caplog.text
 
 
 class TestSubsetWeights:
@@ -360,10 +381,9 @@ class TestConfigValidation:
 class TestRunSilo:
     def test_static_weights_descend_on_identical_clients(self):
         k = 3
-        clients = identical_clients(k)
-        n = clients[0].n_train
-        cfg = small_config(k=k, t_rounds=10, method="fedavg", b=n, lr=0.5)
-        result = run_federation(cfg, clients=clients)
+        fed, x, y = identical_clients(k)
+        cfg = small_config(k=k, t_rounds=10, method="fedavg", b=y.size, lr=0.5)
+        result = run_federation(cfg, fed)
         losses = [rec.losses.mean() for rec in result.records]
         assert all(l2 <= l1 + 1e-12 for l1, l2 in zip(losses, losses[1:]))
 
@@ -373,16 +393,15 @@ class TestRunSilo:
         theta = model.init_params()
         expected = []
         for _ in range(10):
-            expected.append(model.loss(theta, clients[0].x_train, clients[0].y_train))
-            theta = theta - 0.5 * model.grad(theta, clients[0].x_train, clients[0].y_train)
+            expected.append(model.loss(theta, x, y))
+            theta = theta - 0.5 * model.grad(theta, x, y)
         np.testing.assert_allclose(losses, expected, atol=1e-10)
 
     def test_adaptive_silo_identical_clients_stays_uniform(self):
         k = 2
-        clients = identical_clients(k)
-        n = clients[0].n_train
-        cfg = small_config(k=k, t_rounds=8, method="aaggff-s", b=n, lr=0.3)
-        result = run_federation(cfg, clients=clients)
+        fed, _, y = identical_clients(k)
+        cfg = small_config(k=k, t_rounds=8, method="aaggff-s", b=y.size, lr=0.3)
+        result = run_federation(cfg, fed)
         for rec in result.records:
             np.testing.assert_allclose(rec.decision, 0.5, atol=1e-9)
 
@@ -398,15 +417,14 @@ class TestRunSilo:
         # With decay 0.5 every 2 rounds, deltas shrink in jumps; verify via
         # identical clients and full batches where delta = lr * grad.
         k = 2
-        clients = identical_clients(k)
-        n = clients[0].n_train
-        cfg = small_config(k=k, t_rounds=4, method="fedavg", b=n, lr=0.4,
+        fed, x, y = identical_clients(k)
+        cfg = small_config(k=k, t_rounds=4, method="fedavg", b=y.size, lr=0.4,
                            lr_decay=0.5, lr_decay_step=2)
-        result = run_federation(cfg, clients=clients)
+        result = run_federation(cfg, fed)
         model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
         theta = model.init_params()
         for lr in (0.4, 0.4, 0.2, 0.2):
-            theta = theta - lr * model.grad(theta, clients[0].x_train, clients[0].y_train)
+            theta = theta - lr * model.grad(theta, x, y)
         np.testing.assert_allclose(result.theta, theta, atol=1e-10)
 
 
@@ -430,11 +448,11 @@ class TestRunDevice:
 
     def test_identical_clients_uniform_subset_weights(self):
         k = 100
-        clients = identical_clients(k)
+        fed, _, _ = identical_clients(k)
         cfg = small_config(
             k=k, t_rounds=4, method="aaggff-d", setting="cross_device", c=0.1, lr=0.3, b=20
         )
-        result = run_federation(cfg, clients=clients)
+        result = run_federation(cfg, fed)
         for rec in result.records:
             weights = simplex.normalize_subset(rec.decision, rec.sampled)
             np.testing.assert_allclose(weights, 1.0 / rec.sampled.size, atol=1e-9)
@@ -468,13 +486,12 @@ class TestCrossStrategyInvariants:
         # Identical clients with full batches produce identical deltas; the
         # aggregated update must equal that common delta for every strategy.
         k = 3
-        clients = identical_clients(k)
-        n = clients[0].n_train
+        fed, x, y = identical_clients(k)
         model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
-        common_grad = model.grad(model.init_params(), clients[0].x_train, clients[0].y_train)
+        common_grad = model.grad(model.init_params(), x, y)
         for method in ("fedavg", "qfedavg", "term", "propfair", "afl", "aaggff-s"):
-            cfg = small_config(k=k, t_rounds=1, method=method, b=n, lr=0.25)
-            result = run_federation(cfg, clients=[clone_client(c, i) for i, c in enumerate(clients)])
+            cfg = small_config(k=k, t_rounds=1, method=method, b=y.size, lr=0.25)
+            result = run_federation(cfg, fed)
             np.testing.assert_allclose(result.theta, -0.25 * common_grad, atol=1e-12)
 
     def test_decision_is_simplex_every_round(self):
@@ -488,4 +505,4 @@ class TestCrossStrategyInvariants:
     def test_mismatched_client_count_rejected(self):
         cfg = small_config(k=4)
         with pytest.raises(ConfigError):
-            run_federation(cfg, clients=identical_clients(3))
+            run_federation(cfg, identical_clients(3)[0])
