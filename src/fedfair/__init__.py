@@ -31,7 +31,7 @@ from .decision import (
     lipschitz_full,
 )
 from .federation import FederationConfig, RoundRecord, run_federation
-from .metrics import accuracy_parity_gap, gini, regret, system_loss, worst_best
+from .metrics import accuracy_parity_gap, gini, regret, worst_best
 from .simplex import normalize_subset, project_euclidean, project_mahalanobis
 from .transform import CdfKind, CdfSpec, ResponseRange, Setting, cdf_eval, default_range, transform_responses
 
@@ -72,7 +72,6 @@ __all__ = [
     "project_mahalanobis",
     "regret",
     "run_federation",
-    "system_loss",
     "transform_responses",
     "worst_best",
 ]

@@ -9,13 +9,18 @@ and writes machine-readable results:
     runs/<run_id>.entropy.dat    round vs decision entropy
     suite.csv                    one row per (config, seed)
 
-A round log holds a ``meta`` line (schema, config, and for a baseline its
-sample-size ``prior``), one ``round`` line per round with ``round``,
-``sampled``, ``losses``, ``decision`` and ``decision_loss``, and a
-``client_eval`` line. The decision played in a round is the baseline's
-prior, or the adaptive learner's previous ``decision`` starting from
-uniform. The summary reads the log only through the round rules the run
-itself used, which ``federation`` owns: responses, subset weights, bound.
+A round log (schema 4) records what the server observed, not what it
+decided. Its ``meta`` line holds the schema, the config and, for a baseline,
+the clients' integer ``train_sizes``. A ``round`` line holds ``round``,
+``losses``, ``decision_loss``, ``decision_digest`` (16 hex characters of the
+SHA-256 of the round's new decision's float64 bytes) and, in cross-device
+runs only, ``sampled``; a cross-silo round samples every client. A final
+``client_eval`` line holds per-client accuracy. The summary replays the
+rounds once through the run's own ``federation.Learner``, which rebuilds
+every decision, and fails naming the first round whose replayed decision
+does not match its digest. The digest ties a log to the floating-point
+arithmetic that wrote it: replaying an Online Newton Step log under another
+BLAS can fail the check.
 
 Every number in a summary is recomputed from the serialized round log, so
 the log alone reproduces the report. Round logs are byte-identical across
@@ -32,6 +37,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -45,11 +51,11 @@ import numpy as np
 
 from . import metrics, simplex
 from .errors import ConfigError, ConvergenceError, DivergenceError
-from .federation import FederationConfig, round_responses, run_federation, subset_weights
+from .federation import FederationConfig, Learner, run_federation, subset_weights
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CSV_COLUMNS = [
     "schema_version",
@@ -188,75 +194,111 @@ def _meta_line(result) -> dict:
     raw["setting"] = cfg.setting.value
     raw["cdf"]["kind"] = cfg.cdf.kind.value
     meta = {"type": "meta", "schema": SCHEMA_VERSION, "config": raw}
-    if result.prior is not None:
-        meta["prior"] = result.prior.tolist()
+    if not cfg.adaptive:
+        meta["train_sizes"] = result.train_sizes.tolist()
     return meta
+
+
+def decision_digest(p: np.ndarray) -> str:
+    """16 hex characters of the SHA-256 of the decision ``p``'s float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(p, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+def _round_line(rec, silo: bool) -> dict:
+    line = {
+        "type": "round",
+        "round": rec.round,
+        "losses": rec.losses.tolist(),
+        "decision_digest": decision_digest(rec.decision),
+        "decision_loss": float(rec.decision_loss),
+    }
+    if not silo:
+        line["sampled"] = rec.sampled.tolist()
+    return line
 
 
 def run_log_lines(result) -> list:
     """Serialize a run into its round-log lines: meta, rounds and client eval.
 
     A diverged run has no ``client_accuracy`` and no client eval line."""
-    lines = [_meta_line(result)] + [rec.to_dict() for rec in result.records]
+    silo = result.config.setting == "cross_silo"
+    lines = [_meta_line(result)] + [_round_line(rec, silo) for rec in result.records]
     if result.client_accuracy is not None:
         lines.append({"type": "client_eval", "accuracy": result.client_accuracy.tolist()})
     return lines
 
 
-def played_rounds(lines: list, cfg: FederationConfig):
-    """Yield (round line, decision played in that round) for every round of
-    a round log of ``cfg``: the meta line's ``prior`` every round if it has
-    one (a baseline), else the previous round's decision, starting from
-    uniform."""
-    prior = lines[0].get("prior")
-    played = simplex.uniform(cfg.k) if prior is None else np.asarray(prior)
-    for r in lines[1:]:
-        if r["type"] == "round":
-            yield r, played
-            if prior is None:
-                played = np.asarray(r["decision"])
+class ReplayedRound(typing.NamedTuple):
+    """One round of a replayed round log."""
+
+    round: int
+    cumulative_objective: float
+    decision_entropy: float
+    sampled: np.ndarray
+    played: np.ndarray
+    observed: np.ndarray
+    response: np.ndarray
+    decision: np.ndarray
 
 
 def round_series(lines: list) -> list:
-    """(round, cumulative objective, decision entropy) of every round in a
-    round log. The objective after round T is the decision-weighted sum of
-    the sampled clients' pre-update losses,
+    """Replay a round log through its run's learner: one ``ReplayedRound``
+    per round line, in order.
+
+    The meta line's config is validated and rebuilt into a
+    ``federation.Learner`` (with the meta line's ``train_sizes`` for a
+    baseline), and each round's ``losses`` step it as they stepped the run.
+    A round records the clients ``sampled``, the decision ``played``, its
+    ``observed`` and (possibly estimated) ``response``, its new ``decision``
+    and that decision's entropy, and the cumulative objective after it,
     sum_{t<=T} sum_{i in S_t} p_i^{(t)} F_i(theta^{(t)}), with p^{(t)} the
-    decision played in round t. The meta line's config is validated first."""
+    decision played in round t.
+
+    Raises ValueError for a log of another schema, and naming the first
+    round whose new decision does not match the line's ``decision_digest``."""
+    if lines[0].get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"round log schema {lines[0].get('schema')} is not {SCHEMA_VERSION}")
+    cfg = FederationConfig.from_dict(lines[0]["config"])
+    learner = Learner(cfg, lines[0].get("train_sizes"))
+    silo = cfg.setting == "cross_silo"
     series, cum = [], 0.0
-    for r, played in played_rounds(lines, FederationConfig.from_dict(lines[0]["config"])):
-        cum += float(played[r["sampled"]] @ np.asarray(r["losses"]))
-        series.append((r["round"], cum, metrics.decision_entropy(np.asarray(r["decision"]))))
+    for r in lines[1:]:
+        if r["type"] != "round":
+            continue
+        sampled = np.arange(cfg.k) if silo else np.asarray(r["sampled"], dtype=int)
+        losses = np.asarray(r["losses"])
+        played = learner.played
+        observed, response, decided = learner.step(losses, sampled)
+        digest, logged = decision_digest(decided), r["decision_digest"]
+        if digest != logged:
+            raise ValueError(f"round {r['round']}: replayed decision digest {digest} differs from the logged {logged}")
+        cum += float(played[sampled] @ losses)
+        entropy = metrics.decision_entropy(decided)
+        series.append(ReplayedRound(r["round"], cum, entropy, sampled, played, observed, response, decided))
     return series
 
 
 def summary_from_log(lines: list, series: list) -> dict:
     """Recompute every reported number from serialized round-log lines;
-    ``series`` is ``round_series(lines)``.
+    ``series`` is ``round_series(lines)``, the log's one replay.
 
-    The meta line is rebuilt into the run's (validated) ``FederationConfig``,
-    and every round is replayed through the run's own rules in ``federation``:
-    ``round_responses`` for the responses, ``subset_weights`` for the played
-    decision's weights on the sampled set, and the config's regret bound."""
+    The meta line is rebuilt into the run's (validated) ``FederationConfig``;
+    the replayed rounds give the played decisions and the responses, the
+    run's ``subset_weights`` the played decision's weights on the sampled
+    set, and the config the regret bound."""
     meta = lines[0]["config"]
     cfg = FederationConfig.from_dict(meta)
     accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
-    rounds = list(played_rounds(lines, cfg))
 
-    responses = []
     observed_vs_uniform = 0.0
-    for r, played in rounds:
-        sampled = np.asarray(r["sampled"], dtype=int)
-        observed, response = round_responses(cfg, np.asarray(r["losses"]), sampled)
-        responses.append(response)
-        observed_vs_uniform -= float(np.log1p(subset_weights(played, sampled, r["round"]) @ observed))
-        observed_vs_uniform += float(np.log1p(simplex.uniform(sampled.size) @ observed))
-    regret = metrics.regret(np.array([played for _, played in rounds]), np.array(responses))
-    _, cumobj, entropy = series[-1]
+    for r in series:
+        observed_vs_uniform -= float(np.log1p(subset_weights(r.played, r.sampled, r.round) @ r.observed))
+        observed_vs_uniform += float(np.log1p(simplex.uniform(r.sampled.size) @ r.observed))
+    regret = metrics.regret(np.array([r.played for r in series]), np.array([r.response for r in series]))
     bound = cfg.regret_bound
 
     worst, best = metrics.worst_best(accuracy, 0.1)
-    last = rounds[-1][0]
+    last = next(line for line in reversed(lines) if line["type"] == "round")
     return {
         "schema": SCHEMA_VERSION,
         "method": cfg.method,
@@ -275,10 +317,10 @@ def summary_from_log(lines: list, series: list) -> dict:
         "regret_vs_uniform_observed": float(observed_vs_uniform),
         "regret_bound": None if bound is None else float(bound),
         "bound_satisfied": None if bound is None else bool(regret <= bound),
-        "cumulative_objective": cumobj,
+        "cumulative_objective": series[-1].cumulative_objective,
         "final_decision_loss": float(last["decision_loss"]),
         "final_system_loss": -float(last["decision_loss"]),
-        "final_decision_entropy": entropy,
+        "final_decision_entropy": series[-1].decision_entropy,
         "per_client_accuracy": accuracy.tolist(),
         "config": meta,
         "error": None,
@@ -288,8 +330,8 @@ def summary_from_log(lines: list, series: list) -> dict:
 def _plot_files(series: list) -> tuple[str, str]:
     header = f"# fedfair schema={SCHEMA_VERSION} columns=round,"
     return (
-        header + "cumulative_objective\n" + "".join(f"{t} {cum!r}\n" for t, cum, _ in series),
-        header + "decision_entropy\n" + "".join(f"{t} {ent!r}\n" for t, _, ent in series),
+        header + "cumulative_objective\n" + "".join(f"{r.round} {r.cumulative_objective!r}\n" for r in series),
+        header + "decision_entropy\n" + "".join(f"{r.round} {r.decision_entropy!r}\n" for r in series),
     )
 
 

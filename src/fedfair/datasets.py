@@ -270,11 +270,16 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     owner = np.repeat(np.arange(k), sizes)
 
     # Noise plus (class mean + client shift), standardized over all clients.
-    shifts = spec.feature_shift * directions / np.sqrt(sq_norms)[:, None]
-    x *= _NOISE_STD
-    x += (means + shifts[:, None, :])[owner, labels]
-    mu = x.mean(axis=0)
-    sigma = x.std(axis=0)
+    # Finite statistics leave every standardized feature finite; a feature
+    # shift near the float range overflows them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifts = spec.feature_shift * directions / np.sqrt(sq_norms)[:, None]
+        x *= _NOISE_STD
+        x += (means + shifts[:, None, :])[owner, labels]
+        mu = x.mean(axis=0)
+        sigma = x.std(axis=0)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise ConfigError("data.feature_shift", f"{spec.feature_shift!r} overflows the standardized features")
     sigma[sigma == 0.0] = 1.0
     x -= mu
     x /= sigma

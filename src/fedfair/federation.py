@@ -132,6 +132,12 @@ class FederationConfig:
         return default_range(self.setting, self.k, self.inclusion_probability)
 
     @property
+    def adaptive(self) -> bool:
+        """True for the adaptive learners; a baseline plays its sample-size
+        prior every round."""
+        return self.method in (ADAPTIVE_SILO, ADAPTIVE_DEVICE)
+
+    @property
     def lipschitz(self) -> float | None:
         """Sup-norm bound on the adaptive learner's gradients (the doubly robust
         one for ``aaggff-d``); None for a baseline."""
@@ -160,10 +166,9 @@ class RoundRecord:
     """What the server observed and decided in one round.
 
     The decision played in the round and the responses are not stored: they
-    follow from the previous round's decision (or the run's prior) and from
-    ``losses``. ``duration`` is wall-clock seconds and is intentionally left
-    out of the serialized round log, which must be byte-identical across
-    reruns.
+    follow from the ``Learner`` and from ``losses``. ``duration`` is
+    wall-clock seconds and is intentionally left out of the serialized round
+    log, which must be byte-identical across reruns.
     """
 
     round: int
@@ -173,30 +178,19 @@ class RoundRecord:
     decision_loss: float
     duration: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "round",
-            "round": self.round,
-            "sampled": self.sampled.tolist(),
-            "losses": self.losses.tolist(),
-            "decision": self.decision.tolist(),
-            "decision_loss": float(self.decision_loss),
-        }
-
 
 @dataclass
 class RunResult:
-    """A run's rounds and final model. ``prior`` is the constant decision a
-    baseline plays every round (the sample-size prior); the adaptive learners
-    have none. A diverged run has no ``theta``, ``client_accuracy`` or
-    ``runtime``."""
+    """A run's rounds and final model. ``train_sizes`` are the federation's
+    training-set sizes, which set a baseline's prior. A diverged run has no
+    ``theta``, ``client_accuracy`` or ``runtime``."""
 
     config: FederationConfig
     records: list
     theta: np.ndarray | None
     client_accuracy: np.ndarray | None
     runtime: float | None
-    prior: np.ndarray | None = None
+    train_sizes: np.ndarray | None = None
 
 
 class LogisticModel:
@@ -214,27 +208,6 @@ class LogisticModel:
         w = theta[: self.num_classes * self.input_dim].reshape(self.num_classes, self.input_dim)
         b = theta[self.num_classes * self.input_dim :]
         return w, b
-
-    def _log_probs(self, theta, x):
-        w, b = self._unpack(theta)
-        logits = x @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-
-    def loss(self, theta, x, y) -> float:
-        """Mean cross-entropy over (x, y)."""
-        lp = self._log_probs(theta, x)
-        return -float(lp[np.arange(y.size), y].mean())
-
-    def grad(self, theta, x, y, weight_decay: float = 0.0) -> np.ndarray:
-        probs = np.exp(self._log_probs(theta, x))
-        probs[np.arange(y.size), y] -= 1.0
-        gw = probs.T @ x / y.size
-        gb = probs.mean(axis=0)
-        g = np.concatenate([gw.ravel(), gb])
-        if weight_decay:
-            g += weight_decay * theta
-        return g
 
     def stacked(self, theta, m: int) -> np.ndarray:
         """``m`` copies of ``theta`` as (m, classes, input_dim + 1): each class's
@@ -415,6 +388,58 @@ def subset_weights(p: np.ndarray, subset, round_index: int) -> np.ndarray:
         return simplex.uniform(len(subset))
 
 
+class Learner:
+    """The server's decision rule, from the config and the clients' training
+    sample sizes (only a baseline uses them, for its prior).
+
+    ``played`` is the decision in effect for the coming round. ``step``
+    observes one round's ``losses`` of the clients in ``subset`` and returns
+    (observed, response, decision): the round's responses from
+    ``round_responses`` and its new decision, which sets the aggregation
+    weights. The adaptive learners then play that decision: Online Newton
+    Step from uniform for ``aaggff-s``, entropic FTRL on the linearized doubly
+    robust gradient for ``aaggff-d``. A baseline plays its sample-size prior
+    every round; its decision is one exponentiated-gradient step from the
+    prior renormalized over ``subset``, and zero elsewhere.
+
+    The run and the summary's replay of its round log both step a Learner,
+    so the replay reproduces every decision bit for bit.
+    """
+
+    def __init__(self, cfg: FederationConfig, train_sizes=None):
+        self.cfg = cfg
+        if cfg.method == ADAPTIVE_SILO:
+            self._state = aggregators.OnsState.init(cfg.k, cfg.lipschitz)
+            self.played = self._state.decision
+        elif cfg.method == ADAPTIVE_DEVICE:
+            self._state = aggregators.FtrlState.init(cfg.k, cfg.lipschitz)
+            self.played = simplex.uniform(cfg.k)
+        else:
+            self._state = aggregators.baseline_params_for(
+                cfg.method, np.asarray(train_sizes, dtype=float), q=cfg.qfedavg_q, tilt=cfg.term_lambda,
+                propfair_m=cfg.propfair_m, afl_q=cfg.afl_q,
+            )
+            self.played = self._state.prior
+
+    def step(self, losses: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cfg, state = self.cfg, self._state
+        observed, response = round_responses(cfg, losses, subset)
+        if cfg.method == ADAPTIVE_SILO:
+            g = decision.decision_gradient(self.played, response)
+            self._state, self.played = aggregators.ons_step(state, g)
+            return observed, response, self.played
+        if cfg.method == ADAPTIVE_DEVICE:
+            g = decision.linearized_gradient(self.played, response, np.full(cfg.k, observed.mean()))
+            self._state, self.played = aggregators.ftrl_eg_step(state, g)
+            return observed, response, self.played
+        prior = state.sample_sizes[subset]
+        p = np.zeros(cfg.k)
+        p[subset] = aggregators.eg_step(
+            prior / prior.sum(), aggregators.baseline_response(state, losses), state.step_size
+        )
+        return observed, response, p
+
+
 def evaluate_clients(model: LogisticModel, theta: np.ndarray, fed: Federation) -> np.ndarray:
     """Per-client held-out accuracy of the final global model, in [0, 1], from
     one prediction over every test row. Clients whose split produced no test
@@ -451,19 +476,7 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     theta = model.init_params()
 
     batching = np.random.Generator(np.random.Philox(key=0))
-    ons_state = ftrl_state = baseline = prior = None
-    if cfg.method == ADAPTIVE_SILO:
-        ons_state = aggregators.OnsState.init(cfg.k, cfg.lipschitz)
-        p_cur = ons_state.decision
-    elif cfg.method == ADAPTIVE_DEVICE:
-        ftrl_state = aggregators.FtrlState.init(cfg.k, cfg.lipschitz)
-        p_cur = simplex.uniform(cfg.k)
-    else:
-        baseline = aggregators.baseline_params_for(
-            cfg.method, fed.train_sizes.astype(float), q=cfg.qfedavg_q, tilt=cfg.term_lambda,
-            propfair_m=cfg.propfair_m, afl_q=cfg.afl_q,
-        )
-        p_cur = prior = baseline.prior
+    learner = Learner(cfg, fed.train_sizes)
 
     records = []
     lr = cfg.lr
@@ -488,25 +501,9 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
                 rng=batching,
             )
 
-            observed, response = round_responses(cfg, losses, subset)
-            dloss = decision.decision_loss(p_cur, response)
-
-            if ons_state is not None:
-                g = decision.decision_gradient(p_cur, response)
-                ons_state, p_next = aggregators.ons_step(ons_state, g)
-            elif ftrl_state is not None:
-                reference = np.full(cfg.k, observed.mean())
-                g = decision.linearized_gradient(p_cur, response, reference)
-                ftrl_state, p_next = aggregators.ftrl_eg_step(ftrl_state, g)
-            else:
-                sub_prior = baseline.sample_sizes[subset]
-                sub_prior = sub_prior / sub_prior.sum()
-                sub_weights = aggregators.eg_step(
-                    sub_prior, aggregators.baseline_response(baseline, losses), baseline.step_size
-                )
-                p_next = np.zeros(cfg.k)
-                p_next[subset] = sub_weights
-
+            played = learner.played
+            _, response, p_next = learner.step(losses, subset)
+            dloss = decision.decision_loss(played, response)
             theta = theta - subset_weights(p_next, subset, t) @ deltas
 
             records.append(
@@ -519,12 +516,13 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
                     duration=time.perf_counter() - tic,
                 )
             )
-            p_cur = p_next if baseline is None else prior
             if t % cfg.lr_decay_step == 0:
                 lr *= cfg.lr_decay
     except DivergenceError as err:
-        err.partial = RunResult(cfg, records, theta=None, client_accuracy=None, runtime=None, prior=prior)
+        err.partial = RunResult(
+            cfg, records, theta=None, client_accuracy=None, runtime=None, train_sizes=fed.train_sizes
+        )
         raise
 
     accuracy = evaluate_clients(model, theta, fed)
-    return RunResult(cfg, records, theta, accuracy, time.perf_counter() - start_time, prior)
+    return RunResult(cfg, records, theta, accuracy, time.perf_counter() - start_time, fed.train_sizes)

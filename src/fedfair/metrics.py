@@ -73,16 +73,6 @@ def accuracy_parity_gap(perf) -> float:
     return float(x.max() - x.min())
 
 
-def system_loss(p, transformed_losses) -> float:
-    """log(1 + sum_i p_i F~_i): the federation-wide loss the server drives
-    down; equals the negated decision loss by construction.
-    """
-    t = np.asarray(transformed_losses, dtype=float)
-    if np.any(t < 0):
-        raise InvalidInputError("transformed losses must be >= 0")
-    return -decision.decision_loss(p, t)
-
-
 def decision_entropy(p) -> float:
     """Shannon entropy of a decision, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)

@@ -26,18 +26,6 @@ def uniform(k: int) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
-def is_simplex(v: np.ndarray, tol: float = SIMPLEX_SUM_TOL) -> bool:
-    """True if ``v`` is entrywise nonnegative and sums to 1 within ``tol``."""
-    v = np.asarray(v, dtype=float)
-    return bool(
-        v.ndim == 1
-        and v.size >= 1
-        and np.all(np.isfinite(v))
-        and np.all(v >= -tol)
-        and abs(v.sum() - 1.0) <= tol
-    )
-
-
 def project_euclidean(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the probability simplex.
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfair import cli, decision, federation
-from fedfair.datasets import generate_federation
+from fedfair.datasets import SyntheticDataSpec, generate_federation
 from fedfair.errors import ConfigError, ConvergenceError
 from fedfair.transform import transform_responses
 
@@ -222,6 +222,13 @@ TINY_VALUES = {
 }
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "fast", "bogus"]
 
+# Every method in every setting it allows.
+REPLAY_CASES = [
+    (method, setting)
+    for method in ("fedavg", "afl", "qfedavg", "term", "propfair")
+    for setting in ("cross_silo", "cross_device")
+] + [("aaggff-s", "cross_silo"), ("aaggff-d", "cross_device")]
+
 
 @st.composite
 def assignments(draw):
@@ -275,18 +282,54 @@ class TestRunSuite:
         assert lines[-1]["type"] == "client_eval"
         assert len(lines[-1]["accuracy"]) == 4
         for r in rounds:
-            assert set(r) == {"type", "round", "sampled", "losses", "decision", "decision_loss"}
+            # A silo round samples every client, so its line omits them.
+            assert set(r) == {"type", "round", "losses", "decision_digest", "decision_loss"}
+            assert len(r["decision_digest"]) == 16
 
-    def test_meta_line_carries_baseline_prior_only(self, tmp_path):
+    def test_device_round_line_keeps_the_sampled_clients(self, tmp_path):
+        out = tmp_path / "out"
+        cli.main(["run", str(write_config(tmp_path, DEVICE_RUN)), "--out", str(out)])
+        for r in read_log(out / "runs/aaggff_d_seed5.rounds.jsonl")[1:-1]:
+            assert set(r) == {"type", "round", "sampled", "losses", "decision_digest", "decision_loss"}
+            assert len(r["sampled"]) == len(r["losses"]) == 3
+
+    def test_meta_line_carries_baseline_train_sizes_only(self, tmp_path):
         path = write_config(tmp_path, SMALL_RUN.replace("method = aaggff-s", "method = fedavg"))
         cli.main(["run", str(path), "--out", str(tmp_path / "base")])
         cfg = cli.parse_config(path).configs[0]
         sizes = generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b).train_sizes
         meta = read_log(tmp_path / "base/runs/fedavg_seed5.rounds.jsonl")[0]
-        assert meta["prior"] == (sizes / sizes.sum()).tolist()
+        assert meta["train_sizes"] == sizes.tolist()
+        assert all(type(n) is int for n in meta["train_sizes"])
 
         cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(tmp_path / "adaptive")])
-        assert "prior" not in read_log(tmp_path / "adaptive/runs/aaggff_s_seed5.rounds.jsonl")[0]
+        assert "train_sizes" not in read_log(tmp_path / "adaptive/runs/aaggff_s_seed5.rounds.jsonl")[0]
+
+    @pytest.mark.parametrize("method, setting", REPLAY_CASES)
+    def test_replay_rebuilds_every_decision_of_the_run(self, method, setting):
+        # Every method in every setting it allows: the summary's replay of the
+        # serialized log gives the very decisions the run made.
+        cfg = federation.FederationConfig(
+            k=6, t_rounds=4, method=method, setting=setting, c=0.5 if setting == "cross_device" else 1.0,
+            b=10, lr=0.2, seed=3, data=SyntheticDataSpec(
+                input_dim=4, num_classes=3, samples_per_client_mean=30, samples_per_client_spread=10
+            ),
+        )
+        result = federation.run_federation(cfg)
+        lines = [json.loads(cli._json_line(line)) for line in cli.run_log_lines(result)]
+        series = cli.round_series(lines)
+        assert len(series) == len(result.records) == 4
+        for r, rec in zip(series, result.records):
+            assert np.array_equal(r.sampled, rec.sampled)
+            assert np.array_equal(r.decision, rec.decision)
+        played = [r.played for r in series]
+        if cfg.adaptive:
+            # An adaptive learner plays its previous decision, from uniform.
+            assert np.array_equal(played[0], np.full(cfg.k, 1 / cfg.k))
+            assert all(np.array_equal(p, rec.decision) for p, rec in zip(played[1:], result.records))
+        else:
+            sizes = result.train_sizes.astype(float)
+            assert all(np.array_equal(p, sizes / sizes.sum()) for p in played)
 
     @pytest.mark.parametrize(
         "text, method",
@@ -323,14 +366,12 @@ class TestRunSuite:
         out = tmp_path / "out"
         cli.main(["run", str(path), "--out", str(out)])
         cfg = cli.parse_config(path).configs[0]
-        lines = read_log(out / "runs/aaggff_d_seed5.rounds.jsonl")
         played, expected = np.full(cfg.k, 1 / cfg.k), 0.0
-        for r in lines[1:-1]:
-            sampled = np.array(r["sampled"])
-            observed = transform_responses(np.array(r["losses"]), cfg.response_range, cfg.cdf)
-            weights = played[sampled] / played[sampled].sum()
+        for rec in federation.run_federation(cfg).records:
+            observed = transform_responses(rec.losses, cfg.response_range, cfg.cdf)
+            weights = played[rec.sampled] / played[rec.sampled].sum()
             expected += np.log1p(observed.mean()) - np.log1p(weights @ observed)
-            played = np.array(r["decision"])
+            played = rec.decision
         summary = json.loads((out / "runs/aaggff_d_seed5.summary.json").read_text())
         assert summary["regret_vs_uniform_observed"] == pytest.approx(expected, rel=1e-12)
 
@@ -370,6 +411,14 @@ class TestRunSuite:
         with pytest.raises(ConfigError) as err:
             cli.round_series(lines)
         assert err.value.field == "k"
+
+    def test_summary_rejects_a_log_of_another_schema(self, tmp_path):
+        out = tmp_path / "out"
+        cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
+        lines = read_log(out / "runs/aaggff_s_seed5.rounds.jsonl")
+        lines[0]["schema"] = 3
+        with pytest.raises(ValueError, match="round log schema 3 is not 4"):
+            cli.round_series(lines)
 
     def test_device_summary_flags_estimated_regret_and_bound(self, tmp_path):
         out = tmp_path / "out"
@@ -431,6 +480,32 @@ class TestRunSuite:
         summary = json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())
         assert summary["error"] == "hindsight solver stalled"
         assert summary["residual"] == 1e-5
+
+    def test_overflowing_feature_shift_fails_the_run_naming_the_field(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["run", str(write_config(tmp_path, SMALL_RUN + "data.feature_shift = 1e308\n")), "--out", str(out)])
+        assert code == 2
+        row = (out / "suite.csv").read_text().splitlines()[1]
+        assert row.endswith(",failed: data.feature_shift: 1e+308 overflows the standardized features")
+
+    def test_edited_digest_fails_the_summary_naming_the_round(self, tmp_path, monkeypatch):
+        original = cli.run_log_lines
+
+        def edit_round_2(result):
+            lines = original(result)
+            lines[2]["decision_digest"] = "0" * 16
+            return lines
+
+        monkeypatch.setattr(cli, "run_log_lines", edit_round_2)
+        out = tmp_path / "out"
+        code = cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
+        assert code == 2
+        row = (out / "suite.csv").read_text().splitlines()[1]
+        assert ",summary failed: round 2: replayed decision digest " in row
+        assert row.endswith(" differs from the logged 0000000000000000")
+        lines = read_log(out / "runs/aaggff_s_seed5.rounds.jsonl")
+        assert len(lines) == 5 and lines[2]["decision_digest"] == "0" * 16
+        assert json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())["error"].startswith("round 2: ")
 
     def test_divergence_keeps_partial_round_log(self, tmp_path):
         # One step per epoch with a huge weight decay: the parameters grow

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedfair.datasets import STREAM_DATA, SyntheticDataSpec, generate_federation, rekey, stream, stream_keys
+from fedfair.errors import ConfigError
 from packing import unpack
 
 
@@ -159,3 +160,15 @@ class TestGenerateFederation:
         assert fed.train_sizes.min() >= 1
         if spread == 0:
             assert np.all(fed.train_sizes == 1) and np.all(fed.test_sizes == 0)
+
+    @pytest.mark.parametrize("shift", [1e155, 1e308])
+    def test_overflowing_feature_shift_is_a_config_error(self, shift):
+        # Every feature would be NaN, and training would fail much later on a
+        # "non-finite local loss".
+        with pytest.raises(ConfigError, match="overflows the standardized features") as err:
+            generate_federation(SyntheticDataSpec(feature_shift=shift), 4, 0)
+        assert err.value.field == "data.feature_shift"
+
+    def test_large_finite_feature_shift_still_generates(self):
+        fed = generate_federation(SyntheticDataSpec(feature_shift=1e150), 4, 0)
+        assert np.isfinite(fed.x_train).all() and np.isfinite(fed.x_test).all()

@@ -111,6 +111,28 @@ class TestGenerateFederation:
         assert np.linalg.norm(centers[0] - centers[1]) > 0.5
 
 
+def _log_probs(model, theta, x):
+    w, b = model._unpack(theta)
+    logits = x @ w.T + b
+    logits -= logits.max(axis=1, keepdims=True)
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+def reference_loss(model, theta, x, y) -> float:
+    """Mean cross-entropy of ``model`` at ``theta`` over (x, y)."""
+    return -float(_log_probs(model, theta, x)[np.arange(y.size), y].mean())
+
+
+def reference_grad(model, theta, x, y, weight_decay=0.0) -> np.ndarray:
+    """Gradient of ``reference_loss`` plus the weight-decay term, in the flat layout."""
+    probs = np.exp(_log_probs(model, theta, x))
+    probs[np.arange(y.size), y] -= 1.0
+    g = np.concatenate([(probs.T @ x / y.size).ravel(), probs.mean(axis=0)])
+    if weight_decay:
+        g += weight_decay * theta
+    return g
+
+
 class TestClientUpdate:
     def setup_method(self):
         self.fed = generate_federation(SMALL_DATA, 2, 21)
@@ -121,7 +143,7 @@ class TestClientUpdate:
         x, y, *_ = self.clients[0]
         theta = self.model.init_params() + 0.1
         loss, delta = client_update(self.model, theta, self.fed, 0, 1, 10, 0.0, stream_keys(0, 2, 1, 0))
-        assert loss == pytest.approx(self.model.loss(theta, x, y))
+        assert loss == pytest.approx(reference_loss(self.model, theta, x, y))
         np.testing.assert_array_equal(delta, np.zeros_like(theta))
 
     def test_full_batch_step_matches_analytic_gradient(self):
@@ -146,10 +168,10 @@ class TestClientUpdate:
         wd = 0.05
 
         def objective(theta):
-            return self.model.loss(theta, x, y) + 0.5 * wd * theta @ theta
+            return reference_loss(self.model, theta, x, y) + 0.5 * wd * theta @ theta
 
         def gradient(theta):
-            return self.model.grad(theta, x, y, weight_decay=wd)
+            return reference_grad(self.model, theta, x, y, weight_decay=wd)
 
         res = minimize(objective, self.model.init_params(), jac=gradient, method="BFGS",
                        options={"gtol": 1e-10, "maxiter": 500})
@@ -170,7 +192,7 @@ class TestClientUpdate:
 def reference_update(model, theta, x, y, client, epochs, batch_size, lr, rng, weight_decay=0.0):
     """Evaluate-then-train of client ``client``, whose training rows are
     (x, y), as a plain per-client SGD loop."""
-    loss_before = model.loss(theta, x, y)
+    loss_before = reference_loss(model, theta, x, y)
     if not np.isfinite(loss_before):
         raise DivergenceError(f"non-finite local loss for client {client}", client_id=client)
     th = theta.copy()
@@ -178,7 +200,7 @@ def reference_update(model, theta, x, y, client, epochs, batch_size, lr, rng, we
         order = rng.permutation(y.size)
         for start in range(0, y.size, batch_size):
             idx = order[start : start + batch_size]
-            th -= lr * model.grad(th, x[idx], y[idx], weight_decay)
+            th -= lr * reference_grad(model, th, x[idx], y[idx], weight_decay)
     if not np.all(np.isfinite(th)):
         raise DivergenceError(f"local training diverged for client {client}", client_id=client)
     return loss_before, theta - th
@@ -393,8 +415,8 @@ class TestRunSilo:
         theta = model.init_params()
         expected = []
         for _ in range(10):
-            expected.append(model.loss(theta, x, y))
-            theta = theta - 0.5 * model.grad(theta, x, y)
+            expected.append(reference_loss(model, theta, x, y))
+            theta = theta - 0.5 * reference_grad(model, theta, x, y)
         np.testing.assert_allclose(losses, expected, atol=1e-10)
 
     def test_adaptive_silo_identical_clients_stays_uniform(self):
@@ -424,7 +446,7 @@ class TestRunSilo:
         model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
         theta = model.init_params()
         for lr in (0.4, 0.4, 0.2, 0.2):
-            theta = theta - lr * model.grad(theta, x, y)
+            theta = theta - lr * reference_grad(model, theta, x, y)
         np.testing.assert_allclose(result.theta, theta, atol=1e-10)
 
 
@@ -488,7 +510,7 @@ class TestCrossStrategyInvariants:
         k = 3
         fed, x, y = identical_clients(k)
         model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
-        common_grad = model.grad(model.init_params(), x, y)
+        common_grad = reference_grad(model, model.init_params(), x, y)
         for method in ("fedavg", "qfedavg", "term", "propfair", "afl", "aaggff-s"):
             cfg = small_config(k=k, t_rounds=1, method=method, b=y.size, lr=0.25)
             result = run_federation(cfg, fed)

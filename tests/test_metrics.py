@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,8 @@ from hypothesis import strategies as st
 
 from fedfair import cli, decision, metrics
 from fedfair.errors import InvalidInputError
-from fedfair.federation import FederationConfig, RoundRecord
+from fedfair.datasets import SyntheticDataSpec
+from fedfair.federation import FederationConfig, Learner, RoundRecord, RunResult, run_federation
 
 from conftest import random_simplex
 from test_aggregators import hindsight_grid_oracle
@@ -20,30 +19,26 @@ def gini_double_sum(x):
     return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * x.mean()))
 
 
-def make_record(t, sampled, losses, p, decision_loss=0.0):
-    return RoundRecord(
-        round=t,
-        sampled=np.asarray(sampled),
-        losses=np.asarray(losses),
-        decision=np.asarray(p),
-        decision_loss=decision_loss,
-    )
+def system_loss(p, transformed_losses) -> float:
+    """Reference: log(1 + sum_i p_i F~_i), the federation-wide loss the
+    server drives down."""
+    return float(np.log(1.0 + float(np.asarray(p) @ np.asarray(transformed_losses))))
 
 
-def round_log(records, k, prior=None):
-    """v3 round-log lines of ``records``: an adaptive learner's run, or a
-    baseline's when ``prior`` is given."""
-    cfg = FederationConfig(
-        k=k, t_rounds=max(len(records), 1), method="aaggff-s" if prior is None else "fedavg", setting="cross_silo"
-    )
-    meta = {"type": "meta", "config": dataclasses.asdict(cfg)}
-    if prior is not None:
-        meta["prior"] = list(prior)
-    return [meta] + [rec.to_dict() for rec in records]
+def round_log(cfg, rounds, train_sizes=None):
+    """Round-log lines of ``cfg`` observing ``rounds``, a list of (sampled,
+    losses) pairs, with each decision made by the run's learner."""
+    learner = Learner(cfg, train_sizes)
+    records = []
+    for t, (sampled, losses) in enumerate(rounds, start=1):
+        sampled, losses = np.asarray(sampled), np.asarray(losses, dtype=float)
+        records.append(RoundRecord(t, sampled, losses, learner.step(losses, sampled)[2], 0.0))
+    sizes = None if train_sizes is None else np.asarray(train_sizes)
+    return cli.run_log_lines(RunResult(cfg, records, None, None, None, sizes))
 
 
 def cumulative_objective(lines):
-    return cli.round_series(lines)[-1][1]
+    return cli.round_series(lines)[-1].cumulative_objective
 
 
 class TestRegret:
@@ -163,57 +158,61 @@ class TestAccuracyParityGap:
 
 
 class TestCumulativeObjective:
-    """``cli.round_series`` over hand-built round logs."""
+    """``cli.round_series`` over round logs."""
 
     def test_single_round_uniform(self):
         # An adaptive learner plays uniform in its first round.
-        rec = make_record(1, [0, 1, 2], [1.0, 2.0, 3.0], np.array([0.2, 0.3, 0.5]))
-        assert cumulative_objective(round_log([rec], k=3)) == pytest.approx(2.0, abs=1e-12)
+        cfg = FederationConfig(k=3, t_rounds=1, method="aaggff-s", setting="cross_silo")
+        assert cumulative_objective(round_log(cfg, [([0, 1, 2], [1.0, 2.0, 3.0])])) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_losses(self):
-        rec = make_record(1, [0, 1], [0.0, 0.0], np.array([0.4, 0.6]))
-        assert cumulative_objective(round_log([rec], k=2, prior=[0.4, 0.6])) == 0.0
+        cfg = FederationConfig(k=2, t_rounds=1, method="fedavg", setting="cross_silo")
+        assert cumulative_objective(round_log(cfg, [([0, 1], [0.0, 0.0])], train_sizes=[2, 3])) == 0.0
 
     def test_hand_accumulated_three_rounds(self):
-        # Each round plays the previous round's decision, from uniform.
-        # round 1: p=(.5,.5), S={0,1}, F=(1,3)        -> 2.0
-        # round 2: p=(.2,.8), S={1},   F=(2,)         -> 1.6
-        # round 3: p=(.9,.1), S={0,1}, F=(1,1)        -> 1.0
-        records = [
-            make_record(1, [0, 1], [1.0, 3.0], np.array([0.2, 0.8])),
-            make_record(2, [1], [2.0], np.array([0.9, 0.1])),
-            make_record(3, [0, 1], [1.0, 1.0], np.array([0.6, 0.4])),
-        ]
-        series = cli.round_series(round_log(records, k=2))
-        assert [t for t, _, _ in series] == [1, 2, 3]
-        assert series[-1][1] == pytest.approx(4.6, abs=1e-12)
+        # Each round plays the previous round's decision, from uniform, so the
+        # objective is accumulated here from the run's own decisions.
+        cfg = FederationConfig(
+            k=5, t_rounds=3, method="aaggff-d", setting="cross_device", c=0.4, b=10,
+            data=SyntheticDataSpec(input_dim=3, num_classes=2, samples_per_client_mean=20),
+        )
+        records = run_federation(cfg).records
+        played, expected = np.full(cfg.k, 0.2), 0.0
+        for rec in records:
+            expected += float(played[rec.sampled] @ rec.losses)
+            played = rec.decision
+        series = cli.round_series(cli.run_log_lines(RunResult(cfg, records, None, None, None)))
+        assert [r.round for r in series] == [1, 2, 3]
+        assert series[-1].cumulative_objective == pytest.approx(expected, rel=1e-12)
+        assert expected > 0
 
     def test_baseline_plays_its_prior_every_round(self):
-        records = [
-            make_record(1, [0, 1], [1.0, 3.0], np.array([0.5, 0.5])),
-            make_record(2, [1], [2.0], np.array([0.0, 1.0])),
-        ]
-        lines = round_log(records, k=2, prior=[0.25, 0.75])
-        assert cumulative_objective(lines) == pytest.approx(2.5 + 1.5, abs=1e-12)
+        # Sample sizes (1, 3) give the prior (0.25, 0.75) in both rounds.
+        cfg = FederationConfig(k=2, t_rounds=2, method="fedavg", setting="cross_device", c=0.5)
+        lines = round_log(cfg, [([1], [3.0]), ([0], [2.0])], train_sizes=[1, 3])
+        assert cumulative_objective(lines) == pytest.approx(2.25 + 0.5, abs=1e-12)
 
     def test_no_rounds_empty_series(self):
-        assert cli.round_series(round_log([], k=2)) == []
+        cfg = FederationConfig(k=2, t_rounds=1, method="aaggff-s", setting="cross_silo")
+        assert cli.round_series(round_log(cfg, [])) == []
 
 
 class TestSystemLoss:
+    """``decision.decision_loss`` is the negated system loss."""
+
     def test_zero_losses(self):
-        assert metrics.system_loss(np.array([0.5, 0.5]), np.zeros(2)) == 0.0
+        assert decision.decision_loss(np.array([0.5, 0.5]), np.zeros(2)) == 0.0
 
     def test_uniform_constant(self):
         c = 0.3
-        assert metrics.system_loss(np.full(4, 0.25), np.full(4, c)) == pytest.approx(np.log(1 + c))
+        assert -decision.decision_loss(np.full(4, 0.25), np.full(4, c)) == pytest.approx(np.log(1 + c))
 
     def test_negates_decision_loss(self, rng):
         for _ in range(50):
             k = int(rng.integers(2, 8))
             p = random_simplex(rng, k)
             f = rng.uniform(0, 2, size=k)
-            assert metrics.system_loss(p, f) + decision.decision_loss(p, f) == 0.0
+            assert system_loss(p, f) + decision.decision_loss(p, f) == 0.0
 
 
 class TestDecisionEntropy:

@@ -11,7 +11,7 @@ from fedfair.errors import (
     InvalidMatrixError,
 )
 
-from conftest import random_simplex
+from conftest import is_simplex, random_simplex
 
 
 def qp_face_oracle(v, b):
@@ -87,7 +87,7 @@ class TestProjectEuclidean:
         others = random_simplex(rng, k, n=1000)
         for v in inputs:
             p = simplex.project_euclidean(v)
-            assert simplex.is_simplex(p)
+            assert is_simplex(p)
             d_proj = np.linalg.norm(p - v)
             d_other = np.linalg.norm(others - v, axis=1)
             assert np.all(d_proj <= d_other + 1e-12)
@@ -102,7 +102,7 @@ class TestProjectEuclidean:
     @settings(max_examples=200, deadline=None)
     def test_output_is_simplex(self, entries):
         p = simplex.project_euclidean(np.array(entries))
-        assert simplex.is_simplex(p)
+        assert is_simplex(p)
 
 
 def random_psd(rng, k, spread=3.0):
@@ -253,7 +253,7 @@ class TestProjectMahalanobis:
         assert np.max(np.abs(b).sum(axis=1)) >= 3.0 * eigs[-1]
         v = r.normal(size=k) * 0.01
         x = simplex.project_mahalanobis(v, b, tol=1e-10)
-        assert simplex.is_simplex(x)
+        assert is_simplex(x)
         assert_kkt(x, v, b)
 
 
