@@ -23,12 +23,16 @@ arithmetic that wrote it: replaying an Online Newton Step log under another
 BLAS can fail the check.
 
 Every number in a summary is recomputed from the serialized round log, so
-the log alone reproduces the report. Round logs are byte-identical across
-reruns and across ``--jobs`` values. A run that fails has status
+the log alone reproduces the report. A run that fails has status
 ``failed: <error>``; one whose summary fails after its log was written has
 ``summary failed: <error>``.
 
-Exit codes: 0 success, 1 configuration error, 2 at least one run failed.
+``--jobs N`` runs up to N seeds at a time in forked worker processes
+(POSIX). Every output file is byte-identical across reruns and across
+``--jobs`` values.
+
+Exit codes: 0 success, 1 configuration or usage error, 2 at least one run
+failed.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ import logging
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,9 +142,16 @@ def _parse_seeds(field, raw):
 
 
 def read_key_values(path: Path) -> dict:
-    """Read the flat ``key = value`` schema ('#' starts a comment)."""
+    """Read the flat ``key = value`` schema ('#' starts a comment) from a
+    UTF-8 file; a file that cannot be read is a ConfigError naming it."""
+    try:
+        content = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError("config", f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError("config", f"cannot read {path}: {err}") from None
     pairs = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -161,8 +171,6 @@ def parse_config(path, out_dir=None, seeds=None) -> ExperimentSuite:
     ``seeds`` entries; the file's ``seed`` is the single-run fallback.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("config", f"no such file: {path}")
     pairs = read_key_values(path)
 
     unused = dict(pairs)
@@ -402,13 +410,19 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
 
 
 def run_suite(suite: ExperimentSuite, jobs: int = 1) -> int:
-    """Execute every (config, seed) run, ``jobs`` seeds at a time in threads;
-    returns the process exit code."""
+    """Execute every (config, seed) run, up to ``jobs`` seeds at a time in
+    forked worker processes (POSIX), which inherit this process's logging
+    and allocator setup; returns the process exit code."""
     runs_dir = suite.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda cfg: _execute_one(cfg, runs_dir), suite.configs))
+    workers = min(jobs, len(suite.configs))
+    if workers > 1:
+        # Imported here so that a one-worker run never loads multiprocessing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            rows = list(pool.map(functools.partial(_execute_one, runs_dir=runs_dir), suite.configs))
     else:
         rows = [_execute_one(cfg, runs_dir) for cfg in suite.configs]
 
@@ -419,8 +433,27 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> int:
     return 0 if all(row["status"] == "ok" for row in rows) else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other configuration error: exit
+    code 2 means a run failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(raw: str) -> int:
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return jobs
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fedfair",
         description="Run fairness-aware federated aggregation experiments.",
     )
@@ -429,7 +462,7 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--out", default=None, help="output directory (default: config's 'out' or ./results)")
     run_p.add_argument("--seeds", default=None, help="comma-separated seeds overriding the config")
-    run_p.add_argument("--jobs", type=int, default=1, help="seeds run concurrently in threads")
+    run_p.add_argument("--jobs", type=_jobs, default=1, metavar="N", help="up to N seeds at a time in forked processes (POSIX)")
     run_p.add_argument("--validate-only", action="store_true", help="parse and validate, run nothing")
 
     level = os.environ.get("FEDFAIR_LOG", "warning").upper()
@@ -445,9 +478,6 @@ def main(argv=None) -> int:
     if args.validate_only:
         print(f"ok: {len(suite.configs)} run(s) validated")
         return 0
-    if args.jobs < 1:
-        print("config error: --jobs: must be >= 1", file=sys.stderr)
-        return 1
     return run_suite(suite, jobs=args.jobs)
 
 

@@ -177,7 +177,8 @@ def normalize_subset(p: np.ndarray, subset: np.ndarray) -> np.ndarray:
         raise DegenerateSubsetError("subset is empty")
     if subset.min() < 0 or subset.max() >= p.size:
         raise InvalidInputError("subset index out of range")
-    if len(np.unique(subset)) != subset.size:
+    # Not np.unique: on numpy 2 its first call imports numpy.ma.
+    if not np.diff(np.sort(subset)).all():
         raise InvalidInputError("subset contains duplicate indices")
     sel = p[subset]
     mass = sel.sum()

@@ -1,3 +1,4 @@
+import os
 import platform
 import sys
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import fedfair  # noqa: F401 - importing the package pins the threshold
-from fedfair import _allocator
+from fedfair import _allocator, cli
+from test_cli import SMALL_RUN, write_config
 
 on_glibc = pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
@@ -31,6 +33,21 @@ def test_large_arrays_stay_out_of_the_heap():
     arr = np.ones(1 << 19)
     heap = heap_range()
     assert heap is None or not heap[0] <= arr.ctypes.data < heap[1]
+
+
+@on_glibc
+def test_large_arrays_stay_out_of_the_heap_in_a_suite_worker(tmp_path, monkeypatch):
+    # A --jobs worker is forked from this process and keeps its pinned threshold.
+    parent, run_federation = os.getpid(), cli.run_federation
+
+    def checked(cfg):
+        assert os.getpid() != parent
+        test_large_arrays_stay_out_of_the_heap()
+        return run_federation(cfg)
+
+    monkeypatch.setattr(cli, "run_federation", checked)
+    suite = cli.parse_config(write_config(tmp_path, SMALL_RUN), out_dir=tmp_path / "out", seeds=[1, 2])
+    assert cli.run_suite(suite, jobs=2) == 0
 
 
 @on_glibc

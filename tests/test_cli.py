@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -49,6 +53,21 @@ data.input_dim = 4
 data.num_classes = 3
 data.samples_per_client_mean = 40
 """
+
+# One step per epoch with a huge weight decay: the parameters grow ~1e100-fold
+# a round and overflow after a few completed rounds.
+DIVERGING = (
+    SMALL_RUN.replace("b = 10", "b = 40")
+    .replace("lr = 0.2", "lr = 1\nweight_decay = 1e100")
+    .replace("t_rounds = 3", "t_rounds = 8")
+)
+
+
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this fedfair."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -168,6 +187,15 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such file"):
             cli.parse_config(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_exits_1_naming_it(self, tmp_path, capsys, kind):
+        path = tmp_path
+        if kind == "non-utf8":
+            path = tmp_path / "latin1.cfg"
+            path.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+        assert cli.main(["run", str(path)]) == 1
+        assert f"config error: config: cannot read {path}: " in capsys.readouterr().err
 
     def test_every_field_is_a_key(self, tmp_path):
         keys = [
@@ -508,13 +536,9 @@ class TestRunSuite:
         assert json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())["error"].startswith("round 2: ")
 
     def test_divergence_keeps_partial_round_log(self, tmp_path):
-        # One step per epoch with a huge weight decay: the parameters grow
-        # ~1e100-fold a round and overflow after a few completed rounds.
-        text = SMALL_RUN.replace("b = 10", "b = 40").replace("lr = 0.2", "lr = 1\nweight_decay = 1e100")
-        text = text.replace("t_rounds = 3", "t_rounds = 8")
         out = tmp_path / "out"
         with np.errstate(all="ignore"):
-            code = cli.main(["run", str(write_config(tmp_path, text)), "--out", str(out)])
+            code = cli.main(["run", str(write_config(tmp_path, DIVERGING)), "--out", str(out)])
         assert code == 2
         assert "failed: local training diverged" in (out / "suite.csv").read_text()
         log = (out / "runs/aaggff_s_seed5.rounds.jsonl").read_text().splitlines()
@@ -535,3 +559,117 @@ class TestRunSuite:
             a = (out1 / f"runs/aaggff_s_seed{seed}.rounds.jsonl").read_bytes()
             b = (out8 / f"runs/aaggff_s_seed{seed}.rounds.jsonl").read_bytes()
             assert a == b
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ([], "fedfair: error: the following arguments are required: command"),
+            (["--jobs", "x"], "fedfair run: error: argument --jobs: expected an integer >= 1, got 'x'"),
+            (["--jobs", "0", "--validate-only"], "fedfair run: error: argument --jobs: expected an integer >= 1, got '0'"),
+        ],
+        ids=["no-command", "jobs-not-an-integer", "jobs-0-validate-only"],
+    )
+    def test_usage_error_exits_1_naming_the_argument(self, tmp_path, capsys, args, message):
+        if args:
+            args = ["run", str(write_config(tmp_path, MINIMAL)), *args]
+        with pytest.raises(SystemExit) as stop:
+            cli.main(args)
+        assert stop.value.code == 1
+        out, err = capsys.readouterr()
+        assert message in err and "ok" not in out
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run", "--help"])
+        assert stop.value.code == 0
+        assert "--jobs N" in capsys.readouterr().out
+
+
+def output_files(out: Path) -> dict:
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "text, stem, code",
+        [(SMALL_RUN, "aaggff_s", 0), (DEVICE_RUN, "aaggff_d", 0), (DIVERGING, "aaggff_s", 2)],
+        ids=["silo", "device", "diverging"],
+    )
+    def test_every_output_file_identical_at_jobs_1_and_2(self, tmp_path, text, stem, code):
+        cfg_path = write_config(tmp_path, text)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            with np.errstate(all="ignore"):
+                assert cli.main(["run", str(cfg_path), "--out", str(out), "--seeds", "1,2", "--jobs", jobs]) == code
+            outputs.append(output_files(out))
+        assert outputs[0] == outputs[1]
+        suffixes = [".rounds.jsonl", ".summary.json"] + ([".cumobj.dat", ".entropy.dat"] if code == 0 else [])
+        assert sorted(outputs[0]) == sorted(
+            ["suite.csv"] + [f"runs/{stem}_seed{seed}{suffix}" for seed in (1, 2) for suffix in suffixes]
+        )
+        if code:
+            rows = outputs[0]["suite.csv"].decode().splitlines()[1:]
+            assert [row.split(",")[6] for row in rows] == ["1", "2"]
+            assert all(",failed: local training diverged" in row for row in rows)
+
+    def test_workers_are_gone_when_the_suite_returns(self, tmp_path, monkeypatch):
+        process = multiprocessing.get_context("fork").Process
+        start, started = process.start, []
+
+        def counted_start(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(process, "start", counted_start)
+        suite = cli.parse_config(write_config(tmp_path, SMALL_RUN), out_dir=tmp_path / "out", seeds=[1, 2])
+        assert cli.run_suite(suite, jobs=3) == 0
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_workers_log_with_the_parents_setup(self, tmp_path):
+        env = fresh_env(FEDFAIR_LOG="info")
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedfair", "run", str(cfg_path), "--out", str(tmp_path / "out"),
+             "--seeds", "1,2", "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        finished = sorted(line.split()[3] for line in proc.stderr.splitlines() if " finished in " in line)
+        assert finished == ["aaggff_s_seed1", "aaggff_s_seed2"]
+
+
+@pytest.fixture(scope="module")
+def fresh_modules(tmp_path_factory):
+    """Modules a fresh interpreter has loaded after ``import numpy``, and after
+    a small silo and a small device ``fedfair run`` at ``--jobs 1``."""
+    tmp = tmp_path_factory.mktemp("fresh")
+    script = (
+        "import sys, numpy\n"
+        "print(' '.join(sys.modules))\n"
+        "from fedfair import cli\n"
+        "for cfg in sys.argv[1:]:\n"
+        "    assert cli.main(['run', cfg, '--out', cfg + '.out', '--jobs', '1']) == 0\n"
+        "print(' '.join(sys.modules))\n"
+    )
+    configs = [str(write_config(tmp, text, name)) for text, name in ((SMALL_RUN, "silo.cfg"), (DEVICE_RUN, "dev.cfg"))]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *configs], capture_output=True, text=True, env=fresh_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    numpy_only, after_runs = (set(line.split()) for line in proc.stdout.splitlines())
+    return numpy_only, after_runs
+
+
+def test_one_worker_loads_no_multiprocessing(fresh_modules):
+    assert "multiprocessing" not in fresh_modules[1]
+
+
+def test_a_run_loads_no_numpy_ma(fresh_modules):
+    numpy_only, after_runs = fresh_modules
+    if "numpy.ma" in numpy_only:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert "numpy.ma" not in after_runs
