@@ -162,6 +162,10 @@ class OnsState:
     constant this is the b_matrix-metric distance to the Newton point
     -b_matrix^{-1} linear_term, so the step needs no Newton point, solve or
     eigendecomposition.
+
+    ``ons_step`` consumes the state it is given: it adds the new outer
+    product to b_matrix in place, so the returned state shares that array
+    and the old state must not be stepped or read again.
     """
 
     decision: np.ndarray
@@ -216,12 +220,24 @@ def ons_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.ndarra
     gradients, so it is positive definite by construction and is not
     re-validated here; only the public ``simplex.project_mahalanobis``
     validates its metric.
+
+    The step consumes ``state``: B is updated in place, a block of
+    ``simplex.ROW_BLOCK`` rows at a time through one small scratch block,
+    so a round allocates no K x K array. Each entry is computed as
+    B + beta * (g g^T) was, so the bits are those of the out-of-place sum.
     """
     g = _checked_gradient(gradient, state.decision.size, state.l_inf)
-    b_new = state.b_matrix + state.beta * np.outer(g, g)
+    b = state.b_matrix
+    scratch = np.empty((min(simplex.ROW_BLOCK, g.size), g.size))
+    for lo in range(0, g.size, simplex.ROW_BLOCK):
+        rows = g[lo : lo + simplex.ROW_BLOCK]
+        block = scratch[: rows.size]
+        np.multiply(rows[:, None], g, out=block)
+        block *= state.beta
+        b[lo : lo + rows.size] += block
     lin_new = state.linear_term + (1.0 - state.beta * float(g @ state.decision)) * g
-    decision = simplex.minimize_quadratic(b_new, lin_new, start=state.decision)
-    new_state = replace(state, decision=decision, b_matrix=b_new, linear_term=lin_new)
+    decision = simplex.minimize_quadratic(b, lin_new, start=state.decision)
+    new_state = replace(state, decision=decision, linear_term=lin_new)
     return new_state, decision
 
 

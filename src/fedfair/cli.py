@@ -27,9 +27,10 @@ the log alone reproduces the report. A run that fails has status
 ``failed: <error>``; one whose summary fails after its log was written has
 ``summary failed: <error>``.
 
-``--jobs N`` runs up to N seeds at a time in forked worker processes
-(POSIX). Every output file is byte-identical across reruns and across
-``--jobs`` values.
+``--jobs N`` runs each seed in its own forked process (POSIX), up to N at a
+time. Every output file is byte-identical across reruns and across
+``--jobs`` values. A process that dies without reporting (killed, crashed)
+fails only its own run, with status ``failed: worker process died``.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 at least one run
 failed.
@@ -353,17 +354,36 @@ def _write_log(path: Path, lines: list):
             fh.write(_json_line(line) + "\n")
 
 
-def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
-    run_id = run_id_for(cfg)
-    row = {
+def _base_row(cfg: FederationConfig) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
-        "run_id": run_id,
+        "run_id": run_id_for(cfg),
         "method": cfg.method,
         "k": cfg.k,
         "t_rounds": cfg.t_rounds,
         "c": cfg.c,
         "seed": cfg.seed,
     }
+
+
+def _failed_row(row: dict, runs_dir: Path, failure: str, err, **report) -> dict:
+    """Log a failed run, write its error report (``report`` adds fields to
+    it) as its summary and fill in its row with status ``<failure>: <err>``."""
+    run_id = row["run_id"]
+    logger.error("run %s %s: %s", run_id, failure, err)
+    report = {"schema": SCHEMA_VERSION, "run_id": run_id, "error": str(err), **report}
+    (runs_dir / f"{run_id}.summary.json").write_text(json.dumps(report, indent=2) + "\n")
+    row.update(
+        avg_accuracy_pct=None, worst10_accuracy_pct=None, best10_accuracy_pct=None,
+        gini_x100=None, accuracy_parity_gap_pct=None, regret=None,
+        regret_vs_uniform_observed=None, status=f"{failure}: {err}",
+    )
+    return row
+
+
+def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
+    row = _base_row(cfg)
+    run_id = row["run_id"]
     log_path = runs_dir / f"{run_id}.rounds.jsonl"
     failure = "failed"
     try:
@@ -392,37 +412,71 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
             status="ok",
         )
     except Exception as err:  # noqa: BLE001 - failures must land in the report
-        logger.error("run %s %s: %s", run_id, failure, err)
         if isinstance(err, DivergenceError):
             # The rounds completed before the divergence, for diagnosis; a
             # failed run has no client_eval line.
             _write_log(log_path, run_log_lines(err.partial))
-        report = {"schema": SCHEMA_VERSION, "run_id": run_id, "error": str(err)}
-        if isinstance(err, ConvergenceError):
-            report["residual"] = err.residual
-        (runs_dir / f"{run_id}.summary.json").write_text(json.dumps(report, indent=2) + "\n")
-        row.update(
-            avg_accuracy_pct=None, worst10_accuracy_pct=None, best10_accuracy_pct=None,
-            gini_x100=None, accuracy_parity_gap_pct=None, regret=None,
-            regret_vs_uniform_observed=None, status=f"{failure}: {err}",
-        )
+        residual = {"residual": err.residual} if isinstance(err, ConvergenceError) else {}
+        _failed_row(row, runs_dir, failure, err, **residual)
     return row
+
+
+def _send_row(sender, cfg: FederationConfig, runs_dir: Path):
+    sender.send(_execute_one(cfg, runs_dir))
+
+
+def _forked_rows(configs: list, runs_dir: Path, workers: int) -> list:
+    """The rows of ``configs``, each run in its own forked process, up to
+    ``workers`` at a time. A process that dies before it sends its row
+    (killed, crashed) leaves a ``failed: worker process died`` row and takes
+    no other run with it."""
+    # Imported here so that a one-worker run never loads multiprocessing.
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    fork = multiprocessing.get_context("fork")
+    rows = [None] * len(configs)
+    pending = list(enumerate(configs))
+    running = {}
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                i, cfg = pending.pop(0)
+                receiver, sender = fork.Pipe(duplex=False)
+                proc = fork.Process(target=_send_row, args=(sender, cfg, runs_dir))
+                proc.start()
+                sender.close()
+                running[receiver] = i, proc
+            for receiver in wait(list(running)):
+                i, proc = running.pop(receiver)
+                try:
+                    rows[i] = receiver.recv()
+                except EOFError:
+                    pass
+                receiver.close()
+                proc.join()
+                if rows[i] is None:
+                    rows[i] = _failed_row(
+                        _base_row(configs[i]), runs_dir, "failed", "worker process died", exitcode=proc.exitcode
+                    )
+    finally:
+        # Reached with runs still going only when this process is interrupted.
+        for receiver, (_, proc) in running.items():
+            proc.terminate()
+            proc.join()
+            receiver.close()
+    return rows
 
 
 def run_suite(suite: ExperimentSuite, jobs: int = 1) -> int:
     """Execute every (config, seed) run, up to ``jobs`` seeds at a time in
-    forked worker processes (POSIX), which inherit this process's logging
-    and allocator setup; returns the process exit code."""
+    forked processes (POSIX), which inherit this process's logging and
+    allocator setup; returns the process exit code."""
     runs_dir = suite.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     workers = min(jobs, len(suite.configs))
     if workers > 1:
-        # Imported here so that a one-worker run never loads multiprocessing.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            rows = list(pool.map(functools.partial(_execute_one, runs_dir=runs_dir), suite.configs))
+        rows = _forked_rows(suite.configs, runs_dir, workers)
     else:
         rows = [_execute_one(cfg, runs_dir) for cfg in suite.configs]
 

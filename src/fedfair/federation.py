@@ -245,14 +245,78 @@ class LogisticModel:
         return np.argmax(x @ w.T + b, axis=1)
 
 
+@dataclass(frozen=True)
+class Cohort:
+    """The training data of the clients ``subset`` of a federation, laid out
+    for ``train_clients`` by ``prepare_clients``. Every array is read-only.
+
+    ``x`` holds the clients' training rows in ``subset`` order, each with a
+    trailing 1 for the bias, then one zero row (label 0 in ``y``) that
+    minibatch padding points at; client j's rows start at ``starts[j]``.
+    The step plan sorts clients by step count, most first (``order``), so the
+    clients still training at step s are a prefix, ``active[s]`` of them:
+    ``real`` marks the ``width`` shuffled-row slots each sorted client fills,
+    ``offsets`` maps a sorted client's local row to its row of ``x``, and
+    ``counts`` holds each sorted client's minibatch size at every step.
+    """
+
+    subset: np.ndarray
+    batch_size: int
+    sizes: np.ndarray
+    starts: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    order: np.ndarray
+    real: np.ndarray
+    offsets: np.ndarray
+    counts: np.ndarray
+    active: np.ndarray
+
+
+def prepare_clients(fed: Federation, subset, batch_size: int) -> Cohort:
+    """The ``Cohort`` of the clients of ``fed`` in ``subset`` for minibatches
+    of ``batch_size``. A silo run prepares it once, for every client; a
+    cross-device run prepares one for each round's sample."""
+    subset = np.array(subset, dtype=np.intp)
+    sizes = fed.train_sizes[subset]
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    gather = np.repeat(np.cumsum(fed.train_sizes)[subset] - sizes - starts, sizes) + np.arange(total)
+    x = np.zeros((total + 1, fed.x_train.shape[1] + 1))
+    x[:total, :-1] = fed.x_train[gather]
+    x[:total, -1] = 1.0
+    y = np.zeros(total + 1, dtype=np.intp)
+    y[:total] = fed.y_train[gather]
+
+    steps = -(-sizes // batch_size)
+    order = np.argsort(-steps, kind="stable")
+    n_sorted = sizes[order]
+    width = steps[order[0]] * batch_size
+    cohort = Cohort(
+        subset=subset,
+        batch_size=batch_size,
+        sizes=sizes,
+        starts=starts,
+        x=x,
+        y=y,
+        order=order,
+        real=np.arange(width) < n_sorted[:, None],
+        offsets=np.repeat(starts[order], n_sorted),
+        counts=np.minimum(n_sorted[:, None] - np.arange(0, width, batch_size), batch_size),
+        active=np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0),
+    )
+    for value in vars(cohort).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return cohort
+
+
 def train_clients(
     model: LogisticModel,
     theta: np.ndarray,
-    fed: Federation,
-    subset,
+    cohort: Cohort,
     keys,
     epochs: int,
-    batch_size: int,
     lr: float,
     weight_decay: float = 0.0,
     round_index: int | None = None,
@@ -260,7 +324,7 @@ def train_clients(
 ):
     """Evaluate then locally train the received model on every client at once.
 
-    Returns (losses, deltas) with one row per client of ``fed`` in ``subset``
+    Returns (losses, deltas) with one row per client of ``cohort.subset``
     (all of them in a silo round): the full-dataset mean loss at the received
     parameters, computed before any step, and received-minus-trained
     parameters after ``epochs`` passes of minibatch SGD. Client ``subset[j]``
@@ -274,68 +338,48 @@ def train_clients(
     A non-finite loss or trained parameter raises DivergenceError naming the
     first such client in ``subset`` order.
     """
-    sizes = fed.train_sizes[subset]
+    sizes, x, y, order, batch_size = cohort.sizes, cohort.x, cohort.y, cohort.order, cohort.batch_size
     # The outputs outlive this call (the round log keeps the losses). Taken
     # before the large temporaries, they cannot pin the top of the heap, which
     # would otherwise grow by the freed temporaries every round.
     losses = np.empty(sizes.size)
     deltas = np.empty((sizes.size, model.dim))
-    starts = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    # The subset's training rows, each with a trailing 1 for the bias, then
-    # one zero row (label 0) that minibatch padding points at.
-    gather = np.repeat(np.cumsum(fed.train_sizes)[subset] - sizes - starts, sizes) + np.arange(total)
-    x = np.zeros((total + 1, model.input_dim + 1))
-    x[:total, :-1] = fed.x_train[gather]
-    x[:total, -1] = 1.0
-    y = np.zeros(total + 1, dtype=np.intp)
-    y[:total] = fed.y_train[gather]
+    total = x.shape[0] - 1
 
     params = model.stacked(theta, sizes.size)
     logits = params[0] @ x[:total].T
     logits -= logits.max(axis=0)
     picked = logits[y[:total], np.arange(total)]
     picked -= np.log(np.exp(logits, out=logits).sum(axis=0))
-    np.divide(np.add.reduceat(picked, starts), -sizes, out=losses)
-
-    # Clients sorted by step count, most first, so the clients still training
-    # at step s are a prefix and each update writes through a view. The rows
-    # of params are all theta, so they need no reordering.
-    steps = -(-sizes // batch_size)
-    order = np.argsort(-steps, kind="stable")
-    n_sorted = sizes[order]
-    width = steps[order[0]] * batch_size
-    real = np.arange(width) < n_sorted[:, None]
-    offsets = np.repeat(starts[order], n_sorted)
-    counts = np.minimum(n_sorted[:, None] - np.arange(0, width, batch_size), batch_size)
-    active = np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0)
+    np.divide(np.add.reduceat(picked, cohort.starts), -sizes, out=losses)
 
     # Every epoch's shuffles of every client, in training order. Streams are
     # independent, so drawing a client's epochs together changes no draw.
+    # The rows of params are all theta, so they need no reordering.
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=0))
-    shuffles = np.empty((epochs, offsets.size), dtype=np.intp)
+    shuffles = np.empty((epochs, total), dtype=np.intp)
     end = 0
-    for key, n in zip(np.asarray(keys)[order].tolist(), n_sorted.tolist()):
+    for key, n in zip(np.asarray(keys)[order].tolist(), sizes[order].tolist()):
         rekey(rng, key)
         for shuffle in shuffles[:, end : end + n]:
             shuffle[:] = rng.permutation(n)
         end += n
-    shuffles += offsets
+    shuffles += cohort.offsets
 
-    rows = np.full((sizes.size, width), total)
+    rows = np.full(cohort.real.shape, total)
     for shuffle in shuffles:
-        rows[real] = shuffle
-        for s, a in enumerate(active):
+        rows[cohort.real] = shuffle
+        for s, a in enumerate(cohort.active):
             idx = rows[:a, s * batch_size : (s + 1) * batch_size]
-            params[:a] -= lr * model.grad_many(params[:a], x[idx], y[idx], counts[:a, s], weight_decay)
+            params[:a] -= lr * model.grad_many(params[:a], x[idx], y[idx], cohort.counts[:a, s], weight_decay)
 
     deltas[order] = theta - model.flat(params)
     bad = ~np.isfinite(losses) | ~np.isfinite(deltas).all(axis=1)
     if bad.any():
         j = int(np.argmax(bad))
         what = "local training diverged" if np.isfinite(losses[j]) else "non-finite local loss"
-        client = int(subset[j])
+        client = int(cohort.subset[j])
         raise DivergenceError(f"{what} for client {client}", round_index=round_index, client_id=client)
     return losses, deltas
 
@@ -355,7 +399,7 @@ def client_update(
     """``train_clients`` for client ``client`` of ``fed`` alone, shuffling
     from the stream with Philox ``key``: returns (loss_before, delta)."""
     losses, deltas = train_clients(
-        model, theta, fed, [client], [key], epochs, batch_size, lr, weight_decay, round_index
+        model, theta, prepare_clients(fed, [client], batch_size), [key], epochs, lr, weight_decay, round_index
     )
     return float(losses[0]), deltas[0]
 
@@ -478,23 +522,25 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     batching = np.random.Generator(np.random.Philox(key=0))
     learner = Learner(cfg, fed.train_sizes)
 
+    # Every client trains every silo round, so the silo cohort is prepared once.
+    silo = cfg.setting is Setting.CROSS_SILO
+    if silo:
+        cohort = prepare_clients(fed, np.arange(cfg.k), cfg.b)
     records = []
     lr = cfg.lr
     try:
         for t in range(1, cfg.t_rounds + 1):
             tic = time.perf_counter()
-            if cfg.setting is Setting.CROSS_SILO:
-                subset = np.arange(cfg.k)
-            else:
-                subset = sample_clients(cfg.k, cfg.subset_size, stream(cfg.seed, STREAM_SAMPLING, t))
+            if not silo:
+                sampled = sample_clients(cfg.k, cfg.subset_size, stream(cfg.seed, STREAM_SAMPLING, t))
+                cohort = prepare_clients(fed, sampled, cfg.b)
+            subset = cohort.subset
             losses, deltas = train_clients(
                 model,
                 theta,
-                fed,
-                subset,
+                cohort,
                 stream_keys(cfg.seed, STREAM_BATCHING, t, subset),
                 cfg.e,
-                cfg.b,
                 lr,
                 cfg.weight_decay,
                 round_index=t,

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateSubsetError, InvalidInputError, InvalidMatrixError
 
 SIMPLEX_SUM_TOL = 1e-9
+# Rows per block when a K x K matrix is swept a block at a time, so that the
+# sweep's temporary stays small instead of matching the matrix.
+ROW_BLOCK = 32
 
 
 def uniform(k: int) -> np.ndarray:
@@ -65,6 +68,21 @@ def _check_psd(b, k: int) -> np.ndarray:
     return b
 
 
+def _abs_row_sum_bound(b: np.ndarray) -> float:
+    """Largest absolute row sum of the square matrix ``b``, an upper bound on
+    its largest eigenvalue, computed ``ROW_BLOCK`` rows at a time so that no
+    K x K temporary is made. For a C-ordered ``b``, such as the learner's,
+    it is ``np.max(np.sum(np.abs(b), axis=1))`` bit for bit; numpy sums the
+    rows of other layouts in another order."""
+    k = b.shape[0]
+    scratch = np.empty((min(ROW_BLOCK, k), k))
+    sums = np.empty(k)
+    for lo in range(0, k, ROW_BLOCK):
+        block = np.abs(b[lo : lo + ROW_BLOCK], out=scratch[: min(ROW_BLOCK, k - lo)])
+        np.sum(block, axis=1, out=sums[lo : lo + ROW_BLOCK])
+    return float(np.max(sums))
+
+
 def minimize_quadratic(
     b: np.ndarray,
     lin: np.ndarray,
@@ -93,7 +111,7 @@ def minimize_quadratic(
     if max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
 
-    lam_bound = float(np.max(np.sum(np.abs(b), axis=1)))
+    lam_bound = _abs_row_sum_bound(b)
     lin2 = 2.0 * lin
     x = project_euclidean(start)
     bx = b @ x

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,29 @@ class TestOnsStep:
             r = rng.uniform(0, 0.1, size=30)
             state, p = ons_step(state, decision.decision_gradient(state.decision, r))
             assert is_simplex(p)
+
+
+    def test_step_allocates_no_k_by_k_array(self, rng):
+        k = 400
+        state = OnsState.init(k, l_inf=0.1)
+        g = decision.decision_gradient(state.decision, rng.uniform(0, 0.1, size=k))
+        tracemalloc.start()
+        try:
+            ons_step(state, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * 8 / 2
+
+    def test_in_place_update_keeps_the_bits_of_the_out_of_place_sum(self, rng):
+        k = 2 * simplex.ROW_BLOCK + 7
+        state = OnsState.init(k, l_inf=0.1)
+        b = state.b_matrix.copy()
+        for _ in range(20):
+            g = decision.decision_gradient(state.decision, rng.uniform(0, 0.1, size=k))
+            b = b + state.beta * np.outer(g, g)
+            state, _ = ons_step(state, g)
+        assert np.array_equal(state.b_matrix, b)
 
 
 class TestFtrlEgStep:

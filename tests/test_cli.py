@@ -629,6 +629,28 @@ class TestWorkers:
         assert len(started) == 2
         assert multiprocessing.active_children() == []
 
+    def test_a_dead_worker_fails_only_its_own_run(self, tmp_path, monkeypatch):
+        original = cli.run_federation
+
+        def die_on_seed_2(cfg):
+            if cfg.seed == 2:
+                os._exit(9)
+            return original(cfg)
+
+        monkeypatch.setattr(cli, "run_federation", die_on_seed_2)
+        out = tmp_path / "out"
+        suite = cli.parse_config(write_config(tmp_path, SMALL_RUN), out_dir=out, seeds=[1, 2])
+        assert cli.run_suite(suite, jobs=2) == 2
+        rows = (out / "suite.csv").read_text().splitlines()[1:]
+        assert rows[0].startswith("4,aaggff_s_seed1,") and rows[0].endswith(",ok")
+        assert rows[1].startswith("4,aaggff_s_seed2,") and rows[1].endswith(",failed: worker process died")
+        assert json.loads((out / "runs/aaggff_s_seed1.summary.json").read_text())["avg_accuracy"] > 0
+        assert len(read_log(out / "runs/aaggff_s_seed1.rounds.jsonl")) == 5
+        report = json.loads((out / "runs/aaggff_s_seed2.summary.json").read_text())
+        assert report["error"] == "worker process died" and report["exitcode"] == 9
+        assert not (out / "runs/aaggff_s_seed2.rounds.jsonl").exists()
+        assert multiprocessing.active_children() == []
+
     def test_workers_log_with_the_parents_setup(self, tmp_path):
         env = fresh_env(FEDFAIR_LOG="info")
         cfg_path = write_config(tmp_path, SMALL_RUN)

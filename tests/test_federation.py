@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from fedfair import aggregators, decision, simplex
+from fedfair import aggregators, decision, federation, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
 from fedfair.datasets import SyntheticDataSpec, generate_federation, stream, stream_keys
 from fedfair.errors import ConfigError, DivergenceError
@@ -15,6 +15,7 @@ from fedfair.federation import (
     LogisticModel,
     client_update,
     evaluate_clients,
+    prepare_clients,
     run_federation,
     sample_clients,
     subset_weights,
@@ -248,7 +249,8 @@ class TestTrainClients:
         subset, theta = self.subset_and_theta(sizes, seed, shuffle)
         lr = 0.3
 
-        losses, deltas = train_clients(self.model, theta, fed, subset, stream_keys(seed, 2, 1, subset), e, b, lr, wd)
+        cohort = prepare_clients(fed, subset, b)
+        losses, deltas = train_clients(self.model, theta, cohort, stream_keys(seed, 2, 1, subset), e, lr, wd)
         assert losses.shape == (len(subset),) and deltas.shape == (len(subset), self.model.dim)
         for row, i in enumerate(subset):
             loss, delta = client_update(self.model, theta, fed, i, e, b, lr, stream_keys(seed, 2, 1, i), wd)
@@ -284,13 +286,59 @@ class TestTrainClients:
                     expected = err
                     break
             if expected is None:
-                train_clients(self.model, theta, fed, subset, keys, e, b, 0.3, wd)
+                train_clients(self.model, theta, prepare_clients(fed, subset, b), keys, e, 0.3, wd)
                 return
             with pytest.raises(DivergenceError) as got:
-                train_clients(self.model, theta, fed, subset, keys, e, b, 0.3, wd, round_index=7)
+                train_clients(self.model, theta, prepare_clients(fed, subset, b), keys, e, 0.3, wd, round_index=7)
         assert got.value.client_id == expected.client_id
         assert str(got.value) == str(expected)
         assert got.value.round_index == 7
+
+
+class TestPrepareClients:
+    model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
+    fed = generate_federation(SMALL_DATA, 6, 4, min_batch=10)
+
+    def test_reused_cohort_trains_as_a_fresh_one_each_round(self):
+        subset = np.arange(6)
+        reused = prepare_clients(self.fed, subset, 10)
+        rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
+        thetas = [self.model.init_params()] * 2
+        for t in range(1, 4):
+            keys = stream_keys(4, 2, t, subset)
+            cohorts = [reused, prepare_clients(self.fed, subset, 10)]
+            (la, da), (lb, db) = (
+                train_clients(self.model, theta, cohort, keys, 2, 0.3, 0.01, round_index=t, rng=rng)
+                for theta, cohort, rng in zip(thetas, cohorts, rngs)
+            )
+            assert np.array_equal(la, lb) and np.array_equal(da, db)
+            thetas = [theta - d.mean(axis=0) for theta, d in zip(thetas, (da, db))]
+
+    def test_every_array_is_read_only(self):
+        subset = np.array([3, 0, 5])
+        cohort = prepare_clients(self.fed, subset, 10)
+        arrays = [value for value in vars(cohort).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 10
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+        assert subset.flags.writeable
+
+    @pytest.mark.parametrize(
+        "overrides, calls",
+        [(dict(method="aaggff-s"), 1), (dict(method="aaggff-d", setting="cross_device", c=0.5), 5)],
+        ids=["silo-once", "device-every-round"],
+    )
+    def test_run_prepares_a_silo_cohort_once(self, monkeypatch, overrides, calls):
+        prepared = []
+
+        def counted(*args):
+            prepared.append(args)
+            return prepare_clients(*args)
+
+        monkeypatch.setattr(federation, "prepare_clients", counted)
+        run_federation(small_config(**overrides))
+        assert len(prepared) == calls
 
 
 class TestSampleClients:

@@ -257,6 +257,13 @@ class TestProjectMahalanobis:
         assert_kkt(x, v, b)
 
 
+class TestAbsRowSumBound:
+    @pytest.mark.parametrize("k", [1, 5, simplex.ROW_BLOCK - 1, 2 * simplex.ROW_BLOCK + 11])
+    def test_equals_the_whole_matrix_reduction(self, rng, k):
+        b = rng.standard_normal((k, k)) * 10.0 ** rng.integers(-6, 7, size=(k, k))
+        assert simplex._abs_row_sum_bound(b) == np.max(np.sum(np.abs(b), axis=1))
+
+
 class TestNormalizeSubset:
     def test_full_set_identity(self):
         p = np.array([0.1, 0.2, 0.7])
