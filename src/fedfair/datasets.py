@@ -30,6 +30,10 @@ _CLASS_SEPARATION = 1.0
 _NOISE_STD = 1.0
 _TEST_FRACTION = 0.2
 
+# Rows per block of generate_federation's row-wise passes: enough to amortize
+# each numpy call, few enough that a block's temporaries stay in cache.
+ROW_BLOCK = 4096
+
 # Stream labels for the seed tree; see stream().
 STREAM_DATA = 0
 STREAM_SAMPLING = 1
@@ -230,11 +234,20 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
 
     Client i draws, from stream (STREAM_DATA, 1 + i), its label mix, sample
     count, labels, shift direction and noise; the class means come from
-    (STREAM_DATA, 0). Features are standardized over all clients. Each
-    (client, class) group of size s >= 2 puts floor(0.2 s) of its rows,
-    picked by one permutation from (STREAM_DATA, 1 + i, 0), in the test set;
-    every other row trains, so each client has at least one training row.
-    Rows keep their drawn order within each client's train and test sets.
+    (STREAM_DATA, 0). The labels equal ``rng.choice(num_classes, size=n,
+    p=label_mix)``: the client draws the n ``rng.random`` values that
+    ``choice`` would, and ``choice``'s inverse-CDF lookup maps every row's
+    value to a label after the draw loop. Features are standardized over all
+    clients. Each (client, class) group of size s >= 2 puts floor(0.2 s) of
+    its rows in the test set: the rows that ``rng.permutation(s)``, drawn
+    from (STREAM_DATA, 1 + i, 0), ranks first, found by shuffling the
+    group's row indices in place with the same draws. Every other row
+    trains, so each client has at least one training row. Rows keep their
+    drawn order within each client's train and test sets.
+
+    The rows are drawn into one buffer and split in place, so ``x_train``
+    and ``x_test`` are its leading and trailing rows (and ``y_train`` and
+    ``y_test`` those of one label buffer).
     """
     if k < 1:
         raise ConfigError("k", "must be >= 1")
@@ -243,39 +256,54 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
             "data.samples_per_client_mean",
             f"minimum client sample count {spec.min_samples} is below the batch size {min_batch}",
         )
+    classes, dim = spec.num_classes, spec.input_dim
     rng = stream(seed, STREAM_DATA, 0)
-    means = rng.standard_normal((spec.num_classes, spec.input_dim)) * _CLASS_SEPARATION
+    means = rng.standard_normal((classes, dim)) * _CLASS_SEPARATION
 
     ids = 1 + np.arange(k)
     lo, hi = spec.min_samples, spec.samples_per_client_mean + spec.samples_per_client_spread
-    alpha = np.full(spec.num_classes, spec.dirichlet_concentration)
-    probs = np.empty((k, spec.num_classes))
+    alpha = np.full(classes, spec.dirichlet_concentration)
+    probs = np.empty((k, classes))
     sizes = np.empty(k, dtype=np.intp)
-    directions = np.zeros((k, spec.input_dim))
+    directions = np.zeros((k, dim))
     sq_norms = np.ones(k)
-    labels = np.empty(k * hi, dtype=np.int64)
-    x = np.empty((k * hi, spec.input_dim))
+    uniforms = np.empty(k * hi)
+    x = np.empty((k * hi, dim))
     total = 0
     for i, key in enumerate(stream_keys(seed, STREAM_DATA, ids).tolist()):
         rekey(rng, key)
         probs[i] = rng.dirichlet(alpha)
         n = sizes[i] = rng.integers(lo, hi + 1)
-        labels[total : total + n] = rng.choice(spec.num_classes, size=n, p=probs[i])
+        rng.random(out=uniforms[total : total + n])
         if spec.feature_shift > 0:
             rng.standard_normal(out=directions[i])
             sq_norms[i] = directions[i].dot(directions[i])
         rng.standard_normal(out=x[total : total + n])
         total += n
-    x, labels = x[:total], labels[:total]
+    # Give back the rows no client drew; nothing else refers to the buffer.
+    x.resize((total, dim), refcheck=False)
+    uniforms.resize(total, refcheck=False)
     owner = np.repeat(np.arange(k), sizes)
 
-    # Noise plus (class mean + client shift), standardized over all clients.
-    # Finite statistics leave every standardized feature finite; a feature
-    # shift near the float range overflows them.
+    # A row's label is how many of its client's normalized cumulative label
+    # probabilities are at or below its uniform draw: choice's
+    # cdf.searchsorted(u, side="right"). The features are noise plus (class
+    # mean + client shift), standardized over all clients. Finite statistics
+    # leave every standardized feature finite; a feature shift near the
+    # float range overflows them.
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    labels = np.empty(total, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         shifts = spec.feature_shift * directions / np.sqrt(sq_norms)[:, None]
-        x *= _NOISE_STD
-        x += (means + shifts[:, None, :])[owner, labels]
+        for start in range(0, total, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            block_owner = owner[rows]
+            np.sum(cdf[block_owner] <= uniforms[rows, None], axis=1, out=labels[rows])
+            block = x[rows]
+            block *= _NOISE_STD
+            block += means[labels[rows]] + shifts[block_owner]
+        del uniforms
         mu = x.mean(axis=0)
         sigma = x.std(axis=0)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
@@ -285,26 +313,43 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     x /= sigma
 
     # Stratified split: rows grouped by (client, class), drawn order kept
-    # within a group; group g's permutation ranks its rows, and the
-    # floor(0.2 s) lowest ranks go to test.
-    by_group = np.lexsort((labels, owner))
-    group_id = owner[by_group] * spec.num_classes + labels[by_group]
-    starts = np.flatnonzero(np.r_[True, group_id[1:] != group_id[:-1]])
-    counts = np.diff(np.r_[starts, total])
+    # within a group. rng.shuffle makes rng.permutation's draws, so shuffling
+    # a group's row indices in place puts them in the order of the group's
+    # permutation, and the first floor(0.2 s) of them go to test.
+    group = owner * classes + labels
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=k * classes)
+    del owner, group
+    ends = np.cumsum(counts)
+    starts = ends - counts
     split_keys = stream_keys(seed, STREAM_DATA, ids, 0).tolist()
-    perms, client = [], -1
-    for g_owner, s in zip((group_id[starts] // spec.num_classes).tolist(), counts.tolist()):
-        if g_owner != client:
-            client = g_owner
+    client = -1
+    shuffled = np.flatnonzero(counts > 1)  # shuffling one row draws nothing
+    for g, start, end in zip(shuffled.tolist(), starts[shuffled].tolist(), ends[shuffled].tolist()):
+        if g // classes != client:
+            client = g // classes
             rekey(rng, split_keys[client])
-        perms.append(rng.permutation(s))
-    first = np.repeat(starts, counts)
-    rank = np.empty(total, dtype=np.intp)
-    rank[first + np.concatenate(perms)] = np.arange(total) - first
+        rng.shuffle(order[start:end])
     n_test = np.floor(_TEST_FRACTION * counts).astype(np.intp)
-    is_test = np.empty(total, dtype=bool)
-    is_test[by_group] = rank < np.repeat(n_test, counts)
+    first_of_group = np.arange(total) - np.repeat(starts, counts) < np.repeat(n_test, counts)
+    is_test = np.zeros(total, dtype=bool)
+    is_test[order[first_of_group]] = True
+    del order, first_of_group
+    test_sizes = n_test.reshape(k, classes).sum(axis=1)
 
-    test_sizes = np.bincount(owner, weights=is_test, minlength=k).astype(np.intp)
-    train = ~is_test
-    return Federation(x[train], labels[train], x[is_test], labels[is_test], sizes - test_sizes, test_sizes, probs)
+    # Partition in place: train rows move forward, each to a position at or
+    # before its own, so a block never overwrites a row still to be read;
+    # then the test rows, copied out, go after them.
+    test_rows = np.flatnonzero(is_test)
+    x_test, y_test = x[test_rows], labels[test_rows]
+    train_rows = np.flatnonzero(~is_test)
+    del is_test, test_rows
+    n_train = train_rows.size
+    for start in range(0, n_train, ROW_BLOCK):
+        rows = train_rows[start : start + ROW_BLOCK]
+        x[start : start + rows.size] = x[rows]
+        labels[start : start + rows.size] = labels[rows]
+    del train_rows
+    x[n_train:] = x_test
+    labels[n_train:] = y_test
+    return Federation(x[:n_train], labels[:n_train], x[n_train:], labels[n_train:], sizes - test_sizes, test_sizes, probs)

@@ -496,7 +496,8 @@ def evaluate_clients(model: LogisticModel, theta: np.ndarray, fed: Federation) -
         logger.warning("client %d has no held-out samples; evaluating on training data", i)
     owner = np.repeat(ids, fed.train_sizes)
     rows = empty[owner]
-    hits += np.bincount(owner[rows], model.predict(theta, fed.x_train[rows]) == fed.y_train[rows], minlength=k)
+    # Not in place: np.bincount of no rows is int64 even when given weights.
+    hits = hits + np.bincount(owner[rows], model.predict(theta, fed.x_train[rows]) == fed.y_train[rows], minlength=k)
     return hits / np.where(empty, fed.train_sizes, fed.test_sizes)
 
 

@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedfair import datasets
 from fedfair.datasets import STREAM_DATA, SyntheticDataSpec, generate_federation, rekey, stream, stream_keys
 from fedfair.errors import ConfigError
 from packing import unpack
@@ -138,6 +142,11 @@ specs = st.builds(
 )
 
 
+# The data of the device-wide bench workload.
+DEVICE_WIDE_DATA = SyntheticDataSpec(input_dim=10, num_classes=5, samples_per_client_mean=30,
+                                     samples_per_client_spread=10, dirichlet_concentration=0.1, feature_shift=1.0)
+
+
 class TestGenerateFederation:
     @settings(max_examples=80, deadline=None)
     @given(specs, st.integers(1, 30), st.integers(0, 2**40))
@@ -150,6 +159,44 @@ class TestGenerateFederation:
             for name, u, v in zip(("x_train", "y_train", "x_test", "y_test", "class_probs"), a, b):
                 assert u.dtype == v.dtype and u.shape == v.shape, (client, name)
                 assert u.tobytes() == v.tobytes(), (client, name)
+
+    @staticmethod
+    def assert_equals_reference(fed, spec, k, seed):
+        expected = reference_generate_federation(spec, k, seed)
+        for a, b in zip(unpack(fed), expected, strict=True):
+            for u, v in zip(a, b):
+                assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+    # One feature is the case where numpy's column statistics sum the rows
+    # pairwise rather than one row after another.
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    @pytest.mark.parametrize("row_block", [1, 7, 64])
+    def test_row_blocks_equal_the_reference(self, monkeypatch, input_dim, row_block):
+        monkeypatch.setattr(datasets, "ROW_BLOCK", row_block)
+        spec = SyntheticDataSpec(input_dim=input_dim, num_classes=3, samples_per_client_mean=12,
+                                 samples_per_client_spread=6, dirichlet_concentration=0.3, feature_shift=0.7)
+        self.assert_equals_reference(generate_federation(spec, 25, 11), spec, 25, 11)
+
+    @pytest.mark.parametrize("input_dim", [1, 10])
+    def test_federation_of_several_row_blocks_equals_the_reference(self, input_dim):
+        spec = dataclasses.replace(DEVICE_WIDE_DATA, input_dim=input_dim)
+        fed = generate_federation(spec, 400, 5)
+        assert fed.train_sizes.sum() + fed.test_sizes.sum() > 2 * datasets.ROW_BLOCK
+        self.assert_equals_reference(fed, spec, 400, 5)
+
+    def test_generation_peak_stays_near_twice_the_federation(self):
+        # The device-wide bench's data at k = 2,000. The peak holds the drawn
+        # rows, the one full-size temporary of x.std and some row indices,
+        # about twice the federation; one more full-size copy of the rows
+        # takes it past 2.5 times.
+        tracemalloc.start()
+        try:
+            fed = generate_federation(DEVICE_WIDE_DATA, 2000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in (fed.x_train, fed.y_train, fed.x_test, fed.y_test))
+        assert peak < 2.5 * size
 
     @pytest.mark.parametrize("spread", [0, 1, 4])
     def test_every_client_trains_on_at_least_one_row(self, spread):

@@ -400,6 +400,19 @@ class TestEvaluateClients:
         for i in empty:
             assert f"client {i} has no held-out samples" in caplog.text
 
+    def test_federation_without_test_rows_scores_every_client_on_training_rows(self):
+        # Four rows a client: no class group reaches the five rows that send
+        # one to test, so the federation holds no test rows at all.
+        spec = SyntheticDataSpec(input_dim=3, num_classes=2, samples_per_client_mean=4)
+        fed = generate_federation(spec, 3, seed=0)
+        assert fed.x_test.shape == (0, 3) and not fed.test_sizes.any()
+        model = LogisticModel(spec.input_dim, spec.num_classes)
+        theta = np.random.default_rng(1).standard_normal(model.dim)
+        got = evaluate_clients(model, theta, fed)
+
+        expected = [np.mean(model.predict(theta, x) == y) for x, y, *_ in unpack(fed)]
+        assert np.array_equal(got, np.array(expected))
+
 
 class TestSubsetWeights:
     def test_zero_mass_subset_falls_back_to_uniform(self, caplog):
