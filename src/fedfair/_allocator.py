@@ -10,6 +10,17 @@ resident set that moved by about 14 MB from one process to the next.
 Pinning the threshold turns that adjustment off: every block of at least
 ``MMAP_THRESHOLD`` bytes gets its own mapping and goes back to the system
 when freed.
+
+glibc's trim threshold stays at its default. Freed blocks that leave more
+than 128 KiB free at the top of the brk heap are given back, and an array
+allocated there again faults its pages back in: cross-silo training did so
+every round, about 780 minor faults on the silo-wide bench workload. Pinning
+``M_TRIM_THRESHOLD`` high removed those faults, but it also kept every freed
+block of a process resident. In 3 of 3 alternating runs of the bench,
+device-wide ``peak_rss_mb`` rose from 105.1-105.7 MB to 111.1-111.3 MB
+(+5.6-6 %), more than that metric's 5 % bound. Training instead keeps its
+per-round arrays in one ``federation.Workspace`` for the whole run, so
+nothing is freed to trim.
 """
 
 from __future__ import annotations

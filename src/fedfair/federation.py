@@ -13,6 +13,8 @@ results are reduced in fixed index order, so every rerun is bit-identical.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 ADAPTIVE_SILO = "aaggff-s"
 ADAPTIVE_DEVICE = "aaggff-d"
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,17 @@ class FederationConfig:
             raise ConfigError("e", "must be >= 1")
         if self.b < 1:
             raise ConfigError("b", "must be >= 1")
+        # Standardizing sums each feature's squared deviation from its mean over
+        # every row. A deviation is at most twice the shift plus the noise, so
+        # these sums stay finite where (4 shift)^2 times the largest possible
+        # row count does, whatever the draws; generate_federation still checks
+        # the statistics it computes.
+        rows = self.k * (self.data.samples_per_client_mean + self.data.samples_per_client_spread)
+        reach = 4.0 * self.data.feature_shift
+        if reach and 2 * math.log(reach) + math.log(rows) > _LOG_FLOAT_MAX:
+            raise ConfigError(
+                "data.feature_shift", f"{self.data.feature_shift!r} overflows the standardized features of {rows} rows"
+            )
         if self.data.min_samples < self.b:
             raise ConfigError(
                 "data.samples_per_client_mean",
@@ -209,37 +223,6 @@ class LogisticModel:
         b = theta[self.num_classes * self.input_dim :]
         return w, b
 
-    def stacked(self, theta, m: int) -> np.ndarray:
-        """``m`` copies of ``theta`` as (m, classes, input_dim + 1): each class's
-        weights followed by its bias."""
-        w, b = self._unpack(theta)
-        return np.tile(np.hstack((w, b[:, None])), (m, 1, 1))
-
-    def flat(self, params) -> np.ndarray:
-        """Inverse of ``stacked``: (m, classes, input_dim + 1) to (m, dim)."""
-        m = params.shape[0]
-        return np.concatenate([params[:, :, :-1].reshape(m, -1), params[:, :, -1]], axis=1)
-
-    def grad_many(self, params, x, y, counts, weight_decay: float = 0.0) -> np.ndarray:
-        """``grad`` of every client at once, in the ``stacked`` layout.
-
-        ``params`` is (m, classes, input_dim + 1); ``x`` (m, b, input_dim + 1)
-        holds minibatch rows with a trailing 1 for the bias, ``y`` (m, b)
-        their labels and ``counts`` (m,) each client's number of real rows.
-        All-zero rows of ``x`` are padding and contribute nothing.
-        """
-        m, b = y.shape
-        logits = params @ x.transpose(0, 2, 1)
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits, out=logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        probs[np.arange(m)[:, None], y, np.arange(b)] -= 1.0
-        g = probs @ x
-        g /= counts[:, None, None]
-        if weight_decay:
-            g += weight_decay * params
-        return g
-
     def predict(self, theta, x) -> np.ndarray:
         w, b = self._unpack(theta)
         return np.argmax(x @ w.T + b, axis=1)
@@ -253,11 +236,13 @@ class Cohort:
     ``x`` holds the clients' training rows in ``subset`` order, each with a
     trailing 1 for the bias, then one zero row (label 0 in ``y``) that
     minibatch padding points at; client j's rows start at ``starts[j]``.
+    ``picks`` holds each training row's flat index into the (classes, rows)
+    logits of the loss pass: the logit of the row's label.
     The step plan sorts clients by step count, most first (``order``), so the
-    clients still training at step s are a prefix, ``active[s]`` of them:
-    ``real`` marks the ``width`` shuffled-row slots each sorted client fills,
-    ``offsets`` maps a sorted client's local row to its row of ``x``, and
-    ``counts`` holds each sorted client's minibatch size at every step.
+    clients still training at step s are a prefix, ``active[s]`` of them.
+    ``slots`` holds the ``width`` rows of ``x`` that each sorted client's
+    minibatch slots read before shuffling: its own rows in order, then the
+    zero row. ``counts`` holds each sorted client's minibatch size at every step.
     """
 
     subset: np.ndarray
@@ -266,9 +251,9 @@ class Cohort:
     starts: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    picks: np.ndarray
     order: np.ndarray
-    real: np.ndarray
-    offsets: np.ndarray
+    slots: np.ndarray
     counts: np.ndarray
     active: np.ndarray
 
@@ -291,7 +276,7 @@ def prepare_clients(fed: Federation, subset, batch_size: int) -> Cohort:
     steps = -(-sizes // batch_size)
     order = np.argsort(-steps, kind="stable")
     n_sorted = sizes[order]
-    width = steps[order[0]] * batch_size
+    slot = np.arange(steps[order[0]] * batch_size)
     cohort = Cohort(
         subset=subset,
         batch_size=batch_size,
@@ -299,16 +284,74 @@ def prepare_clients(fed: Federation, subset, batch_size: int) -> Cohort:
         starts=starts,
         x=x,
         y=y,
+        picks=y[:total] * total + np.arange(total),
         order=order,
-        real=np.arange(width) < n_sorted[:, None],
-        offsets=np.repeat(starts[order], n_sorted),
-        counts=np.minimum(n_sorted[:, None] - np.arange(0, width, batch_size), batch_size),
+        slots=np.where(slot < n_sorted[:, None], starts[order][:, None] + slot, total),
+        counts=np.minimum(n_sorted[:, None] - slot[::batch_size], batch_size),
         active=np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0),
     )
     for value in vars(cohort).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return cohort
+
+
+def _padded(shape) -> int:
+    """Elements an array of ``shape`` takes in a scratch buffer: its size
+    rounded up to 8 (64 bytes), so every view ``_carve`` makes starts as
+    aligned as the buffer."""
+    return -(-math.prod(shape) // 8) * 8
+
+
+def _carve(buffer: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of ``buffer`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        views.append(buffer[start : start + math.prod(shape)].reshape(shape))
+        start += _padded(shape)
+    return views
+
+
+class Workspace:
+    """Every per-round array of ``train_clients`` on one ``Cohort`` and
+    number of epochs, allocated once.
+
+    A silo run trains its one cohort every round, so it builds one workspace
+    next to it, and its rounds allocate only the losses that the round log
+    keeps; even the deltas are the workspace's. Freed, the same arrays would
+    be trimmed off the top of glibc's brk heap and faulted back in every
+    round. The loss pass, the SGD steps and the final
+    flattening never need each other's arrays, so the three share one scratch
+    buffer. ``train_clients`` writes every buffer before it reads it.
+    """
+
+    def __init__(self, model: LogisticModel, cohort: Cohort, epochs: int):
+        m, b, classes = cohort.sizes.size, cohort.batch_size, model.num_classes
+        total, cols = cohort.x.shape[0] - 1, cohort.x.shape[1]
+        # First: a workspace built for one call is freed when it returns, but
+        # its deltas are not, and above the rest they would pin that memory
+        # below the top of the heap.
+        self.deltas = np.empty((m, model.dim))
+        self.params = np.empty((m, classes, cols))
+        self.rows = np.empty((epochs,) + cohort.slots.shape, dtype=np.intp)
+        # Each sorted client's real slots of every epoch: what its shuffles permute.
+        self.shuffles = [list(self.rows[:, j, :n]) for j, n in enumerate(cohort.sizes[cohort.order].tolist())]
+        self.batch = np.empty((m, b), dtype=np.intp)
+        self.batch_picks = np.empty((m, b), dtype=np.intp)
+        loss = [(classes, total), (total,), (total,)]
+        sgd = [(m, b, cols), (m, classes, b), (m, b), (m, classes, cols), (m, classes, cols)]
+        final = [(m, model.dim)]
+        scratch = np.empty(max(sum(map(_padded, phase)) for phase in (loss, sgd, final)))
+        self.logits, self.reduced, self.picked = _carve(scratch, *loss)
+        self.x, self.probs, self.batch_reduced, self.grad, self.decay = _carve(scratch, *sgd)
+        (self.flat,) = _carve(scratch, *final)
+        # The weights of flat as (m, classes, input_dim): a view, since each
+        # row's weights are contiguous.
+        self.flat_weights = self.flat[:, : classes * (cols - 1)].reshape(m, classes, cols - 1)
+        # Slot j of client i's minibatch as a flat index into probs, less its
+        # label's offset. Read-only: it is the same every call.
+        self.pick_base = (np.arange(m)[:, None] * (classes * b) + np.arange(b)).astype(np.intp)
+        self.pick_base.flags.writeable = False
 
 
 def train_clients(
@@ -321,6 +364,7 @@ def train_clients(
     weight_decay: float = 0.0,
     round_index: int | None = None,
     rng: np.random.Generator | None = None,
+    workspace: Workspace | None = None,
 ):
     """Evaluate then locally train the received model on every client at once.
 
@@ -335,46 +379,57 @@ def train_clients(
     that still has a minibatch s is one vectorized update. Weight decay enters
     the update only; the reported loss is the plain data loss.
 
+    Every other array of the call lives in ``workspace``, built for
+    ``cohort`` and ``epochs`` (a new one if None), so a call that is given
+    one allocates only ``losses``. The ``deltas`` are the workspace's own:
+    the next call on it overwrites them.
+
     A non-finite loss or trained parameter raises DivergenceError naming the
     first such client in ``subset`` order.
     """
     sizes, x, y, order, batch_size = cohort.sizes, cohort.x, cohort.y, cohort.order, cohort.batch_size
-    # The outputs outlive this call (the round log keeps the losses). Taken
-    # before the large temporaries, they cannot pin the top of the heap, which
-    # would otherwise grow by the freed temporaries every round.
-    losses = np.empty(sizes.size)
-    deltas = np.empty((sizes.size, model.dim))
+    losses = np.empty(sizes.size)  # the round log keeps them
+    ws = Workspace(model, cohort, epochs) if workspace is None else workspace
+    deltas = ws.deltas
     total = x.shape[0] - 1
 
-    params = model.stacked(theta, sizes.size)
-    logits = params[0] @ x[:total].T
-    logits -= logits.max(axis=0)
-    picked = logits[y[:total], np.arange(total)]
-    picked -= np.log(np.exp(logits, out=logits).sum(axis=0))
+    # Every client starts from theta: each class's weights, then its bias.
+    params = ws.params
+    w, bias = model._unpack(theta)
+    params[:, :, :-1] = w
+    params[:, :, -1] = bias
+    logits = np.matmul(params[0], x[:total].T, out=ws.logits)
+    logits -= np.max(logits, axis=0, out=ws.reduced)
+    picked = np.take(logits, cohort.picks, out=ws.picked, mode="clip")
+    log_sum = np.log(np.sum(np.exp(logits, out=logits), axis=0, out=ws.reduced), out=ws.reduced)
+    picked -= log_sum
     np.divide(np.add.reduceat(picked, cohort.starts), -sizes, out=losses)
 
-    # Every epoch's shuffles of every client, in training order. Streams are
+    # Every epoch's shuffles of every client, in training order: shuffling a
+    # client's rows in place makes the draws of rng.permutation. Streams are
     # independent, so drawing a client's epochs together changes no draw.
     # The rows of params are all theta, so they need no reordering.
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=0))
-    shuffles = np.empty((epochs, total), dtype=np.intp)
-    end = 0
-    for key, n in zip(np.asarray(keys)[order].tolist(), sizes[order].tolist()):
+    rows = ws.rows
+    rows[...] = cohort.slots
+    for key, shuffles in zip(np.asarray(keys)[order].tolist(), ws.shuffles):
         rekey(rng, key)
-        for shuffle in shuffles[:, end : end + n]:
-            shuffle[:] = rng.permutation(n)
-        end += n
-    shuffles += cohort.offsets
+        for shuffle in shuffles:
+            rng.shuffle(shuffle)
 
-    rows = np.full(cohort.real.shape, total)
-    for shuffle in shuffles:
-        rows[cohort.real] = shuffle
-        for s, a in enumerate(cohort.active):
-            idx = rows[:a, s * batch_size : (s + 1) * batch_size]
-            params[:a] -= lr * model.grad_many(params[:a], x[idx], y[idx], cohort.counts[:a, s], weight_decay)
+    for epoch_rows in rows:
+        for s, a in enumerate(cohort.active.tolist()):
+            # Contiguous, so np.take makes no copy of the indices.
+            batch = ws.batch[:a]
+            np.copyto(batch, epoch_rows[:a, s * batch_size : (s + 1) * batch_size])
+            _sgd_step(ws, params[:a], x, y, batch, cohort.counts[:a, s], lr, weight_decay)
 
-    deltas[order] = theta - model.flat(params)
+    # Back to the flat layout of theta: every class's weights, then the biases.
+    flat = ws.flat
+    ws.flat_weights[...] = params[:, :, :-1]
+    flat[:, w.size :] = params[:, :, -1]
+    deltas[order] = np.subtract(theta, flat, out=flat)
     bad = ~np.isfinite(losses) | ~np.isfinite(deltas).all(axis=1)
     if bad.any():
         j = int(np.argmax(bad))
@@ -382,6 +437,33 @@ def train_clients(
         client = int(cohort.subset[j])
         raise DivergenceError(f"{what} for client {client}", round_index=round_index, client_id=client)
     return losses, deltas
+
+
+def _sgd_step(ws: Workspace, params, x, y, batch, counts, lr: float, weight_decay: float) -> None:
+    """One minibatch SGD step of the first ``a`` sorted clients, in place on
+    their ``params`` (a, classes, input_dim + 1). ``batch`` (a, b) holds the
+    rows of ``x`` and ``y`` in each client's minibatch, padding rows pointing
+    at the zero row, and ``counts`` (a,) each client's number of real rows."""
+    a = batch.shape[0]
+    xb = np.take(x, batch, axis=0, out=ws.x[:a], mode="clip")
+    probs = np.matmul(params, xb.transpose(0, 2, 1), out=ws.probs[:a])
+    reduced = ws.batch_reduced[:a, None, :]
+    probs -= np.max(probs, axis=1, keepdims=True, out=reduced)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=1, keepdims=True, out=reduced)
+    # probs[i, y_ij, j] -= 1 through its flat index, y_ij * b + pick_base[i, j].
+    picks = np.take(y, batch, out=ws.batch_picks[:a], mode="clip")
+    picks *= batch.shape[1]
+    picks += ws.pick_base[:a]
+    label_probs = np.take(probs, picks, out=ws.batch_reduced[:a], mode="clip")
+    label_probs -= 1.0
+    np.put(probs, picks, label_probs, mode="clip")
+    g = np.matmul(probs, xb, out=ws.grad[:a])
+    g /= counts[:, None, None]
+    if weight_decay:
+        g += np.multiply(weight_decay, params, out=ws.decay[:a])
+    g *= lr
+    params -= g
 
 
 def client_update(
@@ -523,10 +605,12 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     batching = np.random.Generator(np.random.Philox(key=0))
     learner = Learner(cfg, fed.train_sizes)
 
-    # Every client trains every silo round, so the silo cohort is prepared once.
+    # Every client trains every silo round, so the silo cohort and its
+    # training workspace are built once.
     silo = cfg.setting is Setting.CROSS_SILO
     if silo:
         cohort = prepare_clients(fed, np.arange(cfg.k), cfg.b)
+        workspace = Workspace(model, cohort, cfg.e)
     records = []
     lr = cfg.lr
     try:
@@ -534,7 +618,7 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
             tic = time.perf_counter()
             if not silo:
                 sampled = sample_clients(cfg.k, cfg.subset_size, stream(cfg.seed, STREAM_SAMPLING, t))
-                cohort = prepare_clients(fed, sampled, cfg.b)
+                cohort, workspace = prepare_clients(fed, sampled, cfg.b), None
             subset = cohort.subset
             losses, deltas = train_clients(
                 model,
@@ -546,6 +630,7 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
                 cfg.weight_decay,
                 round_index=t,
                 rng=batching,
+                workspace=workspace,
             )
 
             played = learner.played

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import multiprocessing
@@ -286,6 +287,71 @@ def test_any_config_is_rejected_by_field_or_runs(assignment):
             assert cli.run_suite(suite) == 0
 
 
+# Each numeric key's edge values: zero, the float range's extremes, its
+# smallest valid values and the values just past them. Sizes stay small so
+# that every run takes milliseconds.
+_FLOAT_EDGES = ["-1e-300", "0", "1e-300", "1", "1e300"]
+EDGE_VALUES = {
+    "k": ["1", "2", "30"],
+    "t_rounds": ["0", "1", "3"],
+    "method": TINY_VALUES["method"],
+    "setting": TINY_VALUES["setting"],
+    "c": _FLOAT_EDGES + ["0.5", "1.5"],
+    "e": ["0", "1", "3"],
+    "b": ["0", "1", "10", "11"],
+    "lr": _FLOAT_EDGES,
+    "lr_decay": _FLOAT_EDGES + ["1.5"],
+    "lr_decay_step": ["0", "1", "4294967296"],
+    "weight_decay": _FLOAT_EDGES,
+    "seed": ["-1", "0", "4294967296"],
+    "qfedavg_q": _FLOAT_EDGES,
+    "term_lambda": _FLOAT_EDGES,
+    "propfair_m": _FLOAT_EDGES + ["3"],
+    "afl_q": _FLOAT_EDGES,
+    "cdf.kind": TINY_VALUES["cdf.kind"],
+    "cdf.scale": _FLOAT_EDGES,
+    "cdf.shape": _FLOAT_EDGES,
+    "data.input_dim": ["0", "1", "40"],
+    "data.num_classes": ["1", "2", "12"],
+    "data.samples_per_client_mean": ["0", "1", "10", "200"],
+    "data.samples_per_client_spread": ["-1", "0", "9", "10"],
+    "data.dirichlet_concentration": _FLOAT_EDGES,
+    "data.feature_shift": _FLOAT_EDGES + ["1e150", "1e153"],
+}
+# The run failures the README documents for valid configs: local training
+# that diverges (an extreme learning rate or weight decay).
+DIVERGED = ("failed: local training diverged for client ", "failed: non-finite local loss for client ")
+
+
+@st.composite
+def edge_assignments(draw):
+    """Edge values for up to four keys: more would reject nearly every config."""
+    keys = draw(st.lists(st.sampled_from(sorted(EDGE_VALUES)), unique=True, max_size=4))
+    return {key: draw(st.sampled_from(EDGE_VALUES[key])) for key in keys}
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_assignments())
+def test_any_edge_config_is_rejected_by_field_runs_or_diverges(assignment):
+    pairs = {"k": "3", "t_rounds": "2", "method": "fedavg", "setting": "cross_silo"}
+    pairs.update({"b": "5", "data.input_dim": "3", "data.samples_per_client_mean": "10"})
+    pairs.update(assignment)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+        try:
+            suite = cli.parse_config(path, out_dir=Path(tmp) / "out")
+        except ConfigError as err:
+            assert err.field in set(EDGE_VALUES)
+            return
+        with np.errstate(all="ignore"):
+            code = cli.run_suite(suite)
+        with (Path(tmp) / "out" / "suite.csv").open(newline="") as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert code == (0 if statuses == ["ok"] else 2)
+    assert statuses == ["ok"] or statuses[0].startswith(DIVERGED), statuses
+
+
 class TestRunSuite:
     def test_single_run_emits_four_files_plus_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -509,12 +575,13 @@ class TestRunSuite:
         assert summary["error"] == "hindsight solver stalled"
         assert summary["residual"] == 1e-5
 
-    def test_overflowing_feature_shift_fails_the_run_naming_the_field(self, tmp_path):
+    def test_overflowing_feature_shift_exits_1_naming_the_field(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code = cli.main(["run", str(write_config(tmp_path, SMALL_RUN + "data.feature_shift = 1e308\n")), "--out", str(out)])
-        assert code == 2
-        row = (out / "suite.csv").read_text().splitlines()[1]
-        assert row.endswith(",failed: data.feature_shift: 1e+308 overflows the standardized features")
+        code = cli.main(["run", str(write_config(tmp_path, SMALL_RUN + "data.feature_shift = 1e300\n")), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: data.feature_shift: 1e+300 overflows the standardized features of 160 rows" in err
+        assert not out.exists()
 
     def test_edited_digest_fails_the_summary_naming_the_round(self, tmp_path, monkeypatch):
         original = cli.run_log_lines

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from scipy.optimize import minimize
 
 from fedfair import aggregators, decision, federation, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
-from fedfair.datasets import SyntheticDataSpec, generate_federation, stream, stream_keys
+from fedfair.datasets import SyntheticDataSpec, generate_federation, rekey, stream, stream_keys
 from fedfair.errors import ConfigError, DivergenceError
 from fedfair.federation import (
     FederationConfig,
     LogisticModel,
+    Workspace,
     client_update,
     evaluate_clients,
     prepare_clients,
@@ -295,6 +298,53 @@ class TestTrainClients:
         assert got.value.round_index == 7
 
 
+def spoil(workspace):
+    """Overwrite every writable buffer of ``workspace``: NaN in the float
+    ones, -1 (a valid index once clipped) in the integer ones."""
+    for value in vars(workspace).values():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            value.fill(np.nan if value.dtype.kind == "f" else -1)
+
+
+class TestWorkspace:
+    model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(round_cases)
+    def test_rounds_read_nothing_a_previous_round_left(self, case):
+        sizes, b, e, wd, seed, shuffle = case
+        fed = ragged_clients(seed, sizes)
+        subset, theta = TestTrainClients.subset_and_theta(self, sizes, seed, shuffle)
+        cohort = prepare_clients(fed, subset, b)
+        reused = Workspace(self.model, cohort, e)
+        rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
+        for t in range(1, 4):
+            spoil(reused)
+            keys = stream_keys(seed, 2, t, subset)
+            (la, da), (lb, db) = (
+                train_clients(self.model, theta, cohort, keys, e, 0.3, wd, round_index=t, rng=rng, workspace=ws)
+                for rng, ws in zip(rngs, (reused, Workspace(self.model, cohort, e)))
+            )
+            assert la.tobytes() == lb.tobytes() and da.tobytes() == db.tobytes()
+            theta = theta - da.mean(axis=0)
+
+    def test_shuffling_rows_in_place_draws_as_permutation(self):
+        # train_clients shuffles offset + arange(n) in place where the
+        # per-client loop took offset + rng.permutation(n); numpy's
+        # permutation shuffles an arange, so the two agree draw for draw,
+        # epoch after epoch from one stream.
+        offsets = np.random.default_rng(1).integers(0, 10**6, size=71)
+        keys = stream_keys(3, 2, 1, np.arange(71)).tolist()
+        shuffled, permuted = (np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
+        for n, (offset, key) in enumerate(zip(offsets.tolist(), keys)):
+            rekey(shuffled, key)
+            rekey(permuted, key)
+            for _ in range(3):
+                rows = offset + np.arange(n)
+                shuffled.shuffle(rows)
+                assert np.array_equal(rows, offset + permuted.permutation(n)), n
+
+
 class TestPrepareClients:
     model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
     fed = generate_federation(SMALL_DATA, 6, 4, min_batch=10)
@@ -426,6 +476,16 @@ class TestConfigValidation:
     def test_minimal_valid(self):
         cfg = FederationConfig(k=2, t_rounds=1, method="fedavg", setting="cross_silo")
         assert cfg.subset_size == 2
+
+    def test_feature_shift_bound_keeps_generated_features_finite(self):
+        # The largest shift parsing admits for small_config's 4 clients of 40
+        # rows: (4 shift)^2 * 160 at the float maximum.
+        limit = math.sqrt(sys.float_info.max / 160) / 4
+        with pytest.raises(ConfigError, match="^data.feature_shift: .* overflows the standardized features of 160 rows"):
+            small_config(data=dataclasses.replace(SMALL_DATA, feature_shift=limit * 1.01))
+        cfg = small_config(data=dataclasses.replace(SMALL_DATA, feature_shift=limit * 0.99))
+        fed = generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b)
+        assert np.isfinite(fed.x_train).all() and np.isfinite(fed.x_test).all()
 
     def test_method_setting_mismatch(self):
         with pytest.raises(ConfigError, match="cross_device"):
