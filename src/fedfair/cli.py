@@ -4,7 +4,7 @@ Parses a flat key = value experiment config, runs one simulation per seed,
 and writes machine-readable results:
 
     runs/<run_id>.rounds.jsonl   round-by-round log (source of truth)
-    runs/<run_id>.summary.json   metrics derived from the round log
+    runs/<run_id>.summary.json   metrics of the run's rounds and client eval
     runs/<run_id>.cumobj.dat     round vs cumulative global objective
     runs/<run_id>.entropy.dat    round vs decision entropy
     suite.csv                    one row per (config, seed)
@@ -15,17 +15,18 @@ the clients' integer ``train_sizes``. A ``round`` line holds ``round``,
 ``losses``, ``decision_loss``, ``decision_digest`` (16 hex characters of the
 SHA-256 of the round's new decision's float64 bytes) and, in cross-device
 runs only, ``sampled``; a cross-silo round samples every client. A final
-``client_eval`` line holds per-client accuracy. The summary replays the
-rounds once through the run's own ``federation.Learner``, which rebuilds
-every decision, and fails naming the first round whose replayed decision
-does not match its digest. The digest ties a log to the floating-point
-arithmetic that wrote it: replaying an Online Newton Step log under another
-BLAS can fail the check.
+``client_eval`` line holds per-client accuracy.
 
-Every number in a summary is recomputed from the serialized round log, so
-the log alone reproduces the report. A run that fails has status
-``failed: <error>``; one whose summary fails after its log was written has
-``summary failed: <error>``.
+The summary and plot files are written from the ``RoundRecord`` that each
+step of the run's ``federation.Learner`` returned. ``round_series`` rebuilds
+those records from a round log alone and fails naming the first round whose
+rebuilt decision does not match its digest, so ``write_report`` over them
+rewrites the run's files byte for byte. The digest ties a log to the
+floating-point arithmetic that wrote it: replaying an Online Newton Step log
+under another BLAS can fail the check.
+
+A run that fails has status ``failed: <error>``; one whose summary fails
+after its log was written has ``summary failed: <error>``.
 
 ``--jobs N`` runs each seed in its own forked process (POSIX), up to N at a
 time. Every output file is byte-identical across reruns and across
@@ -133,12 +134,17 @@ def _config_kwargs(cls, pairs, prefix=""):
 
 
 def _parse_seeds(field, raw):
+    """The distinct seeds >= 0 of ``raw``; an error names ``field``, where they came from."""
     try:
         seeds = [int(s) for s in str(raw).split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(field, f"expected comma-separated integers, got {raw!r}") from None
     if not seeds:
         raise ConfigError(field, "needs at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(field, f"must be >= 0, got {raw!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(field, f"duplicate seed in {raw!r}")
     return seeds
 
 
@@ -237,31 +243,13 @@ def run_log_lines(result) -> list:
     return lines
 
 
-class ReplayedRound(typing.NamedTuple):
-    """One round of a replayed round log."""
-
-    round: int
-    cumulative_objective: float
-    decision_entropy: float
-    sampled: np.ndarray
-    played: np.ndarray
-    observed: np.ndarray
-    response: np.ndarray
-    decision: np.ndarray
-
-
 def round_series(lines: list) -> list:
-    """Replay a round log through its run's learner: one ``ReplayedRound``
-    per round line, in order.
+    """Replay a round log through its run's learner: the ``RoundRecord`` of
+    every round line, in order, equal to the run's own (``duration`` aside).
 
     The meta line's config is validated and rebuilt into a
     ``federation.Learner`` (with the meta line's ``train_sizes`` for a
     baseline), and each round's ``losses`` step it as they stepped the run.
-    A round records the clients ``sampled``, the decision ``played``, its
-    ``observed`` and (possibly estimated) ``response``, its new ``decision``
-    and that decision's entropy, and the cumulative objective after it,
-    sum_{t<=T} sum_{i in S_t} p_i^{(t)} F_i(theta^{(t)}), with p^{(t)} the
-    decision played in round t.
 
     Raises ValueError for a log of another schema, and naming the first
     round whose new decision does not match the line's ``decision_digest``."""
@@ -270,44 +258,48 @@ def round_series(lines: list) -> list:
     cfg = FederationConfig.from_dict(lines[0]["config"])
     learner = Learner(cfg, lines[0].get("train_sizes"))
     silo = cfg.setting == "cross_silo"
-    series, cum = [], 0.0
+    records = []
     for r in lines[1:]:
         if r["type"] != "round":
             continue
         sampled = np.arange(cfg.k) if silo else np.asarray(r["sampled"], dtype=int)
-        losses = np.asarray(r["losses"])
-        played = learner.played
-        observed, response, decided = learner.step(losses, sampled)
-        digest, logged = decision_digest(decided), r["decision_digest"]
+        rec = learner.step(r["round"], np.asarray(r["losses"]), sampled)
+        digest, logged = decision_digest(rec.decision), r["decision_digest"]
         if digest != logged:
             raise ValueError(f"round {r['round']}: replayed decision digest {digest} differs from the logged {logged}")
-        cum += float(played[sampled] @ losses)
-        entropy = metrics.decision_entropy(decided)
-        series.append(ReplayedRound(r["round"], cum, entropy, sampled, played, observed, response, decided))
-    return series
+        records.append(rec)
+    return records
 
 
-def summary_from_log(lines: list, series: list) -> dict:
-    """Recompute every reported number from serialized round-log lines;
-    ``series`` is ``round_series(lines)``, the log's one replay.
+def round_curves(records: list) -> tuple[list, list]:
+    """The cumulative objective after each round,
+    sum_{t<=T} sum_{i in S_t} p_i^{(t)} F_i(theta^{(t)}) with p^{(t)} the
+    decision played in round t, and the entropy of each round's new decision."""
+    cumulative, cum = [], 0.0
+    for rec in records:
+        cum += float(rec.played[rec.sampled] @ rec.losses)
+        cumulative.append(cum)
+    return cumulative, [metrics.decision_entropy(rec.decision) for rec in records]
 
-    The meta line is rebuilt into the run's (validated) ``FederationConfig``;
-    the replayed rounds give the played decisions and the responses, the
-    run's ``subset_weights`` the played decision's weights on the sampled
-    set, and the config the regret bound."""
+
+def summary_from_log(lines: list, records: list, curves: tuple[list, list]) -> dict:
+    """Every reported number of a run, from its round-log lines, its
+    ``records`` (the run's own, or ``round_series(lines)``) and their
+    ``round_curves``. The meta line is rebuilt into the run's (validated)
+    ``FederationConfig``, which gives the regret bound."""
     meta = lines[0]["config"]
     cfg = FederationConfig.from_dict(meta)
     accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
 
     observed_vs_uniform = 0.0
-    for r in series:
+    for r in records:
         observed_vs_uniform -= float(np.log1p(subset_weights(r.played, r.sampled, r.round) @ r.observed))
         observed_vs_uniform += float(np.log1p(simplex.uniform(r.sampled.size) @ r.observed))
-    regret = metrics.regret(np.array([r.played for r in series]), np.array([r.response for r in series]))
+    regret = metrics.regret(np.array([r.played for r in records]), np.array([r.response for r in records]))
     bound = cfg.regret_bound
+    cumulative, entropy = curves
 
     worst, best = metrics.worst_best(accuracy, 0.1)
-    last = next(line for line in reversed(lines) if line["type"] == "round")
     return {
         "schema": SCHEMA_VERSION,
         "method": cfg.method,
@@ -326,22 +318,30 @@ def summary_from_log(lines: list, series: list) -> dict:
         "regret_vs_uniform_observed": float(observed_vs_uniform),
         "regret_bound": None if bound is None else float(bound),
         "bound_satisfied": None if bound is None else bool(regret <= bound),
-        "cumulative_objective": series[-1].cumulative_objective,
-        "final_decision_loss": float(last["decision_loss"]),
-        "final_system_loss": -float(last["decision_loss"]),
-        "final_decision_entropy": series[-1].decision_entropy,
+        "cumulative_objective": cumulative[-1],
+        "final_decision_loss": float(records[-1].decision_loss),
+        "final_system_loss": -float(records[-1].decision_loss),
+        "final_decision_entropy": entropy[-1],
         "per_client_accuracy": accuracy.tolist(),
         "config": meta,
         "error": None,
     }
 
 
-def _plot_files(series: list) -> tuple[str, str]:
+def write_report(runs_dir: Path, run_id: str, lines: list, records: list) -> dict:
+    """Write a run's ``summary.json``, ``cumobj.dat`` and ``entropy.dat``
+    from its round-log lines and its ``records``; returns the summary."""
+    cumulative, entropy = curves = round_curves(records)
+    summary = summary_from_log(lines, records, curves)
+    (runs_dir / f"{run_id}.summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     header = f"# fedfair schema={SCHEMA_VERSION} columns=round,"
-    return (
-        header + "cumulative_objective\n" + "".join(f"{r.round} {r.cumulative_objective!r}\n" for r in series),
-        header + "decision_entropy\n" + "".join(f"{r.round} {r.decision_entropy!r}\n" for r in series),
-    )
+    for name, column, values in (
+        ("cumobj", "cumulative_objective", cumulative),
+        ("entropy", "decision_entropy", entropy),
+    ):
+        rows = "".join(f"{rec.round} {value!r}\n" for rec, value in zip(records, values))
+        (runs_dir / f"{run_id}.{name}.dat").write_text(f"{header}{column}\n{rows}")
+    return summary
 
 
 def run_id_for(cfg: FederationConfig) -> str:
@@ -392,14 +392,7 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
         _write_log(log_path, lines)
         # From here on the round log is intact; a failure is the summary's.
         failure = "summary failed"
-        series = round_series(lines)
-        summary = summary_from_log(lines, series)
-        (runs_dir / f"{run_id}.summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n"
-        )
-        cumobj_text, entropy_text = _plot_files(series)
-        (runs_dir / f"{run_id}.cumobj.dat").write_text(cumobj_text)
-        (runs_dir / f"{run_id}.entropy.dat").write_text(entropy_text)
+        summary = write_report(runs_dir, run_id, lines, result.records)
         logger.info("run %s finished in %.2fs", run_id, result.runtime)
         row.update(
             avg_accuracy_pct=round(100 * summary["avg_accuracy"], 6),
@@ -474,6 +467,13 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> int:
     allocator setup; returns the process exit code."""
     runs_dir = suite.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
+    # An earlier suite's outputs of these runs go first, so that a run that
+    # fails or whose worker dies, or a suite that is interrupted, leaves
+    # only its own files.
+    (suite.out_dir / "suite.csv").unlink(missing_ok=True)
+    for cfg in suite.configs:
+        for path in runs_dir.glob(f"{run_id_for(cfg)}.*"):
+            path.unlink()
     workers = min(jobs, len(suite.configs))
     if workers > 1:
         rows = _forked_rows(suite.configs, runs_dir, workers)

@@ -177,17 +177,20 @@ class FederationConfig:
 
 @dataclass
 class RoundRecord:
-    """What the server observed and decided in one round.
-
-    The decision played in the round and the responses are not stored: they
-    follow from the ``Learner`` and from ``losses``. ``duration`` is
-    wall-clock seconds and is intentionally left out of the serialized round
-    log, which must be byte-identical across reruns.
-    """
+    """One round, as ``Learner.step`` returns it: the clients ``sampled``,
+    their pre-update ``losses``, the decision ``played``, the sampled
+    clients' ``observed`` responses and the (possibly estimated) ``response``
+    over all clients, the new ``decision`` and the played decision's
+    ``decision_loss``. ``cli.round_series`` rebuilds every field but
+    ``duration``, the wall-clock seconds the run sets and keeps out of the
+    round log, from that log alone."""
 
     round: int
     sampled: np.ndarray
     losses: np.ndarray
+    played: np.ndarray
+    observed: np.ndarray
+    response: np.ndarray
     decision: np.ndarray
     decision_loss: float
     duration: float = 0.0
@@ -519,17 +522,16 @@ class Learner:
     sample sizes (only a baseline uses them, for its prior).
 
     ``played`` is the decision in effect for the coming round. ``step``
-    observes one round's ``losses`` of the clients in ``subset`` and returns
-    (observed, response, decision): the round's responses from
-    ``round_responses`` and its new decision, which sets the aggregation
-    weights. The adaptive learners then play that decision: Online Newton
+    observes round ``round_index``'s ``losses`` of the clients in ``subset``
+    and returns the round's ``RoundRecord``; its new decision sets the
+    aggregation weights. The adaptive learners then play it: Online Newton
     Step from uniform for ``aaggff-s``, entropic FTRL on the linearized doubly
     robust gradient for ``aaggff-d``. A baseline plays its sample-size prior
     every round; its decision is one exponentiated-gradient step from the
     prior renormalized over ``subset``, and zero elsewhere.
 
-    The run and the summary's replay of its round log both step a Learner,
-    so the replay reproduces every decision bit for bit.
+    The run and ``cli.round_series``, the replay of its round log, both step
+    a Learner, so the replay reproduces every round record bit for bit.
     """
 
     def __init__(self, cfg: FederationConfig, train_sizes=None):
@@ -547,23 +549,25 @@ class Learner:
             )
             self.played = self._state.prior
 
-    def step(self, losses: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cfg, state = self.cfg, self._state
+    def step(self, round_index: int, losses: np.ndarray, subset: np.ndarray) -> RoundRecord:
+        cfg, state, played = self.cfg, self._state, self.played
         observed, response = round_responses(cfg, losses, subset)
         if cfg.method == ADAPTIVE_SILO:
-            g = decision.decision_gradient(self.played, response)
-            self._state, self.played = aggregators.ons_step(state, g)
-            return observed, response, self.played
-        if cfg.method == ADAPTIVE_DEVICE:
-            g = decision.linearized_gradient(self.played, response, np.full(cfg.k, observed.mean()))
-            self._state, self.played = aggregators.ftrl_eg_step(state, g)
-            return observed, response, self.played
-        prior = state.sample_sizes[subset]
-        p = np.zeros(cfg.k)
-        p[subset] = aggregators.eg_step(
-            prior / prior.sum(), aggregators.baseline_response(state, losses), state.step_size
+            self._state, p = aggregators.ons_step(state, decision.decision_gradient(played, response))
+        elif cfg.method == ADAPTIVE_DEVICE:
+            g = decision.linearized_gradient(played, response, np.full(cfg.k, observed.mean()))
+            self._state, p = aggregators.ftrl_eg_step(state, g)
+        else:
+            prior = state.sample_sizes[subset]
+            p = np.zeros(cfg.k)
+            p[subset] = aggregators.eg_step(
+                prior / prior.sum(), aggregators.baseline_response(state, losses), state.step_size
+            )
+        if cfg.adaptive:
+            self.played = p
+        return RoundRecord(
+            round_index, subset, losses, played, observed, response, p, decision.decision_loss(played, response)
         )
-        return observed, response, p
 
 
 def evaluate_clients(model: LogisticModel, theta: np.ndarray, fed: Federation) -> np.ndarray:
@@ -633,21 +637,10 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
                 workspace=workspace,
             )
 
-            played = learner.played
-            _, response, p_next = learner.step(losses, subset)
-            dloss = decision.decision_loss(played, response)
-            theta = theta - subset_weights(p_next, subset, t) @ deltas
-
-            records.append(
-                RoundRecord(
-                    round=t,
-                    sampled=subset,
-                    losses=losses,
-                    decision=p_next,
-                    decision_loss=dloss,
-                    duration=time.perf_counter() - tic,
-                )
-            )
+            rec = learner.step(t, losses, subset)
+            theta = theta - subset_weights(rec.decision, subset, t) @ deltas
+            rec.duration = time.perf_counter() - tic
+            records.append(rec)
             if t % cfg.lr_decay_step == 0:
                 lr *= cfg.lr_decay
     except DivergenceError as err:

@@ -81,6 +81,44 @@ def read_log(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def assert_records_equal(replayed, records):
+    """Every field of two lists of round records equal, arrays by
+    ``np.array_equal``; ``duration`` is the run's wall time and is not kept."""
+    assert len(replayed) == len(records)
+    for a, b in zip(replayed, records):
+        for f in dataclasses.fields(federation.RoundRecord):
+            if f.name != "duration":
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert np.array_equal(x, y) if isinstance(y, np.ndarray) else x == y, (a.round, f.name)
+
+
+REPORT_SUFFIXES = ("summary.json", "cumobj.dat", "entropy.dat")
+
+
+def assert_replay_rewrites_report(runs_dir: Path, run_id: str, replay_dir: Path):
+    """The summary and plot files rebuilt from the written round log alone
+    equal the run's, byte for byte."""
+    lines = read_log(runs_dir / f"{run_id}.rounds.jsonl")
+    replay_dir.mkdir(parents=True, exist_ok=True)
+    cli.write_report(replay_dir, run_id, lines, cli.round_series(lines))
+    for suffix in REPORT_SUFFIXES:
+        assert (replay_dir / f"{run_id}.{suffix}").read_bytes() == (runs_dir / f"{run_id}.{suffix}").read_bytes(), suffix
+
+
+def count_learner_steps(monkeypatch) -> dict:
+    """Count every call of the learners' step functions from now on."""
+    from fedfair import aggregators
+
+    calls = {}
+    for name in ("ons_step", "ftrl_eg_step", "eg_step"):
+        def counted(*args, _name=name, _step=getattr(aggregators, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(aggregators, name, counted)
+    return calls
+
+
 class RecordingDecision:
     """Stands in for the ``decision`` module inside ``federation`` and keeps
     every (decision, response) pair the run passes to ``decision_loss``."""
@@ -287,6 +325,32 @@ def test_any_config_is_rejected_by_field_or_runs(assignment):
             assert cli.run_suite(suite) == 0
 
 
+@st.composite
+def small_configs(draw):
+    """A small valid config of any method in any setting it allows."""
+    method = draw(st.sampled_from(["aaggff-s", "aaggff-d", "fedavg", "afl", "qfedavg", "term", "propfair"]))
+    settings_ = {"aaggff-s": ["cross_silo"], "aaggff-d": ["cross_device"]}.get(method, ["cross_silo", "cross_device"])
+    setting = draw(st.sampled_from(settings_))
+    return federation.FederationConfig(
+        k=draw(st.integers(2, 8)), t_rounds=draw(st.integers(1, 4)), method=method, setting=setting,
+        c=1.0 if setting == "cross_silo" else draw(st.sampled_from([0.1, 0.3, 0.5, 1.0])),
+        e=draw(st.integers(1, 3)), b=5, lr=0.2, weight_decay=draw(st.sampled_from([0.0, 0.01])),
+        seed=draw(st.integers(0, 3)),
+        data=SyntheticDataSpec(input_dim=3, num_classes=3, samples_per_client_mean=12, samples_per_client_spread=4),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_replay_of_any_small_run_rebuilds_its_records_and_report(cfg):
+    result = federation.run_federation(cfg)
+    lines = [json.loads(cli._json_line(line)) for line in cli.run_log_lines(result)]
+    assert_records_equal(cli.round_series(lines), result.records)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert cli.run_suite(cli.ExperimentSuite([cfg], Path(tmp))) == 0
+        assert_replay_rewrites_report(Path(tmp) / "runs", cli.run_id_for(cfg), Path(tmp) / "replay")
+
+
 # Each numeric key's edge values: zero, the float range's extremes, its
 # smallest valid values and the values just past them. Sizes stay small so
 # that every run takes milliseconds.
@@ -400,9 +464,10 @@ class TestRunSuite:
         assert "train_sizes" not in read_log(tmp_path / "adaptive/runs/aaggff_s_seed5.rounds.jsonl")[0]
 
     @pytest.mark.parametrize("method, setting", REPLAY_CASES)
-    def test_replay_rebuilds_every_decision_of_the_run(self, method, setting):
-        # Every method in every setting it allows: the summary's replay of the
-        # serialized log gives the very decisions the run made.
+    def test_replay_rebuilds_every_decision_of_the_run(self, tmp_path, method, setting):
+        # Every method in every setting it allows: the replay of the
+        # serialized log rebuilds the very round records the run made, and
+        # the report from them is the written one.
         cfg = federation.FederationConfig(
             k=6, t_rounds=4, method=method, setting=setting, c=0.5 if setting == "cross_device" else 1.0,
             b=10, lr=0.2, seed=3, data=SyntheticDataSpec(
@@ -412,10 +477,8 @@ class TestRunSuite:
         result = federation.run_federation(cfg)
         lines = [json.loads(cli._json_line(line)) for line in cli.run_log_lines(result)]
         series = cli.round_series(lines)
-        assert len(series) == len(result.records) == 4
-        for r, rec in zip(series, result.records):
-            assert np.array_equal(r.sampled, rec.sampled)
-            assert np.array_equal(r.decision, rec.decision)
+        assert len(series) == 4
+        assert_records_equal(series, result.records)
         played = [r.played for r in series]
         if cfg.adaptive:
             # An adaptive learner plays its previous decision, from uniform.
@@ -424,6 +487,24 @@ class TestRunSuite:
         else:
             sizes = result.train_sizes.astype(float)
             assert all(np.array_equal(p, sizes / sizes.sum()) for p in played)
+
+        assert cli.run_suite(cli.ExperimentSuite([cfg], tmp_path / "out")) == 0
+        assert (tmp_path / f"out/runs/{cli.run_id_for(cfg)}.rounds.jsonl").read_text() == "".join(
+            cli._json_line(line) + "\n" for line in lines
+        )
+        assert_replay_rewrites_report(tmp_path / "out/runs", cli.run_id_for(cfg), tmp_path / "replay")
+
+    @pytest.mark.parametrize(
+        "text, method",
+        [(SMALL_RUN, "aaggff-s"), (DEVICE_RUN, "aaggff-d"), (SMALL_RUN, "qfedavg")],
+        ids=["aaggff-s", "aaggff-d", "qfedavg"],
+    )
+    def test_a_run_steps_its_learner_once_a_round(self, tmp_path, monkeypatch, text, method):
+        calls = count_learner_steps(monkeypatch)
+        text = text.replace("aaggff-s", method)
+        assert cli.main(["run", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")]) == 0
+        step = {"aaggff-s": "ons_step", "aaggff-d": "ftrl_eg_step"}.get(method, "eg_step")
+        assert calls == {step: 3}
 
     @pytest.mark.parametrize(
         "text, method",
@@ -449,7 +530,7 @@ class TestRunSuite:
             return regret(decisions, responses)
 
         monkeypatch.setattr(cli.metrics, "regret", recording_regret)
-        cli.summary_from_log(lines, cli.round_series(lines))
+        cli.write_report(tmp_path, "replayed", lines, cli.round_series(lines))
         [(played, responses)] = replayed
         assert len(run.responses) == 3
         assert np.array_equal(played, np.array(run.played))
@@ -493,7 +574,7 @@ class TestRunSuite:
         cli.main(["run", str(write_config(tmp_path, DEVICE_RUN, "dev.cfg")), "--out", str(out)])
         log_path = out / "runs/aaggff_d_seed5.rounds.jsonl"
         lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        recomputed = cli.summary_from_log(lines, cli.round_series(lines))
+        recomputed = cli.write_report(tmp_path, "replayed", lines, cli.round_series(lines))
         stored = json.loads((out / "runs/aaggff_d_seed5.summary.json").read_text())
         assert stored == json.loads(json.dumps(recomputed))
 
@@ -561,7 +642,7 @@ class TestRunSuite:
         assert (out / "suite.csv").read_text().splitlines()[1].endswith(",failed: injected failure")
 
     def test_summary_failure_keeps_round_log(self, tmp_path, monkeypatch):
-        def fail(lines, series):
+        def fail(lines, records, curves):
             raise ConvergenceError("hindsight solver stalled", residual=1e-5)
 
         monkeypatch.setattr(cli, "summary_from_log", fail)
@@ -584,6 +665,8 @@ class TestRunSuite:
         assert not out.exists()
 
     def test_edited_digest_fails_the_summary_naming_the_round(self, tmp_path, monkeypatch):
+        # A run does not replay its log, so it writes an edited one; the
+        # replay that rebuilds the summary from it names the first bad round.
         original = cli.run_log_lines
 
         def edit_round_2(result):
@@ -593,14 +676,32 @@ class TestRunSuite:
 
         monkeypatch.setattr(cli, "run_log_lines", edit_round_2)
         out = tmp_path / "out"
-        code = cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)])
-        assert code == 2
-        row = (out / "suite.csv").read_text().splitlines()[1]
-        assert ",summary failed: round 2: replayed decision digest " in row
-        assert row.endswith(" differs from the logged 0000000000000000")
+        assert cli.main(["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)]) == 0
         lines = read_log(out / "runs/aaggff_s_seed5.rounds.jsonl")
         assert len(lines) == 5 and lines[2]["decision_digest"] == "0" * 16
-        assert json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())["error"].startswith("round 2: ")
+        with pytest.raises(ValueError, match=r"^round 2: replayed decision digest [0-9a-f]{16} differs from the logged 0{16}$"):
+            cli.round_series(lines)
+
+    def test_failed_rerun_leaves_no_earlier_outputs(self, tmp_path, monkeypatch):
+        cfg_path, out = write_config(tmp_path, SMALL_RUN), tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+
+        def fail(cfg):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "run_federation", fail)
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert sorted(p.name for p in (out / "runs").iterdir()) == ["aaggff_s_seed5.summary.json"]
+        assert json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())["error"] == "injected"
+        assert (out / "suite.csv").read_text().splitlines()[1].endswith(",failed: injected")
+
+        def interrupt(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_federation", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["run", str(cfg_path), "--out", str(out)])
+        assert sorted(p.name for p in out.rglob("*")) == ["runs"]
 
     def test_divergence_keeps_partial_round_log(self, tmp_path):
         out = tmp_path / "out"
@@ -646,6 +747,25 @@ class TestUsage:
         assert stop.value.code == 1
         out, err = capsys.readouterr()
         assert message in err and "ok" not in out
+
+    @pytest.mark.parametrize(
+        "seeds, file_seeds, message",
+        [
+            ("-1", None, "config error: --seeds: must be >= 0, got '-1'"),
+            ("1,1", None, "config error: --seeds: duplicate seed in '1,1'"),
+            (None, "-1", "config error: seeds: must be >= 0, got '-1'"),
+            (None, "4,4", "config error: seeds: duplicate seed in '4,4'"),
+        ],
+        ids=["arg-negative", "arg-duplicate", "file-negative", "file-duplicate"],
+    )
+    def test_bad_seeds_exit_1_naming_where_they_came_from(self, tmp_path, capsys, seeds, file_seeds, message):
+        text = MINIMAL if file_seeds is None else MINIMAL + f"seeds = {file_seeds}\n"
+        args = ["run", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")]
+        if seeds is not None:
+            args.append(f"--seeds={seeds}")
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -717,6 +837,21 @@ class TestWorkers:
         assert report["error"] == "worker process died" and report["exitcode"] == 9
         assert not (out / "runs/aaggff_s_seed2.rounds.jsonl").exists()
         assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_leaves_no_earlier_outputs(self, tmp_path, monkeypatch):
+        cfg_path, out = write_config(tmp_path, SMALL_RUN), tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--seeds", "1,2", "--jobs", "2"]) == 0
+
+        def die(cfg, runs_dir):
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "_execute_one", die)
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--seeds", "1,2", "--jobs", "2"]) == 2
+        assert sorted(p.name for p in (out / "runs").iterdir()) == [
+            "aaggff_s_seed1.summary.json", "aaggff_s_seed2.summary.json"
+        ]
+        rows = (out / "suite.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",failed: worker process died") for row in rows)
 
     def test_workers_log_with_the_parents_setup(self, tmp_path):
         env = fresh_env(FEDFAIR_LOG="info")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fedfair import cli, decision, metrics
 from fedfair.errors import InvalidInputError
 from fedfair.datasets import SyntheticDataSpec
-from fedfair.federation import FederationConfig, Learner, RoundRecord, RunResult, run_federation
+from fedfair.federation import FederationConfig, Learner, RunResult, run_federation
 
 from conftest import random_simplex
 from test_aggregators import hindsight_grid_oracle
@@ -32,13 +32,13 @@ def round_log(cfg, rounds, train_sizes=None):
     records = []
     for t, (sampled, losses) in enumerate(rounds, start=1):
         sampled, losses = np.asarray(sampled), np.asarray(losses, dtype=float)
-        records.append(RoundRecord(t, sampled, losses, learner.step(losses, sampled)[2], 0.0))
+        records.append(learner.step(t, losses, sampled))
     sizes = None if train_sizes is None else np.asarray(train_sizes)
     return cli.run_log_lines(RunResult(cfg, records, None, None, None, sizes))
 
 
 def cumulative_objective(lines):
-    return cli.round_series(lines)[-1].cumulative_objective
+    return cli.round_curves(cli.round_series(lines))[0][-1]
 
 
 class TestRegret:
@@ -158,7 +158,7 @@ class TestAccuracyParityGap:
 
 
 class TestCumulativeObjective:
-    """``cli.round_series`` over round logs."""
+    """``cli.round_curves`` of ``cli.round_series`` over round logs."""
 
     def test_single_round_uniform(self):
         # An adaptive learner plays uniform in its first round.
@@ -183,7 +183,7 @@ class TestCumulativeObjective:
             played = rec.decision
         series = cli.round_series(cli.run_log_lines(RunResult(cfg, records, None, None, None)))
         assert [r.round for r in series] == [1, 2, 3]
-        assert series[-1].cumulative_objective == pytest.approx(expected, rel=1e-12)
+        assert cli.round_curves(series)[0][-1] == pytest.approx(expected, rel=1e-12)
         assert expected > 0
 
     def test_baseline_plays_its_prior_every_round(self):
