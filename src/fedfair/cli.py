@@ -148,6 +148,18 @@ def _parse_seeds(field, raw):
     return seeds
 
 
+def _out_dir(field, raw) -> Path:
+    """``raw`` as the output directory, checked that its ``runs`` directory
+    can be made there; an error names ``field``, where it came from."""
+    out = Path(raw)
+    for path in (out / "runs", out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(field, f"{path} is not a directory")
+            break
+    return out
+
+
 def read_key_values(path: Path) -> dict:
     """Read the flat ``key = value`` schema ('#' starts a comment) from a
     UTF-8 file; a file that cannot be read is a ConfigError naming it."""
@@ -175,7 +187,8 @@ def parse_config(path, out_dir=None, seeds=None) -> ExperimentSuite:
     """Validate a config file into a suite of per-seed run configs.
 
     ``out_dir`` and ``seeds`` override the file's optional ``out`` and
-    ``seeds`` entries; the file's ``seed`` is the single-run fallback.
+    ``seeds`` entries; the file's ``seed`` is the single-run fallback, and
+    a file that sets both ``seed`` and ``seeds`` is rejected.
     """
     path = Path(path)
     pairs = read_key_values(path)
@@ -186,6 +199,8 @@ def parse_config(path, out_dir=None, seeds=None) -> ExperimentSuite:
         if key not in _SUITE_KEYS:
             raise ConfigError(key, "unknown field")
 
+    if "seed" in pairs and "seeds" in pairs:
+        raise ConfigError("seed", "cannot be set together with seeds")
     if seeds is None:
         if "seeds" in pairs:
             seeds = _parse_seeds("seeds", pairs["seeds"])
@@ -193,7 +208,7 @@ def parse_config(path, out_dir=None, seeds=None) -> ExperimentSuite:
             seeds = [kwargs.get("seed", 0)]
     kwargs.pop("seed", None)
     if out_dir is None:
-        out_dir = pairs.get("out", "results")
+        out_dir = _out_dir("out", pairs.get("out", "results"))
 
     configs = [FederationConfig(seed=seed, **kwargs) for seed in seeds]
     return ExperimentSuite(configs=configs, out_dir=Path(out_dir))
@@ -525,7 +540,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         seeds = None if args.seeds is None else _parse_seeds("--seeds", args.seeds)
-        suite = parse_config(args.config, out_dir=args.out, seeds=seeds)
+        out = None if args.out is None else _out_dir("--out", args.out)
+        suite = parse_config(args.config, out_dir=out, seeds=seeds)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -231,74 +231,6 @@ class LogisticModel:
         return np.argmax(x @ w.T + b, axis=1)
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """The training data of the clients ``subset`` of a federation, laid out
-    for ``train_clients`` by ``prepare_clients``. Every array is read-only.
-
-    ``x`` holds the clients' training rows in ``subset`` order, each with a
-    trailing 1 for the bias, then one zero row (label 0 in ``y``) that
-    minibatch padding points at; client j's rows start at ``starts[j]``.
-    ``picks`` holds each training row's flat index into the (classes, rows)
-    logits of the loss pass: the logit of the row's label.
-    The step plan sorts clients by step count, most first (``order``), so the
-    clients still training at step s are a prefix, ``active[s]`` of them.
-    ``slots`` holds the ``width`` rows of ``x`` that each sorted client's
-    minibatch slots read before shuffling: its own rows in order, then the
-    zero row. ``counts`` holds each sorted client's minibatch size at every step.
-    """
-
-    subset: np.ndarray
-    batch_size: int
-    sizes: np.ndarray
-    starts: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    picks: np.ndarray
-    order: np.ndarray
-    slots: np.ndarray
-    counts: np.ndarray
-    active: np.ndarray
-
-
-def prepare_clients(fed: Federation, subset, batch_size: int) -> Cohort:
-    """The ``Cohort`` of the clients of ``fed`` in ``subset`` for minibatches
-    of ``batch_size``. A silo run prepares it once, for every client; a
-    cross-device run prepares one for each round's sample."""
-    subset = np.array(subset, dtype=np.intp)
-    sizes = fed.train_sizes[subset]
-    starts = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    gather = np.repeat(np.cumsum(fed.train_sizes)[subset] - sizes - starts, sizes) + np.arange(total)
-    x = np.zeros((total + 1, fed.x_train.shape[1] + 1))
-    x[:total, :-1] = fed.x_train[gather]
-    x[:total, -1] = 1.0
-    y = np.zeros(total + 1, dtype=np.intp)
-    y[:total] = fed.y_train[gather]
-
-    steps = -(-sizes // batch_size)
-    order = np.argsort(-steps, kind="stable")
-    n_sorted = sizes[order]
-    slot = np.arange(steps[order[0]] * batch_size)
-    cohort = Cohort(
-        subset=subset,
-        batch_size=batch_size,
-        sizes=sizes,
-        starts=starts,
-        x=x,
-        y=y,
-        picks=y[:total] * total + np.arange(total),
-        order=order,
-        slots=np.where(slot < n_sorted[:, None], starts[order][:, None] + slot, total),
-        counts=np.minimum(n_sorted[:, None] - slot[::batch_size], batch_size),
-        active=np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0),
-    )
-    for value in vars(cohort).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return cohort
-
-
 def _padded(shape) -> int:
     """Elements an array of ``shape`` takes in a scratch buffer: its size
     rounded up to 8 (64 bytes), so every view ``_carve`` makes starts as
@@ -315,30 +247,72 @@ def _carve(buffer: np.ndarray, *shapes) -> list[np.ndarray]:
     return views
 
 
-class Workspace:
-    """Every per-round array of ``train_clients`` on one ``Cohort`` and
-    number of epochs, allocated once.
+class Cohort:
+    """The clients ``subset`` of a federation, ready for ``train_clients``
+    to train ``model`` on them in minibatches of ``batch_size`` for
+    ``epochs`` passes: their data and step plan, and every array a round
+    writes. A silo run builds one and trains it every round; a cross-device
+    run builds one for each round's sample.
 
-    A silo run trains its one cohort every round, so it builds one workspace
-    next to it, and its rounds allocate only the losses that the round log
-    keeps; even the deltas are the workspace's. Freed, the same arrays would
-    be trimmed off the top of glibc's brk heap and faulted back in every
-    round. The loss pass, the SGD steps and the final
-    flattening never need each other's arrays, so the three share one scratch
-    buffer. ``train_clients`` writes every buffer before it reads it.
+    The plan is read-only. ``x`` holds the clients' training rows in
+    ``subset`` order, each with a trailing 1 for the bias, then one zero row
+    (label 0 in ``y``) that minibatch padding points at; client j's rows
+    start at ``starts[j]``. ``picks`` holds each training row's flat index
+    into the (classes, rows) logits of the loss pass: the logit of the row's
+    label. The step plan sorts clients by step count, most first (``order``),
+    so the clients still training at step s are a prefix, ``active[s]`` of
+    them. ``slots`` holds the rows of ``x`` that each sorted client's
+    minibatch slots read before shuffling: its own rows in order, then the
+    zero row. ``counts`` holds each sorted client's minibatch size at every
+    step.
+
+    Every other array is a buffer that ``train_clients`` writes before it
+    reads, so a round allocates only the losses that the round log keeps;
+    even the deltas are the cohort's. Freed, the same arrays would be
+    trimmed off the top of glibc's brk heap and faulted back in every round.
+    The loss pass, the SGD steps and the final flattening never need each
+    other's arrays, so the three share one scratch buffer.
     """
 
-    def __init__(self, model: LogisticModel, cohort: Cohort, epochs: int):
-        m, b, classes = cohort.sizes.size, cohort.batch_size, model.num_classes
-        total, cols = cohort.x.shape[0] - 1, cohort.x.shape[1]
-        # First: a workspace built for one call is freed when it returns, but
-        # its deltas are not, and above the rest they would pin that memory
-        # below the top of the heap.
+    def __init__(self, model: LogisticModel, fed: Federation, subset, batch_size: int, epochs: int):
+        self.model = model
+        self.subset = subset = np.array(subset, dtype=np.intp)
+        self.batch_size = b = batch_size
+        self.sizes = sizes = fed.train_sizes[subset]
+        self.starts = starts = np.cumsum(sizes) - sizes
+        total = int(sizes.sum())
+        gather = np.repeat(np.cumsum(fed.train_sizes)[subset] - sizes - starts, sizes) + np.arange(total)
+        self.x = x = np.zeros((total + 1, fed.x_train.shape[1] + 1))
+        x[:total, :-1] = fed.x_train[gather]
+        x[:total, -1] = 1.0
+        self.y = y = np.zeros(total + 1, dtype=np.intp)
+        y[:total] = fed.y_train[gather]
+
+        steps = -(-sizes // b)
+        self.order = order = np.argsort(-steps, kind="stable")
+        n_sorted = sizes[order]
+        slot = np.arange(steps[order[0]] * b)
+        self.picks = y[:total] * total + np.arange(total)
+        self.slots = np.where(slot < n_sorted[:, None], starts[order][:, None] + slot, total)
+        self.counts = np.minimum(n_sorted[:, None] - slot[::b], b)
+        self.active = np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0)
+        m, classes, cols = sizes.size, model.num_classes, x.shape[1]
+        # Slot j of client i's minibatch as a flat index into probs, less its
+        # label's offset.
+        self.pick_base = (np.arange(m)[:, None] * (classes * b) + np.arange(b)).astype(np.intp)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+        # The buffers. First: a cross-device run keeps a round's deltas until
+        # the next round's training returns, after it has dropped the rest of
+        # the cohort, and above the rest they would pin that memory below the
+        # top of the heap.
         self.deltas = np.empty((m, model.dim))
         self.params = np.empty((m, classes, cols))
-        self.rows = np.empty((epochs,) + cohort.slots.shape, dtype=np.intp)
+        self.rows = np.empty((epochs,) + self.slots.shape, dtype=np.intp)
         # Each sorted client's real slots of every epoch: what its shuffles permute.
-        self.shuffles = [list(self.rows[:, j, :n]) for j, n in enumerate(cohort.sizes[cohort.order].tolist())]
+        self.shuffles = [list(self.rows[:, j, :n]) for j, n in enumerate(n_sorted.tolist())]
         self.batch = np.empty((m, b), dtype=np.intp)
         self.batch_picks = np.empty((m, b), dtype=np.intp)
         loss = [(classes, total), (total,), (total,)]
@@ -346,65 +320,57 @@ class Workspace:
         final = [(m, model.dim)]
         scratch = np.empty(max(sum(map(_padded, phase)) for phase in (loss, sgd, final)))
         self.logits, self.reduced, self.picked = _carve(scratch, *loss)
-        self.x, self.probs, self.batch_reduced, self.grad, self.decay = _carve(scratch, *sgd)
+        self.batch_x, self.probs, self.batch_reduced, self.grad, self.decay = _carve(scratch, *sgd)
         (self.flat,) = _carve(scratch, *final)
         # The weights of flat as (m, classes, input_dim): a view, since each
         # row's weights are contiguous.
         self.flat_weights = self.flat[:, : classes * (cols - 1)].reshape(m, classes, cols - 1)
-        # Slot j of client i's minibatch as a flat index into probs, less its
-        # label's offset. Read-only: it is the same every call.
-        self.pick_base = (np.arange(m)[:, None] * (classes * b) + np.arange(b)).astype(np.intp)
-        self.pick_base.flags.writeable = False
 
 
 def train_clients(
-    model: LogisticModel,
     theta: np.ndarray,
     cohort: Cohort,
     keys,
-    epochs: int,
     lr: float,
     weight_decay: float = 0.0,
     round_index: int | None = None,
     rng: np.random.Generator | None = None,
-    workspace: Workspace | None = None,
 ):
-    """Evaluate then locally train the received model on every client at once.
+    """Evaluate then locally train the received model on every client of
+    ``cohort`` at once.
 
     Returns (losses, deltas) with one row per client of ``cohort.subset``
     (all of them in a silo round): the full-dataset mean loss at the received
     parameters, computed before any step, and received-minus-trained
-    parameters after ``epochs`` passes of minibatch SGD. Client ``subset[j]``
-    shuffles its rows with one permutation per epoch from the stream with
-    Philox key ``keys[j]`` (a row of ``datasets.stream_keys``), drawn through
-    ``rng`` rekeyed (a new Generator if None), and takes ceil(n_j / batch_size)
-    steps per epoch, the last one on the remainder. Step s of every client
-    that still has a minibatch s is one vectorized update. Weight decay enters
-    the update only; the reported loss is the plain data loss.
+    parameters after the cohort's epochs of minibatch SGD. Client
+    ``subset[j]`` shuffles its rows with one permutation per epoch from the
+    stream with Philox key ``keys[j]`` (a row of ``datasets.stream_keys``),
+    drawn through ``rng`` rekeyed (a new Generator if None), and takes
+    ceil(n_j / batch_size) steps per epoch, the last one on the remainder.
+    Step s of every client that still has a minibatch s is one vectorized
+    update. Weight decay enters the update only; the reported loss is the
+    plain data loss.
 
-    Every other array of the call lives in ``workspace``, built for
-    ``cohort`` and ``epochs`` (a new one if None), so a call that is given
-    one allocates only ``losses``. The ``deltas`` are the workspace's own:
-    the next call on it overwrites them.
+    Every array but ``losses`` is the cohort's, so the ``deltas`` are valid
+    until the next call on the same cohort overwrites them.
 
     A non-finite loss or trained parameter raises DivergenceError naming the
     first such client in ``subset`` order.
     """
-    sizes, x, y, order, batch_size = cohort.sizes, cohort.x, cohort.y, cohort.order, cohort.batch_size
+    sizes, x, order, batch_size = cohort.sizes, cohort.x, cohort.order, cohort.batch_size
     losses = np.empty(sizes.size)  # the round log keeps them
-    ws = Workspace(model, cohort, epochs) if workspace is None else workspace
-    deltas = ws.deltas
+    deltas = cohort.deltas
     total = x.shape[0] - 1
 
     # Every client starts from theta: each class's weights, then its bias.
-    params = ws.params
-    w, bias = model._unpack(theta)
+    params = cohort.params
+    w, bias = cohort.model._unpack(theta)
     params[:, :, :-1] = w
     params[:, :, -1] = bias
-    logits = np.matmul(params[0], x[:total].T, out=ws.logits)
-    logits -= np.max(logits, axis=0, out=ws.reduced)
-    picked = np.take(logits, cohort.picks, out=ws.picked, mode="clip")
-    log_sum = np.log(np.sum(np.exp(logits, out=logits), axis=0, out=ws.reduced), out=ws.reduced)
+    logits = np.matmul(params[0], x[:total].T, out=cohort.logits)
+    logits -= np.max(logits, axis=0, out=cohort.reduced)
+    picked = np.take(logits, cohort.picks, out=cohort.picked, mode="clip")
+    log_sum = np.log(np.sum(np.exp(logits, out=logits), axis=0, out=cohort.reduced), out=cohort.reduced)
     picked -= log_sum
     np.divide(np.add.reduceat(picked, cohort.starts), -sizes, out=losses)
 
@@ -414,9 +380,9 @@ def train_clients(
     # The rows of params are all theta, so they need no reordering.
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=0))
-    rows = ws.rows
+    rows = cohort.rows
     rows[...] = cohort.slots
-    for key, shuffles in zip(np.asarray(keys)[order].tolist(), ws.shuffles):
+    for key, shuffles in zip(np.asarray(keys)[order].tolist(), cohort.shuffles):
         rekey(rng, key)
         for shuffle in shuffles:
             rng.shuffle(shuffle)
@@ -424,13 +390,13 @@ def train_clients(
     for epoch_rows in rows:
         for s, a in enumerate(cohort.active.tolist()):
             # Contiguous, so np.take makes no copy of the indices.
-            batch = ws.batch[:a]
+            batch = cohort.batch[:a]
             np.copyto(batch, epoch_rows[:a, s * batch_size : (s + 1) * batch_size])
-            _sgd_step(ws, params[:a], x, y, batch, cohort.counts[:a, s], lr, weight_decay)
+            _sgd_step(cohort, params[:a], batch, cohort.counts[:a, s], lr, weight_decay)
 
     # Back to the flat layout of theta: every class's weights, then the biases.
-    flat = ws.flat
-    ws.flat_weights[...] = params[:, :, :-1]
+    flat = cohort.flat
+    cohort.flat_weights[...] = params[:, :, :-1]
     flat[:, w.size :] = params[:, :, -1]
     deltas[order] = np.subtract(theta, flat, out=flat)
     bad = ~np.isfinite(losses) | ~np.isfinite(deltas).all(axis=1)
@@ -442,29 +408,30 @@ def train_clients(
     return losses, deltas
 
 
-def _sgd_step(ws: Workspace, params, x, y, batch, counts, lr: float, weight_decay: float) -> None:
-    """One minibatch SGD step of the first ``a`` sorted clients, in place on
-    their ``params`` (a, classes, input_dim + 1). ``batch`` (a, b) holds the
-    rows of ``x`` and ``y`` in each client's minibatch, padding rows pointing
-    at the zero row, and ``counts`` (a,) each client's number of real rows."""
+def _sgd_step(cohort: Cohort, params, batch, counts, lr: float, weight_decay: float) -> None:
+    """One minibatch SGD step of the first ``a`` sorted clients of
+    ``cohort``, in place on their ``params`` (a, classes, input_dim + 1).
+    ``batch`` (a, b) holds the rows of the cohort's ``x`` and ``y`` in each
+    client's minibatch, padding rows pointing at the zero row, and
+    ``counts`` (a,) each client's number of real rows."""
     a = batch.shape[0]
-    xb = np.take(x, batch, axis=0, out=ws.x[:a], mode="clip")
-    probs = np.matmul(params, xb.transpose(0, 2, 1), out=ws.probs[:a])
-    reduced = ws.batch_reduced[:a, None, :]
+    xb = np.take(cohort.x, batch, axis=0, out=cohort.batch_x[:a], mode="clip")
+    probs = np.matmul(params, xb.transpose(0, 2, 1), out=cohort.probs[:a])
+    reduced = cohort.batch_reduced[:a, None, :]
     probs -= np.max(probs, axis=1, keepdims=True, out=reduced)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=1, keepdims=True, out=reduced)
     # probs[i, y_ij, j] -= 1 through its flat index, y_ij * b + pick_base[i, j].
-    picks = np.take(y, batch, out=ws.batch_picks[:a], mode="clip")
+    picks = np.take(cohort.y, batch, out=cohort.batch_picks[:a], mode="clip")
     picks *= batch.shape[1]
-    picks += ws.pick_base[:a]
-    label_probs = np.take(probs, picks, out=ws.batch_reduced[:a], mode="clip")
+    picks += cohort.pick_base[:a]
+    label_probs = np.take(probs, picks, out=cohort.batch_reduced[:a], mode="clip")
     label_probs -= 1.0
     np.put(probs, picks, label_probs, mode="clip")
-    g = np.matmul(probs, xb, out=ws.grad[:a])
+    g = np.matmul(probs, xb, out=cohort.grad[:a])
     g /= counts[:, None, None]
     if weight_decay:
-        g += np.multiply(weight_decay, params, out=ws.decay[:a])
+        g += np.multiply(weight_decay, params, out=cohort.decay[:a])
     g *= lr
     params -= g
 
@@ -483,9 +450,8 @@ def client_update(
 ):
     """``train_clients`` for client ``client`` of ``fed`` alone, shuffling
     from the stream with Philox ``key``: returns (loss_before, delta)."""
-    losses, deltas = train_clients(
-        model, theta, prepare_clients(fed, [client], batch_size), [key], epochs, lr, weight_decay, round_index
-    )
+    cohort = Cohort(model, fed, [client], batch_size, epochs)
+    losses, deltas = train_clients(theta, cohort, [key], lr, weight_decay, round_index)
     return float(losses[0]), deltas[0]
 
 
@@ -594,7 +560,9 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     Cross-device runs sample a client subset each round, fill in the
     unobserved response entries with the doubly robust estimate, update the
     full decision from the linearized gradient, and aggregate only over the
-    sampled clients with subset-renormalized coefficients.
+    sampled clients with subset-renormalized coefficients. A silo run builds
+    one ``Cohort`` of every client and trains it every round; a cross-device
+    run builds one of each round's sample.
 
     ``fed`` injects a pre-built ``Federation`` of k clients in place of the
     generated one; the baselines' sample sizes are its ``train_sizes``."""
@@ -609,33 +577,24 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     batching = np.random.Generator(np.random.Philox(key=0))
     learner = Learner(cfg, fed.train_sizes)
 
-    # Every client trains every silo round, so the silo cohort and its
-    # training workspace are built once.
+    # Every client trains every silo round, so a silo run builds its cohort once.
     silo = cfg.setting is Setting.CROSS_SILO
     if silo:
-        cohort = prepare_clients(fed, np.arange(cfg.k), cfg.b)
-        workspace = Workspace(model, cohort, cfg.e)
+        cohort = Cohort(model, fed, np.arange(cfg.k), cfg.b, cfg.e)
     records = []
     lr = cfg.lr
     try:
         for t in range(1, cfg.t_rounds + 1):
             tic = time.perf_counter()
             if not silo:
+                # The last round's cohort goes before this round's is built,
+                # so that the two never hold heap space at once.
+                cohort = None
                 sampled = sample_clients(cfg.k, cfg.subset_size, stream(cfg.seed, STREAM_SAMPLING, t))
-                cohort, workspace = prepare_clients(fed, sampled, cfg.b), None
+                cohort = Cohort(model, fed, sampled, cfg.b, cfg.e)
             subset = cohort.subset
-            losses, deltas = train_clients(
-                model,
-                theta,
-                cohort,
-                stream_keys(cfg.seed, STREAM_BATCHING, t, subset),
-                cfg.e,
-                lr,
-                cfg.weight_decay,
-                round_index=t,
-                rng=batching,
-                workspace=workspace,
-            )
+            keys = stream_keys(cfg.seed, STREAM_BATCHING, t, subset)
+            losses, deltas = train_clients(theta, cohort, keys, lr, cfg.weight_decay, round_index=t, rng=batching)
 
             rec = learner.step(t, losses, subset)
             theta = theta - subset_weights(rec.decision, subset, t) @ deltas

@@ -9,7 +9,7 @@ import pytest
 import fedfair  # noqa: F401 - importing the package pins the threshold
 from fedfair import _allocator, cli
 from fedfair.datasets import STREAM_BATCHING, SyntheticDataSpec, generate_federation, stream_keys
-from fedfair.federation import LogisticModel, Workspace, prepare_clients, train_clients
+from fedfair.federation import Cohort, LogisticModel, train_clients
 from test_cli import SMALL_RUN, write_config
 
 on_glibc = pytest.mark.skipif(
@@ -58,20 +58,19 @@ def test_silo_training_rounds_fault_no_pages_back_in():
     # The silo-wide bench shape: K = 500 clients of 25 +- 5 samples, most of
     # them one minibatch of 20 a round. Per-round arrays of 0.1-0.9 MB, freed
     # at the top of the brk heap, were trimmed off it and faulted back in:
-    # about 780 minor faults a call. A call on a workspace frees none.
+    # about 780 minor faults a call. A call on a cohort frees none.
     spec = SyntheticDataSpec(
         input_dim=10, num_classes=5, samples_per_client_mean=25, samples_per_client_spread=5,
         dirichlet_concentration=0.1, feature_shift=1.0,
     )
     model = LogisticModel(spec.input_dim, spec.num_classes)
-    cohort = prepare_clients(generate_federation(spec, 500, 0, min_batch=20), np.arange(500), 20)
-    workspace = Workspace(model, cohort, 1)
+    cohort = Cohort(model, generate_federation(spec, 500, 0, min_batch=20), np.arange(500), 20, 1)
     rng = np.random.Generator(np.random.Philox(key=0))
     theta, faults = model.init_params(), []
     for t in range(1, 6):
         keys = stream_keys(0, STREAM_BATCHING, t, cohort.subset)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        losses, deltas = train_clients(model, theta, cohort, keys, 1, 0.3, rng=rng, workspace=workspace)
+        losses, deltas = train_clients(theta, cohort, keys, 0.3, rng=rng)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         theta = theta - deltas.mean(axis=0)
     assert max(faults[1:]) <= 32, faults

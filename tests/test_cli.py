@@ -215,6 +215,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             cli.parse_config(write_config(tmp_path, MINIMAL + "seeds = 4,4\n"))
 
+    def test_seed_and_seeds_together_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "seed = 7\nseeds = 0,1\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.strip() == "config error: seed: cannot be set together with seeds"
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
             cli.parse_config(write_config(tmp_path, MINIMAL + "k = 3\n"))
@@ -245,16 +251,14 @@ class TestParseConfig:
             "data.dirichlet_concentration", "data.feature_shift",
         ]
         text = MINIMAL + "".join(f"{key} = {TINY_VALUES[key][0]}\n" for key in keys[4:])
-        suite = cli.parse_config(write_config(tmp_path, text + "seeds = 3\nout = elsewhere\n"))
+        suite = cli.parse_config(write_config(tmp_path, text + "out = elsewhere\n"))
         assert suite.out_dir == Path("elsewhere")
         raw = dataclasses.asdict(suite.configs[0])
         for section in ("cdf", "data"):
             raw.update({f"{section}.{name}": value for name, value in raw.pop(section).items()})
         assert sorted(raw) == sorted(keys)
-        assert raw.pop("seed") == 3
         for key in keys[4:]:
-            if key != "seed":
-                assert raw[key] == type(raw[key])(TINY_VALUES[key][0]), key
+            assert raw[key] == type(raw[key])(TINY_VALUES[key][0]), key
 
 
 # Valid values of every config key that keep a run tiny, and values that are
@@ -766,6 +770,19 @@ class TestUsage:
         assert cli.main(args) == 1
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("field", ["--out", "out"])
+    def test_out_that_cannot_be_a_directory_exits_1_naming_where_it_came_from(
+        self, tmp_path, capsys, out, field
+    ):
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / out)
+        args = ["run", str(write_config(tmp_path, MINIMAL if field == "--out" else MINIMAL + f"out = {out}\n"))]
+        if field == "--out":
+            args += ["--out", out]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.strip() == f"config error: {field}: {tmp_path / 'afile'} is not a directory"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -13,12 +13,11 @@ from fedfair.aggregators import FtrlState, ftrl_eg_step
 from fedfair.datasets import SyntheticDataSpec, generate_federation, rekey, stream, stream_keys
 from fedfair.errors import ConfigError, DivergenceError
 from fedfair.federation import (
+    Cohort,
     FederationConfig,
     LogisticModel,
-    Workspace,
     client_update,
     evaluate_clients,
-    prepare_clients,
     run_federation,
     sample_clients,
     subset_weights,
@@ -252,8 +251,8 @@ class TestTrainClients:
         subset, theta = self.subset_and_theta(sizes, seed, shuffle)
         lr = 0.3
 
-        cohort = prepare_clients(fed, subset, b)
-        losses, deltas = train_clients(self.model, theta, cohort, stream_keys(seed, 2, 1, subset), e, lr, wd)
+        cohort = Cohort(self.model, fed, subset, b, e)
+        losses, deltas = train_clients(theta, cohort, stream_keys(seed, 2, 1, subset), lr, wd)
         assert losses.shape == (len(subset),) and deltas.shape == (len(subset), self.model.dim)
         for row, i in enumerate(subset):
             loss, delta = client_update(self.model, theta, fed, i, e, b, lr, stream_keys(seed, 2, 1, i), wd)
@@ -289,44 +288,13 @@ class TestTrainClients:
                     expected = err
                     break
             if expected is None:
-                train_clients(self.model, theta, prepare_clients(fed, subset, b), keys, e, 0.3, wd)
+                train_clients(theta, Cohort(self.model, fed, subset, b, e), keys, 0.3, wd)
                 return
             with pytest.raises(DivergenceError) as got:
-                train_clients(self.model, theta, prepare_clients(fed, subset, b), keys, e, 0.3, wd, round_index=7)
+                train_clients(theta, Cohort(self.model, fed, subset, b, e), keys, 0.3, wd, round_index=7)
         assert got.value.client_id == expected.client_id
         assert str(got.value) == str(expected)
         assert got.value.round_index == 7
-
-
-def spoil(workspace):
-    """Overwrite every writable buffer of ``workspace``: NaN in the float
-    ones, -1 (a valid index once clipped) in the integer ones."""
-    for value in vars(workspace).values():
-        if isinstance(value, np.ndarray) and value.flags.writeable:
-            value.fill(np.nan if value.dtype.kind == "f" else -1)
-
-
-class TestWorkspace:
-    model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
-
-    @settings(max_examples=40, deadline=None)
-    @given(round_cases)
-    def test_rounds_read_nothing_a_previous_round_left(self, case):
-        sizes, b, e, wd, seed, shuffle = case
-        fed = ragged_clients(seed, sizes)
-        subset, theta = TestTrainClients.subset_and_theta(self, sizes, seed, shuffle)
-        cohort = prepare_clients(fed, subset, b)
-        reused = Workspace(self.model, cohort, e)
-        rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
-        for t in range(1, 4):
-            spoil(reused)
-            keys = stream_keys(seed, 2, t, subset)
-            (la, da), (lb, db) = (
-                train_clients(self.model, theta, cohort, keys, e, 0.3, wd, round_index=t, rng=rng, workspace=ws)
-                for rng, ws in zip(rngs, (reused, Workspace(self.model, cohort, e)))
-            )
-            assert la.tobytes() == lb.tobytes() and da.tobytes() == db.tobytes()
-            theta = theta - da.mean(axis=0)
 
     def test_shuffling_rows_in_place_draws_as_permutation(self):
         # train_clients shuffles offset + arange(n) in place where the
@@ -345,33 +313,67 @@ class TestWorkspace:
                 assert np.array_equal(rows, offset + permuted.permutation(n)), n
 
 
+# The read-only arrays of a cohort: the clients' data and step plan.
+PLAN = {"subset", "sizes", "starts", "x", "y", "picks", "order", "slots", "counts", "active", "pick_base"}
+
+
+def spoil(cohort):
+    """Check that every plan array of ``cohort`` is read-only, then overwrite
+    every other array: NaN in the float ones, -1 (a valid index once
+    clipped) in the integer ones."""
+    arrays = {name: value for name, value in vars(cohort).items() if isinstance(value, np.ndarray)}
+    assert PLAN <= set(arrays)
+    for name, value in arrays.items():
+        assert value.flags.writeable == (name not in PLAN), name
+        if value.flags.writeable:
+            value.fill(np.nan if value.dtype.kind == "f" else -1)
+
+
 class TestPrepareClients:
+    """Clients prepared for training: a ``Cohort``."""
+
     model = LogisticModel(SMALL_DATA.input_dim, SMALL_DATA.num_classes)
     fed = generate_federation(SMALL_DATA, 6, 4, min_batch=10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(round_cases)
+    def test_rounds_read_nothing_a_previous_round_left(self, case):
+        sizes, b, e, wd, seed, shuffle = case
+        fed = ragged_clients(seed, sizes)
+        subset, theta = TestTrainClients.subset_and_theta(self, sizes, seed, shuffle)
+        reused = Cohort(self.model, fed, subset, b, e)
+        rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
+        for t in range(1, 4):
+            spoil(reused)
+            keys = stream_keys(seed, 2, t, subset)
+            (la, da), (lb, db) = (
+                train_clients(theta, cohort, keys, 0.3, wd, round_index=t, rng=rng)
+                for rng, cohort in zip(rngs, (reused, Cohort(self.model, fed, subset, b, e)))
+            )
+            assert la.tobytes() == lb.tobytes() and da.tobytes() == db.tobytes()
+            theta = theta - da.mean(axis=0)
+
     def test_reused_cohort_trains_as_a_fresh_one_each_round(self):
         subset = np.arange(6)
-        reused = prepare_clients(self.fed, subset, 10)
+        reused = Cohort(self.model, self.fed, subset, 10, 2)
         rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
         thetas = [self.model.init_params()] * 2
         for t in range(1, 4):
             keys = stream_keys(4, 2, t, subset)
-            cohorts = [reused, prepare_clients(self.fed, subset, 10)]
+            cohorts = [reused, Cohort(self.model, self.fed, subset, 10, 2)]
             (la, da), (lb, db) = (
-                train_clients(self.model, theta, cohort, keys, 2, 0.3, 0.01, round_index=t, rng=rng)
+                train_clients(theta, cohort, keys, 0.3, 0.01, round_index=t, rng=rng)
                 for theta, cohort, rng in zip(thetas, cohorts, rngs)
             )
             assert np.array_equal(la, lb) and np.array_equal(da, db)
             thetas = [theta - d.mean(axis=0) for theta, d in zip(thetas, (da, db))]
 
-    def test_every_array_is_read_only(self):
+    def test_every_plan_array_is_read_only(self):
         subset = np.array([3, 0, 5])
-        cohort = prepare_clients(self.fed, subset, 10)
-        arrays = [value for value in vars(cohort).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 10
-        for array in arrays:
+        cohort = Cohort(self.model, self.fed, subset, 10, 1)
+        for name in PLAN:
             with pytest.raises(ValueError):
-                array[...] = 0
+                getattr(cohort, name)[...] = 0
         assert subset.flags.writeable
 
     @pytest.mark.parametrize(
@@ -380,15 +382,16 @@ class TestPrepareClients:
         ids=["silo-once", "device-every-round"],
     )
     def test_run_prepares_a_silo_cohort_once(self, monkeypatch, overrides, calls):
-        prepared = []
+        built = []
 
-        def counted(*args):
-            prepared.append(args)
-            return prepare_clients(*args)
+        class Counted(Cohort):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(federation, "prepare_clients", counted)
+        monkeypatch.setattr(federation, "Cohort", Counted)
         run_federation(small_config(**overrides))
-        assert len(prepared) == calls
+        assert len(built) == calls
 
 
 class TestSampleClients:
