@@ -55,8 +55,12 @@ class BaselineParams:
         if sizes.ndim != 1 or sizes.size < 1 or np.any(sizes < 1):
             raise InvalidInputError("sample sizes must be a vector of values >= 1")
         object.__setattr__(self, "sample_sizes", sizes)
+        if not np.all(np.isfinite([self.q, self.tilt, self.m])):
+            raise InvalidInputError("q, tilt and m must be finite")
         if self.q < 0:
             raise InvalidInputError("q must be >= 0")
+        if self.tilt <= 0 or np.isinf(1 / self.tilt):
+            raise InvalidInputError("tilt must be > 0 with a finite step size 1/tilt")
         if self.m < 1:
             raise InvalidInputError("baseline constant m must be >= 1")
 
@@ -137,6 +141,8 @@ def eg_step(prev: np.ndarray, response: np.ndarray, eta: float) -> np.ndarray:
     response = np.asarray(response, dtype=float)
     if prev.shape != response.shape or prev.ndim != 1:
         raise InvalidInputError("decision and response dimensions differ")
+    if not (np.all(np.isfinite(response)) and np.isfinite(eta)):
+        raise InvalidInputError("response and step size must be finite")
     if eta <= 0:
         raise InvalidInputError("step size must be positive")
     if np.any(prev < 0) or abs(prev.sum() - 1.0) > simplex.SIMPLEX_SUM_TOL:

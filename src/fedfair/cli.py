@@ -17,13 +17,14 @@ SHA-256 of the round's new decision's float64 bytes) and, in cross-device
 runs only, ``sampled``; a cross-silo round samples every client. A final
 ``client_eval`` line holds per-client accuracy.
 
-The summary and plot files are written from the ``RoundRecord`` that each
-step of the run's ``federation.Learner`` returned. ``round_series`` rebuilds
-those records from a round log alone and fails naming the first round whose
-rebuilt decision does not match its digest, so ``write_report`` over them
-rewrites the run's files byte for byte. The digest ties a log to the
-floating-point arithmetic that wrote it: replaying an Online Newton Step log
-under another BLAS can fail the check.
+``write_log`` writes a run's round log and ``write_report`` its other three
+files, both from the run's ``federation.RunResult``, which holds the
+``RoundRecord`` that each step of its ``federation.Learner`` returned.
+``round_series`` rebuilds that result from a round log alone, so the two
+rewrite the run's files byte for byte, and fails naming the first round
+whose rebuilt decision does not match its digest. The digest ties a log to
+the floating-point arithmetic that wrote it: replaying an Online Newton Step
+log under another BLAS can fail the check.
 
 A run that fails has status ``failed: <error>``; one whose summary fails
 after its log was written has ``summary failed: <error>``.
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import metrics, simplex
 from .errors import ConfigError, ConvergenceError, DivergenceError
-from .federation import FederationConfig, Learner, run_federation, subset_weights
+from .federation import FederationConfig, Learner, RunResult, run_federation, subset_weights
 
 logger = logging.getLogger(__name__)
 
@@ -258,24 +259,26 @@ def run_log_lines(result) -> list:
     return lines
 
 
-def round_series(lines: list) -> list:
-    """Replay a round log through its run's learner: the ``RoundRecord`` of
-    every round line, in order, equal to the run's own (``duration`` aside).
-
-    The meta line's config is validated and rebuilt into a
-    ``federation.Learner`` (with the meta line's ``train_sizes`` for a
-    baseline), and each round's ``losses`` step it as they stepped the run.
+def round_series(lines: list) -> RunResult:
+    """Replay a round log into its run's ``RunResult``, so that
+    ``run_log_lines(round_series(lines)) == lines``: the meta line's
+    (validated) config and a baseline's ``train_sizes``, the ``RoundRecord``
+    of every round line as the run's ``federation.Learner`` stepped it
+    (``duration`` aside), and the client eval line's ``client_accuracy``
+    (None in a diverged run's log); no ``theta`` or ``runtime``.
 
     Raises ValueError for a log of another schema, and naming the first
     round whose new decision does not match the line's ``decision_digest``."""
     if lines[0].get("schema") != SCHEMA_VERSION:
         raise ValueError(f"round log schema {lines[0].get('schema')} is not {SCHEMA_VERSION}")
     cfg = FederationConfig.from_dict(lines[0]["config"])
-    learner = Learner(cfg, lines[0].get("train_sizes"))
+    train_sizes = None if cfg.adaptive else np.array(lines[0]["train_sizes"])
+    learner = Learner(cfg, train_sizes)
     silo = cfg.setting == "cross_silo"
-    records = []
+    records, accuracy = [], None
     for r in lines[1:]:
-        if r["type"] != "round":
+        if r["type"] == "client_eval":
+            accuracy = np.array(r["accuracy"])
             continue
         sampled = np.arange(cfg.k) if silo else np.asarray(r["sampled"], dtype=int)
         rec = learner.step(r["round"], np.asarray(r["losses"]), sampled)
@@ -283,7 +286,7 @@ def round_series(lines: list) -> list:
         if digest != logged:
             raise ValueError(f"round {r['round']}: replayed decision digest {digest} differs from the logged {logged}")
         records.append(rec)
-    return records
+    return RunResult(cfg, records, theta=None, client_accuracy=accuracy, runtime=None, train_sizes=train_sizes)
 
 
 def round_curves(records: list) -> tuple[list, list]:
@@ -297,14 +300,11 @@ def round_curves(records: list) -> tuple[list, list]:
     return cumulative, [metrics.decision_entropy(rec.decision) for rec in records]
 
 
-def summary_from_log(lines: list, records: list, curves: tuple[list, list]) -> dict:
-    """Every reported number of a run, from its round-log lines, its
-    ``records`` (the run's own, or ``round_series(lines)``) and their
-    ``round_curves``. The meta line is rebuilt into the run's (validated)
-    ``FederationConfig``, which gives the regret bound."""
-    meta = lines[0]["config"]
-    cfg = FederationConfig.from_dict(meta)
-    accuracy = np.array(next(line for line in lines if line["type"] == "client_eval")["accuracy"])
+def summary_from_log(result: RunResult, curves: tuple[list, list]) -> dict:
+    """Every reported number of a run, from its ``RunResult`` (the run's
+    own, or ``round_series`` of its round log) and the ``round_curves`` of
+    its records."""
+    cfg, records, accuracy = result.config, result.records, result.client_accuracy
 
     observed_vs_uniform = 0.0
     for r in records:
@@ -338,16 +338,20 @@ def summary_from_log(lines: list, records: list, curves: tuple[list, list]) -> d
         "final_system_loss": -float(records[-1].decision_loss),
         "final_decision_entropy": entropy[-1],
         "per_client_accuracy": accuracy.tolist(),
-        "config": meta,
+        "config": _meta_line(result)["config"],
         "error": None,
     }
 
 
-def write_report(runs_dir: Path, run_id: str, lines: list, records: list) -> dict:
+def write_report(runs_dir: Path, result: RunResult) -> dict:
     """Write a run's ``summary.json``, ``cumobj.dat`` and ``entropy.dat``
-    from its round-log lines and its ``records``; returns the summary."""
+    from its ``RunResult``; returns the summary. A run without client
+    accuracy (a diverged run's log) is a ValueError naming it."""
+    run_id, records = run_id_for(result.config), result.records
+    if result.client_accuracy is None:
+        raise ValueError(f"run {run_id} has no client accuracy: its round log has no client_eval line")
     cumulative, entropy = curves = round_curves(records)
-    summary = summary_from_log(lines, records, curves)
+    summary = summary_from_log(result, curves)
     (runs_dir / f"{run_id}.summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     header = f"# fedfair schema={SCHEMA_VERSION} columns=round,"
     for name, column, values in (
@@ -363,9 +367,10 @@ def run_id_for(cfg: FederationConfig) -> str:
     return f"{cfg.method.replace('-', '_')}_seed{cfg.seed}"
 
 
-def _write_log(path: Path, lines: list):
-    with path.open("w") as fh:
-        for line in lines:
+def write_log(runs_dir: Path, result: RunResult):
+    """Write a run's round log, ``run_log_lines(result)``, as ``rounds.jsonl``."""
+    with (runs_dir / f"{run_id_for(result.config)}.rounds.jsonl").open("w") as fh:
+        for line in run_log_lines(result):
             fh.write(_json_line(line) + "\n")
 
 
@@ -383,32 +388,25 @@ def _base_row(cfg: FederationConfig) -> dict:
 
 def _failed_row(row: dict, runs_dir: Path, failure: str, err, **report) -> dict:
     """Log a failed run, write its error report (``report`` adds fields to
-    it) as its summary and fill in its row with status ``<failure>: <err>``."""
+    it) as its summary and set its row's status to ``<failure>: <err>``."""
     run_id = row["run_id"]
     logger.error("run %s %s: %s", run_id, failure, err)
     report = {"schema": SCHEMA_VERSION, "run_id": run_id, "error": str(err), **report}
     (runs_dir / f"{run_id}.summary.json").write_text(json.dumps(report, indent=2) + "\n")
-    row.update(
-        avg_accuracy_pct=None, worst10_accuracy_pct=None, best10_accuracy_pct=None,
-        gini_x100=None, accuracy_parity_gap_pct=None, regret=None,
-        regret_vs_uniform_observed=None, status=f"{failure}: {err}",
-    )
+    row["status"] = f"{failure}: {err}"
     return row
 
 
 def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
     row = _base_row(cfg)
-    run_id = row["run_id"]
-    log_path = runs_dir / f"{run_id}.rounds.jsonl"
     failure = "failed"
     try:
         result = run_federation(cfg)
-        lines = run_log_lines(result)
-        _write_log(log_path, lines)
+        write_log(runs_dir, result)
         # From here on the round log is intact; a failure is the summary's.
         failure = "summary failed"
-        summary = write_report(runs_dir, run_id, lines, result.records)
-        logger.info("run %s finished in %.2fs", run_id, result.runtime)
+        summary = write_report(runs_dir, result)
+        logger.info("run %s finished in %.2fs", row["run_id"], result.runtime)
         row.update(
             avg_accuracy_pct=round(100 * summary["avg_accuracy"], 6),
             worst10_accuracy_pct=round(100 * summary["worst10_accuracy"], 6),
@@ -423,7 +421,7 @@ def _execute_one(cfg: FederationConfig, runs_dir: Path) -> dict:
         if isinstance(err, DivergenceError):
             # The rounds completed before the divergence, for diagnosis; a
             # failed run has no client_eval line.
-            _write_log(log_path, run_log_lines(err.partial))
+            write_log(runs_dir, err.partial)
         residual = {"residual": err.residual} if isinstance(err, ConvergenceError) else {}
         _failed_row(row, runs_dir, failure, err, **residual)
     return row

@@ -117,8 +117,8 @@ class FederationConfig:
             raise ConfigError("c", "cross_silo runs use full participation; set c = 1")
         if self.qfedavg_q < 0:
             raise ConfigError("qfedavg_q", "must be >= 0")
-        if self.term_lambda <= 0:
-            raise ConfigError("term_lambda", "must be > 0")
+        if self.term_lambda <= 0 or math.isinf(1 / self.term_lambda):
+            raise ConfigError("term_lambda", "must be > 0 with a finite step size 1/term_lambda")
         if self.propfair_m < 1:
             raise ConfigError("propfair_m", "must be >= 1")
         if self.afl_q < 0:
@@ -181,9 +181,9 @@ class RoundRecord:
     their pre-update ``losses``, the decision ``played``, the sampled
     clients' ``observed`` responses and the (possibly estimated) ``response``
     over all clients, the new ``decision`` and the played decision's
-    ``decision_loss``. ``cli.round_series`` rebuilds every field but
-    ``duration``, the wall-clock seconds the run sets and keeps out of the
-    round log, from that log alone."""
+    ``decision_loss``. ``cli.round_series`` rebuilds the run's records from
+    its round log alone, every field but ``duration``, the wall-clock
+    seconds the run sets and keeps out of the log."""
 
     round: int
     sampled: np.ndarray
@@ -198,9 +198,11 @@ class RoundRecord:
 
 @dataclass
 class RunResult:
-    """A run's rounds and final model. ``train_sizes`` are the federation's
-    training-set sizes, which set a baseline's prior. A diverged run has no
-    ``theta``, ``client_accuracy`` or ``runtime``."""
+    """A run's rounds and final model, from which ``cli`` writes every file
+    of the run. ``train_sizes`` are the federation's training-set sizes,
+    which set a baseline's prior. A diverged run has no ``theta``,
+    ``client_accuracy`` or ``runtime``; one that ``cli.round_series`` replays
+    from a round log has no ``theta`` or ``runtime``."""
 
     config: FederationConfig
     records: list
@@ -497,7 +499,8 @@ class Learner:
     prior renormalized over ``subset``, and zero elsewhere.
 
     The run and ``cli.round_series``, the replay of its round log, both step
-    a Learner, so the replay reproduces every round record bit for bit.
+    a Learner, so the replayed ``RunResult`` holds every round record of the
+    run bit for bit.
     """
 
     def __init__(self, cfg: FederationConfig, train_sizes=None):

@@ -158,6 +158,35 @@ class TestEgStep:
         assert got[1] == pytest.approx(1.0, abs=1e-12)
 
 
+NAN, INF = float("nan"), float("inf")
+HALVES, SIZES = np.array([0.5, 0.5]), np.array([1.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=0.0), id="tilt=0"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=-1.0), id="tilt=-1"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=1e-310), id="tilt=1e-310"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=NAN), id="tilt=nan"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=INF), id="tilt=inf"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.QFEDAVG, SIZES, q=NAN), id="q=nan"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.QFEDAVG, SIZES, q=INF), id="q=inf"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.PROPFAIR, SIZES, m=NAN), id="m=nan"),
+        pytest.param(lambda: BaselineParams(BaselineMethod.PROPFAIR, SIZES, m=INF), id="m=inf"),
+        pytest.param(lambda: eg_step(HALVES, np.array([NAN, 0.0]), 1.0), id="response=nan"),
+        pytest.param(lambda: eg_step(HALVES, np.array([0.0, -INF]), 1.0), id="response=-inf"),
+        pytest.param(lambda: eg_step(HALVES, np.zeros(2), NAN), id="eta=nan"),
+        pytest.param(lambda: eg_step(HALVES, np.zeros(2), INF), id="eta=inf"),
+    ],
+)
+def test_baseline_rejects_non_finite_or_non_positive_parameters(make):
+    # Unchecked, a zero tilt divides by zero in step_size and a NaN reaches
+    # every entry of the decision.
+    with pytest.raises(InvalidInputError):
+        make()
+
+
 class TestUnification:
     """One multiplicative step from the sample-size prior must reproduce each
     baseline's closed-form new decision to 1e-12 relative error."""

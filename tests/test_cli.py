@@ -92,16 +92,17 @@ def assert_records_equal(replayed, records):
                 assert np.array_equal(x, y) if isinstance(y, np.ndarray) else x == y, (a.round, f.name)
 
 
-REPORT_SUFFIXES = ("summary.json", "cumobj.dat", "entropy.dat")
+RUN_SUFFIXES = ("rounds.jsonl", "summary.json", "cumobj.dat", "entropy.dat")
 
 
 def assert_replay_rewrites_report(runs_dir: Path, run_id: str, replay_dir: Path):
-    """The summary and plot files rebuilt from the written round log alone
-    equal the run's, byte for byte."""
-    lines = read_log(runs_dir / f"{run_id}.rounds.jsonl")
+    """The round log, summary and plot files rebuilt from the written round
+    log alone equal the run's, byte for byte."""
+    result = cli.round_series(read_log(runs_dir / f"{run_id}.rounds.jsonl"))
     replay_dir.mkdir(parents=True, exist_ok=True)
-    cli.write_report(replay_dir, run_id, lines, cli.round_series(lines))
-    for suffix in REPORT_SUFFIXES:
+    cli.write_log(replay_dir, result)
+    cli.write_report(replay_dir, result)
+    for suffix in RUN_SUFFIXES:
         assert (replay_dir / f"{run_id}.{suffix}").read_bytes() == (runs_dir / f"{run_id}.{suffix}").read_bytes(), suffix
 
 
@@ -165,6 +166,7 @@ class TestParseConfig:
         "line, field",
         [
             ("term_lambda = 0", "term_lambda"),
+            ("term_lambda = 1e-310", "term_lambda"),
             ("afl_q = -1", "afl_q"),
             ("lr = inf", "lr"),
             ("lr = nan", "lr"),
@@ -349,7 +351,9 @@ def small_configs(draw):
 def test_replay_of_any_small_run_rebuilds_its_records_and_report(cfg):
     result = federation.run_federation(cfg)
     lines = [json.loads(cli._json_line(line)) for line in cli.run_log_lines(result)]
-    assert_records_equal(cli.round_series(lines), result.records)
+    replayed = cli.round_series(lines)
+    assert_records_equal(replayed.records, result.records)
+    assert cli.run_log_lines(replayed) == lines
     with tempfile.TemporaryDirectory() as tmp:
         assert cli.run_suite(cli.ExperimentSuite([cfg], Path(tmp))) == 0
         assert_replay_rewrites_report(Path(tmp) / "runs", cli.run_id_for(cfg), Path(tmp) / "replay")
@@ -480,7 +484,9 @@ class TestRunSuite:
         )
         result = federation.run_federation(cfg)
         lines = [json.loads(cli._json_line(line)) for line in cli.run_log_lines(result)]
-        series = cli.round_series(lines)
+        replayed = cli.round_series(lines)
+        assert cli.run_log_lines(replayed) == lines
+        series = replayed.records
         assert len(series) == 4
         assert_records_equal(series, result.records)
         played = [r.played for r in series]
@@ -534,7 +540,7 @@ class TestRunSuite:
             return regret(decisions, responses)
 
         monkeypatch.setattr(cli.metrics, "regret", recording_regret)
-        cli.write_report(tmp_path, "replayed", lines, cli.round_series(lines))
+        cli.write_report(tmp_path, cli.round_series(lines))
         [(played, responses)] = replayed
         assert len(run.responses) == 3
         assert np.array_equal(played, np.array(run.played))
@@ -578,7 +584,7 @@ class TestRunSuite:
         cli.main(["run", str(write_config(tmp_path, DEVICE_RUN, "dev.cfg")), "--out", str(out)])
         log_path = out / "runs/aaggff_d_seed5.rounds.jsonl"
         lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        recomputed = cli.write_report(tmp_path, "replayed", lines, cli.round_series(lines))
+        recomputed = cli.write_report(tmp_path, cli.round_series(lines))
         stored = json.loads((out / "runs/aaggff_d_seed5.summary.json").read_text())
         assert stored == json.loads(json.dumps(recomputed))
 
@@ -646,7 +652,7 @@ class TestRunSuite:
         assert (out / "suite.csv").read_text().splitlines()[1].endswith(",failed: injected failure")
 
     def test_summary_failure_keeps_round_log(self, tmp_path, monkeypatch):
-        def fail(lines, records, curves):
+        def fail(result, curves):
             raise ConvergenceError("hindsight solver stalled", residual=1e-5)
 
         monkeypatch.setattr(cli, "summary_from_log", fail)
@@ -659,6 +665,17 @@ class TestRunSuite:
         summary = json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())
         assert summary["error"] == "hindsight solver stalled"
         assert summary["residual"] == 1e-5
+
+    def test_a_run_never_rebuilds_its_config(self, tmp_path, monkeypatch):
+        # The run's own config writes every file; only a replay of a round
+        # log rebuilds (and validates) the config its meta line holds.
+        def fail(*args):
+            raise AssertionError("FederationConfig.from_dict called")
+
+        monkeypatch.setattr(federation.FederationConfig, "from_dict", fail)
+        for method in ("aaggff-s", "fedavg"):
+            path = write_config(tmp_path, SMALL_RUN.replace("aaggff-s", method))
+            assert cli.main(["run", str(path), "--out", str(tmp_path / method)]) == 0
 
     def test_overflowing_feature_shift_exits_1_naming_the_field(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -721,6 +738,14 @@ class TestRunSuite:
         assert [r["type"] for r in rounds] == ["round"] * len(rounds)
         assert [r["round"] for r in rounds] == list(range(1, len(rounds) + 1))
         assert json.loads((out / "runs/aaggff_s_seed5.summary.json").read_text())["error"]
+        # The partial log replays to the rounds the run completed, but has
+        # no client accuracy to report.
+        result = cli.round_series(lines)
+        assert result.client_accuracy is None and len(result.records) == len(rounds)
+        assert cli.run_log_lines(result) == lines
+        with pytest.raises(ValueError, match="^run aaggff_s_seed5 has no client accuracy: its round log has no client_eval line$"):
+            cli.write_report(tmp_path, result)
+        assert not list(tmp_path.glob("aaggff_s_seed5.*"))
 
     def test_jobs_parallel_identical_output(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_RUN)

@@ -38,7 +38,7 @@ def round_log(cfg, rounds, train_sizes=None):
 
 
 def cumulative_objective(lines):
-    return cli.round_curves(cli.round_series(lines))[0][-1]
+    return cli.round_curves(cli.round_series(lines).records)[0][-1]
 
 
 class TestRegret:
@@ -181,7 +181,7 @@ class TestCumulativeObjective:
         for rec in records:
             expected += float(played[rec.sampled] @ rec.losses)
             played = rec.decision
-        series = cli.round_series(cli.run_log_lines(RunResult(cfg, records, None, None, None)))
+        series = cli.round_series(cli.run_log_lines(RunResult(cfg, records, None, None, None))).records
         assert [r.round for r in series] == [1, 2, 3]
         assert cli.round_curves(series)[0][-1] == pytest.approx(expected, rel=1e-12)
         assert expected > 0
@@ -194,7 +194,7 @@ class TestCumulativeObjective:
 
     def test_no_rounds_empty_series(self):
         cfg = FederationConfig(k=2, t_rounds=1, method="aaggff-s", setting="cross_silo")
-        assert cli.round_series(round_log(cfg, [])) == []
+        assert cli.round_series(round_log(cfg, [])).records == []
 
 
 class TestSystemLoss:
