@@ -133,7 +133,8 @@ def eg_step(prev: np.ndarray, response: np.ndarray, eta: float) -> np.ndarray:
     """Multiplicative-weights update p_i' proportional to p_i exp(r_i / eta).
 
     Computed in the log domain (max subtracted before exponentiation) so that
-    large responses, e.g. from the q -> inf minimax limit, cannot overflow.
+    large responses, e.g. from the q -> inf minimax limit, cannot overflow;
+    a response / eta beyond the float range raises InvalidInputError.
     Zero-support entries stay zero; a nonzero response there is ignored with
     a warning since the entropic update cannot revive dead coordinates.
     """
@@ -147,12 +148,16 @@ def eg_step(prev: np.ndarray, response: np.ndarray, eta: float) -> np.ndarray:
         raise InvalidInputError("step size must be positive")
     if np.any(prev < 0) or abs(prev.sum() - 1.0) > simplex.SIMPLEX_SUM_TOL:
         raise InvalidInputError("previous decision must lie on the simplex")
+    with np.errstate(over="ignore"):
+        scaled = response / eta
+    if not np.all(np.isfinite(scaled)):
+        raise InvalidInputError(f"response / step size overflows the float range at step size {eta!r}")
     dead = prev == 0.0
     if np.any(dead & (response != 0.0)):
         logger.warning("entropic step: %d zero-support entries carry nonzero response",
                        int(np.sum(dead & (response != 0.0))))
     with np.errstate(divide="ignore"):
-        w = np.where(dead, -np.inf, np.log(np.where(dead, 1.0, prev))) + response / eta
+        w = np.where(dead, -np.inf, np.log(np.where(dead, 1.0, prev))) + scaled
     w -= w.max()
     p = np.exp(w)
     return p / p.sum()

@@ -9,9 +9,10 @@ master seed: every client draws from its own named counter-based stream.
 Every random draw of a run comes from a named stream: a Philox generator
 whose key is exactly the one ``np.random.SeedSequence(seed,
 spawn_key=path).generate_state(2, np.uint64)`` gives. ``stream_keys``
-computes those keys for many paths in one vectorized pass, and ``rekey``
-points one existing Philox at the start of any of them, so a run pays for
-neither a SeedSequence nor a new bit generator per (round, client) stream.
+takes the seed's hashed pool from numpy's ``SeedSequence(seed)`` and mixes
+many paths into it in one vectorized pass, and ``rekey`` points one
+existing Philox at the start of any of them, so a run pays for neither a
+SeedSequence nor a new bit generator per (round, client) stream.
 """
 
 from __future__ import annotations
@@ -53,39 +54,17 @@ def _hash_const(i: int) -> int:
     return _INIT_A * pow(_MULT_A, i, 1 << 32) & _MASK32
 
 
-def _hashmix(value: int, i: int) -> int:
-    value = (value ^ _hash_const(i)) * _hash_const(i + 1) & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    result = (int(_MIX_MULT_L) * x - int(_MIX_MULT_R) * y) & _MASK32
-    return result ^ result >> 16
-
-
 @functools.lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
-    """The pool after mixing in the seed's words (zero-padded to the pool
-    size, as numpy does when a spawn key follows), and the number of hashmix
-    calls made so far."""
-    if seed < 0:
-        raise ValueError("stream seed must be >= 0")
-    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    pool = [_hashmix(w, i) for i, w in enumerate(words[:_POOL_SIZE])]
-    calls = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], calls))
-                calls += 1
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(w, calls))
-            calls += 1
-    pool = np.array(pool, dtype=np.uint32)
+    """numpy's ``SeedSequence(seed).pool``, and the number of hashmix calls
+    that made it: one per pool word, one per ordered pair of distinct pool
+    words, and one per pool word for each seed word past the pool size.
+    (With a spawn key numpy zero-pads the seed's words to the pool size,
+    and hashing those zeros is what fills a short seed's pool anyway.)"""
+    pool = np.random.SeedSequence(seed).pool.copy()  # raises for seed < 0
     pool.flags.writeable = False  # cached: shared by every caller
-    return pool, calls
+    words = -(-max(seed.bit_length(), 1) // 32)
+    return pool, _POOL_SIZE * (_POOL_SIZE + max(words - _POOL_SIZE, 0))
 
 
 @functools.lru_cache(maxsize=64)

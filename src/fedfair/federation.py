@@ -233,22 +233,6 @@ class LogisticModel:
         return np.argmax(x @ w.T + b, axis=1)
 
 
-def _padded(shape) -> int:
-    """Elements an array of ``shape`` takes in a scratch buffer: its size
-    rounded up to 8 (64 bytes), so every view ``_carve`` makes starts as
-    aligned as the buffer."""
-    return -(-math.prod(shape) // 8) * 8
-
-
-def _carve(buffer: np.ndarray, *shapes) -> list[np.ndarray]:
-    """Consecutive C-contiguous views of ``buffer`` with the given shapes."""
-    views, start = [], 0
-    for shape in shapes:
-        views.append(buffer[start : start + math.prod(shape)].reshape(shape))
-        start += _padded(shape)
-    return views
-
-
 class Cohort:
     """The clients ``subset`` of a federation, ready for ``train_clients``
     to train ``model`` on them in minibatches of ``batch_size`` for
@@ -258,22 +242,21 @@ class Cohort:
 
     The plan is read-only. ``x`` holds the clients' training rows in
     ``subset`` order, each with a trailing 1 for the bias, then one zero row
-    (label 0 in ``y``) that minibatch padding points at; client j's rows
-    start at ``starts[j]``. ``picks`` holds each training row's flat index
-    into the (classes, rows) logits of the loss pass: the logit of the row's
-    label. The step plan sorts clients by step count, most first (``order``),
-    so the clients still training at step s are a prefix, ``active[s]`` of
-    them. ``slots`` holds the rows of ``x`` that each sorted client's
-    minibatch slots read before shuffling: its own rows in order, then the
-    zero row. ``counts`` holds each sorted client's minibatch size at every
-    step.
+    that minibatch padding points at; client j's rows start at
+    ``starts[j]``. ``y`` holds the rows' labels and ``onehot`` the same
+    labels as rows of booleans, the zero row's all False. ``picks`` holds
+    each training row's flat index into the (classes, rows) logits of the
+    loss pass: the logit of the row's label. The step plan sorts clients by
+    step count, most first (``order``), so the clients still training at
+    step s are a prefix, ``active[s]`` of them. ``slots`` holds the rows of
+    ``x`` that each sorted client's minibatch slots read before shuffling:
+    its own rows in order, then the zero row. ``counts`` holds each sorted
+    client's minibatch size at every step.
 
     Every other array is a buffer that ``train_clients`` writes before it
     reads, so a round allocates only the losses that the round log keeps;
     even the deltas are the cohort's. Freed, the same arrays would be
     trimmed off the top of glibc's brk heap and faulted back in every round.
-    The loss pass, the SGD steps and the final flattening never need each
-    other's arrays, so the three share one scratch buffer.
     """
 
     def __init__(self, model: LogisticModel, fed: Federation, subset, batch_size: int, epochs: int):
@@ -289,6 +272,8 @@ class Cohort:
         x[:total, -1] = 1.0
         self.y = y = np.zeros(total + 1, dtype=np.intp)
         y[:total] = fed.y_train[gather]
+        self.onehot = np.zeros((total + 1, model.num_classes), dtype=bool)
+        self.onehot[np.arange(total), y[:total]] = True
 
         steps = -(-sizes // b)
         self.order = order = np.argsort(-steps, kind="stable")
@@ -298,14 +283,11 @@ class Cohort:
         self.slots = np.where(slot < n_sorted[:, None], starts[order][:, None] + slot, total)
         self.counts = np.minimum(n_sorted[:, None] - slot[::b], b)
         self.active = np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0)
-        m, classes, cols = sizes.size, model.num_classes, x.shape[1]
-        # Slot j of client i's minibatch as a flat index into probs, less its
-        # label's offset.
-        self.pick_base = (np.arange(m)[:, None] * (classes * b) + np.arange(b)).astype(np.intp)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
+        m, classes, cols = sizes.size, model.num_classes, x.shape[1]
         # The buffers. First: a cross-device run keeps a round's deltas until
         # the next round's training returns, after it has dropped the rest of
         # the cohort, and above the rest they would pin that memory below the
@@ -316,14 +298,16 @@ class Cohort:
         # Each sorted client's real slots of every epoch: what its shuffles permute.
         self.shuffles = [list(self.rows[:, j, :n]) for j, n in enumerate(n_sorted.tolist())]
         self.batch = np.empty((m, b), dtype=np.intp)
-        self.batch_picks = np.empty((m, b), dtype=np.intp)
-        loss = [(classes, total), (total,), (total,)]
-        sgd = [(m, b, cols), (m, classes, b), (m, b), (m, classes, cols), (m, classes, cols)]
-        final = [(m, model.dim)]
-        scratch = np.empty(max(sum(map(_padded, phase)) for phase in (loss, sgd, final)))
-        self.logits, self.reduced, self.picked = _carve(scratch, *loss)
-        self.batch_x, self.probs, self.batch_reduced, self.grad, self.decay = _carve(scratch, *sgd)
-        (self.flat,) = _carve(scratch, *final)
+        self.logits = np.empty((classes, total))
+        self.reduced = np.empty(total)
+        self.picked = np.empty(total)
+        self.batch_x = np.empty((m, b, cols))
+        self.batch_onehot = np.empty((m, b, classes), dtype=bool)
+        self.probs = np.empty((m, classes, b))
+        self.batch_reduced = np.empty((m, b))
+        self.grad = np.empty((m, classes, cols))
+        self.decay = np.empty((m, classes, cols))
+        self.flat = np.empty((m, model.dim))
         # The weights of flat as (m, classes, input_dim): a view, since each
         # row's weights are contiguous.
         self.flat_weights = self.flat[:, : classes * (cols - 1)].reshape(m, classes, cols - 1)
@@ -350,8 +334,11 @@ def train_clients(
     drawn through ``rng`` rekeyed (a new Generator if None), and takes
     ceil(n_j / batch_size) steps per epoch, the last one on the remainder.
     Step s of every client that still has a minibatch s is one vectorized
-    update. Weight decay enters the update only; the reported loss is the
-    plain data loss.
+    update, whose gradient subtracts the minibatch's rows of the cohort's
+    ``onehot`` labels from the predicted probabilities; a padding slot's
+    row there is all False and its features are zero, so it adds nothing.
+    Weight decay enters the update only; the reported loss is the plain
+    data loss.
 
     Every array but ``losses`` is the cohort's, so the ``deltas`` are valid
     until the next call on the same cohort overwrites them.
@@ -413,8 +400,8 @@ def train_clients(
 def _sgd_step(cohort: Cohort, params, batch, counts, lr: float, weight_decay: float) -> None:
     """One minibatch SGD step of the first ``a`` sorted clients of
     ``cohort``, in place on their ``params`` (a, classes, input_dim + 1).
-    ``batch`` (a, b) holds the rows of the cohort's ``x`` and ``y`` in each
-    client's minibatch, padding rows pointing at the zero row, and
+    ``batch`` (a, b) holds the rows of the cohort's ``x`` and ``onehot`` in
+    each client's minibatch, padding slots pointing at the zero row, and
     ``counts`` (a,) each client's number of real rows."""
     a = batch.shape[0]
     xb = np.take(cohort.x, batch, axis=0, out=cohort.batch_x[:a], mode="clip")
@@ -423,13 +410,8 @@ def _sgd_step(cohort: Cohort, params, batch, counts, lr: float, weight_decay: fl
     probs -= np.max(probs, axis=1, keepdims=True, out=reduced)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=1, keepdims=True, out=reduced)
-    # probs[i, y_ij, j] -= 1 through its flat index, y_ij * b + pick_base[i, j].
-    picks = np.take(cohort.y, batch, out=cohort.batch_picks[:a], mode="clip")
-    picks *= batch.shape[1]
-    picks += cohort.pick_base[:a]
-    label_probs = np.take(probs, picks, out=cohort.batch_reduced[:a], mode="clip")
-    label_probs -= 1.0
-    np.put(probs, picks, label_probs, mode="clip")
+    onehot = np.take(cohort.onehot, batch, axis=0, out=cohort.batch_onehot[:a], mode="clip")
+    probs -= onehot.transpose(0, 2, 1)
     g = np.matmul(probs, xb, out=cohort.grad[:a])
     g /= counts[:, None, None]
     if weight_decay:

@@ -178,11 +178,13 @@ HALVES, SIZES = np.array([0.5, 0.5]), np.array([1.0, 3.0])
         pytest.param(lambda: eg_step(HALVES, np.array([0.0, -INF]), 1.0), id="response=-inf"),
         pytest.param(lambda: eg_step(HALVES, np.zeros(2), NAN), id="eta=nan"),
         pytest.param(lambda: eg_step(HALVES, np.zeros(2), INF), id="eta=inf"),
+        pytest.param(lambda: eg_step(HALVES, np.array([1e10, 0.0]), 1e-300), id="response/eta=inf"),
     ],
 )
 def test_baseline_rejects_non_finite_or_non_positive_parameters(make):
     # Unchecked, a zero tilt divides by zero in step_size and a NaN reaches
-    # every entry of the decision.
+    # every entry of the decision, as does a response / eta that overflows
+    # (the log-domain shift takes inf - inf).
     with pytest.raises(InvalidInputError):
         make()
 

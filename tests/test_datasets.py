@@ -77,6 +77,7 @@ class TestStreamKeys:
     @example(2**32, [0, 2**32 - 1])
     @example(2**128, [2, 2**32 - 1, 0])
     @example(2**130 - 1, [1, 2, 3])
+    @example(2**200 + 1, [4, 0])
     def test_equal_seed_sequence_keys(self, seed, path):
         np.testing.assert_array_equal(stream_keys(seed, *path), seed_sequence_key(seed, path))
 

@@ -11,10 +11,11 @@ from scipy.optimize import minimize
 from fedfair import aggregators, decision, federation, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
 from fedfair.datasets import SyntheticDataSpec, generate_federation, rekey, stream, stream_keys
-from fedfair.errors import ConfigError, DivergenceError
+from fedfair.errors import ConfigError, DivergenceError, InvalidInputError
 from fedfair.federation import (
     Cohort,
     FederationConfig,
+    Learner,
     LogisticModel,
     client_update,
     evaluate_clients,
@@ -314,7 +315,7 @@ class TestTrainClients:
 
 
 # The read-only arrays of a cohort: the clients' data and step plan.
-PLAN = {"subset", "sizes", "starts", "x", "y", "picks", "order", "slots", "counts", "active", "pick_base"}
+PLAN = {"subset", "sizes", "starts", "x", "y", "picks", "order", "slots", "counts", "active", "onehot"}
 
 
 def spoil(cohort):
@@ -473,6 +474,16 @@ class TestSubsetWeights:
             got = subset_weights(np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([2, 3, 4]), round_index=7)
         np.testing.assert_array_equal(got, np.full(3, 1 / 3))
         assert "round 7: zero decision mass on the sampled set; using uniform" in caplog.text
+
+
+class TestLearner:
+    def test_term_step_overflowing_its_step_size_raises(self):
+        # term_lambda = 1e300 is a valid config, but its step size 1e-300
+        # turns a loss of 1e9 into an infinite exponent.
+        cfg = FederationConfig(k=2, t_rounds=1, method="term", setting="cross_silo", term_lambda=1e300)
+        learner = Learner(cfg, np.array([10, 20]))
+        with pytest.raises(InvalidInputError, match="overflows"):
+            learner.step(1, np.array([1e9, 1.0]), np.arange(2))
 
 
 class TestConfigValidation:
