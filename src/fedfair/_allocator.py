@@ -18,9 +18,10 @@ every round, about 780 minor faults on the silo-wide bench workload. Pinning
 ``M_TRIM_THRESHOLD`` high removed those faults, but it also kept every freed
 block of a process resident. In 3 of 3 alternating runs of the bench,
 device-wide ``peak_rss_mb`` rose from 105.1-105.7 MB to 111.1-111.3 MB
-(+5.6-6 %), more than that metric's 5 % bound. A silo run instead trains
-one ``federation.Cohort`` for the whole run, and the cohort holds every
-per-round array of its training, so nothing is freed to trim.
+(+5.6-6 %), more than that metric's 5 % bound. A run instead trains one
+``federation.Cohort``, refilled with each cross-device sample, and the
+cohort holds every per-round array of its training, so nothing is freed to
+trim.
 """
 
 from __future__ import annotations

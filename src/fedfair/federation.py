@@ -12,6 +12,7 @@ results are reduced in fixed index order, so every rerun is bit-identical.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
@@ -29,7 +30,7 @@ from .datasets import (
     SyntheticDataSpec,
     generate_federation,
     rekey,
-    stream,
+    stream,  # noqa: F401 - no run calls it; bench/spans.py rebinds federation.stream
     stream_keys,
 )
 from .errors import ConfigError, DegenerateSubsetError, DivergenceError, require_finite
@@ -124,14 +125,16 @@ class FederationConfig:
         if self.afl_q < 0:
             raise ConfigError("afl_q", "must be >= 0")
 
-    @property
+    # The three below are computed once per config: a cross-device round
+    # reads each of them.
+    @functools.cached_property
     def subset_size(self) -> int:
         """Clients sampled per round: max(1, floor(c*k)) for c's decimal value; k in silo mode."""
         if self.setting is Setting.CROSS_SILO:
             return self.k
         return max(1, int(Fraction(repr(float(self.c))) * self.k))
 
-    @property
+    @functools.cached_property
     def inclusion_probability(self) -> float:
         """Exact per-client inclusion probability subset_size / k.
 
@@ -141,7 +144,7 @@ class FederationConfig:
         """
         return self.subset_size / self.k
 
-    @property
+    @functools.cached_property
     def response_range(self) -> ResponseRange:
         return default_range(self.setting, self.k, self.inclusion_probability)
 
@@ -234,20 +237,22 @@ class LogisticModel:
 
 
 class Cohort:
-    """The clients ``subset`` of a federation, ready for ``train_clients``
-    to train ``model`` on them in minibatches of ``batch_size`` for
-    ``epochs`` passes: their data and step plan, and every array a round
-    writes. A silo run builds one and trains it every round; a cross-device
-    run builds one for each round's sample.
+    """Clients of a federation, ``len(subset)`` at a time, ready for
+    ``train_clients`` to train ``model`` on them in minibatches of
+    ``batch_size`` for ``epochs`` passes: their data and step plan, and
+    every array a round writes. The cohort is built filled with ``subset``,
+    and ``fill`` swaps in another sample of as many clients. A run builds
+    one: a silo run trains it on every client every round, and a
+    cross-device run fills it with each round's sample.
 
-    The plan is read-only. ``x`` holds the clients' training rows in
-    ``subset`` order, each with a trailing 1 for the bias, then one zero row
-    that minibatch padding points at; client j's rows start at
-    ``starts[j]``. ``y`` holds the rows' labels and ``onehot`` the same
-    labels as rows of booleans, the zero row's all False. ``picks`` holds
-    each training row's flat index into the (classes, rows) logits of the
-    loss pass: the logit of the row's label. The step plan sorts clients by
-    step count, most first (``order``), so the clients still training at
+    The plan is read-only outside ``fill``. ``x`` holds the clients'
+    training rows in ``subset`` order, each with a trailing 1 for the bias,
+    then one zero row that minibatch padding points at; client j's rows
+    start at ``starts[j]``. ``y`` holds the rows' labels and ``onehot`` the
+    same labels as rows of booleans, the zero row's all False. ``picks``
+    holds each training row's flat index into the (classes, rows) logits of
+    the loss pass: the logit of the row's label. The step plan sorts clients
+    by step count, most first (``order``), so the clients still training at
     step s are a prefix, ``active[s]`` of them. ``slots`` holds the rows of
     ``x`` that each sorted client's minibatch slots read before shuffling:
     its own rows in order, then the zero row. ``counts`` holds each sorted
@@ -255,62 +260,106 @@ class Cohort:
 
     Every other array is a buffer that ``train_clients`` writes before it
     reads, so a round allocates only the losses that the round log keeps;
-    even the deltas are the cohort's. Freed, the same arrays would be
-    trimmed off the top of glibc's brk heap and faulted back in every round.
+    even the deltas are the cohort's. It allocates once, for the
+    ``len(subset)`` clients with the most training rows; an array shaped by
+    the sample's rows or steps is a view of the leading part of flat storage
+    kept out of its attributes, laid out as in a cohort built for the
+    sample alone. Allocated anew each round, the arrays would be trimmed
+    off the top of glibc's brk heap and faulted back in.
     """
 
+    _PLAN = ("subset", "sizes", "starts", "x", "y", "onehot", "picks", "order", "slots", "counts", "active")
+
     def __init__(self, model: LogisticModel, fed: Federation, subset, batch_size: int, epochs: int):
-        self.model = model
-        self.subset = subset = np.array(subset, dtype=np.intp)
-        self.batch_size = b = batch_size
-        self.sizes = sizes = fed.train_sizes[subset]
-        self.starts = starts = np.cumsum(sizes) - sizes
-        total = int(sizes.sum())
-        gather = np.repeat(np.cumsum(fed.train_sizes)[subset] - sizes - starts, sizes) + np.arange(total)
-        self.x = x = np.zeros((total + 1, fed.x_train.shape[1] + 1))
-        x[:total, :-1] = fed.x_train[gather]
-        x[:total, -1] = 1.0
-        self.y = y = np.zeros(total + 1, dtype=np.intp)
-        y[:total] = fed.y_train[gather]
-        self.onehot = np.zeros((total + 1, model.num_classes), dtype=bool)
-        self.onehot[np.arange(total), y[:total]] = True
-
-        steps = -(-sizes // b)
-        self.order = order = np.argsort(-steps, kind="stable")
-        n_sorted = sizes[order]
-        slot = np.arange(steps[order[0]] * b)
-        self.picks = y[:total] * total + np.arange(total)
-        self.slots = np.where(slot < n_sorted[:, None], starts[order][:, None] + slot, total)
-        self.counts = np.minimum(n_sorted[:, None] - slot[::b], b)
-        self.active = np.count_nonzero(steps[:, None] > np.arange(steps.max()), axis=0)
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-        m, classes, cols = sizes.size, model.num_classes, x.shape[1]
-        # The buffers. First: a cross-device run keeps a round's deltas until
-        # the next round's training returns, after it has dropped the rest of
-        # the cohort, and above the rest they would pin that memory below the
-        # top of the heap.
+        self.model, self.batch_size, self.epochs, self._fed = model, batch_size, epochs, fed
+        m, train_sizes = len(subset), fed.train_sizes
+        rows = int(np.sort(train_sizes)[train_sizes.size - m :].sum())
+        slots = m * batch_size * -(-int(train_sizes.max()) // batch_size)
+        classes, cols = model.num_classes, fed.x_train.shape[1] + 1
+        self._storage = {
+            "offsets": np.cumsum(train_sizes) - train_sizes,
+            **{name: np.empty(m, dtype=np.intp) for name in ("subset", "sizes", "starts", "order")},
+            "x": np.empty((rows + 1) * cols),
+            "y": np.empty(rows + 1, dtype=np.intp),
+            "onehot": np.empty((rows + 1) * classes, dtype=bool),
+            "picks": np.empty(rows, dtype=np.intp),
+            "slots": np.empty(slots, dtype=np.intp),
+            "counts": np.empty(slots // batch_size, dtype=np.intp),
+            "active": np.empty(slots // batch_size // m, dtype=np.intp),
+            "rows": np.empty(epochs * slots, dtype=np.intp),
+            "logits": np.empty(classes * rows),
+            "reduced": np.empty(rows),
+            "picked": np.empty(rows),
+        }
         self.deltas = np.empty((m, model.dim))
         self.params = np.empty((m, classes, cols))
-        self.rows = np.empty((epochs,) + self.slots.shape, dtype=np.intp)
-        # Each sorted client's real slots of every epoch: what its shuffles permute.
-        self.shuffles = [list(self.rows[:, j, :n]) for j, n in enumerate(n_sorted.tolist())]
-        self.batch = np.empty((m, b), dtype=np.intp)
-        self.logits = np.empty((classes, total))
-        self.reduced = np.empty(total)
-        self.picked = np.empty(total)
-        self.batch_x = np.empty((m, b, cols))
-        self.batch_onehot = np.empty((m, b, classes), dtype=bool)
-        self.probs = np.empty((m, classes, b))
-        self.batch_reduced = np.empty((m, b))
+        self.batch = np.empty((m, batch_size), dtype=np.intp)
+        self.batch_x = np.empty((m, batch_size, cols))
+        self.batch_onehot = np.empty((m, batch_size, classes), dtype=bool)
+        self.probs = np.empty((m, classes, batch_size))
+        self.batch_reduced = np.empty((m, batch_size))
         self.grad = np.empty((m, classes, cols))
         self.decay = np.empty((m, classes, cols))
         self.flat = np.empty((m, model.dim))
         # The weights of flat as (m, classes, input_dim): a view, since each
         # row's weights are contiguous.
         self.flat_weights = self.flat[:, : classes * (cols - 1)].reshape(m, classes, cols - 1)
+        self.fill(subset)
+
+    def fill(self, subset) -> None:
+        """Make the plan that of the clients ``subset``, as many as the
+        cohort was built for, in place of the last one."""
+        storage, fed, b = self._storage, self._fed, self.batch_size
+
+        def lead(name, *shape):  # the leading part of a storage array, in this shape
+            return storage[name][: math.prod(shape)].reshape(shape)
+
+        m = storage["subset"].size
+        if len(subset) != m:
+            raise ValueError(f"a cohort of {m} clients cannot hold {len(subset)}")
+        self.subset = lead("subset", m)
+        self.subset[...] = subset
+        self.sizes = sizes = lead("sizes", m)
+        sizes[...] = fed.train_sizes[self.subset]
+        self.starts = starts = np.cumsum(sizes, out=lead("starts", m))
+        starts -= sizes
+        total = int(starts[-1] + sizes[-1])
+        index = np.arange(total)
+        gather = np.repeat(storage["offsets"][self.subset] - starts, sizes)
+        gather += index
+        self.x = x = lead("x", total + 1, fed.x_train.shape[1] + 1)
+        x[:total, :-1] = np.take(fed.x_train, gather, axis=0)  # faster than indexing
+        x[:total, -1] = 1.0
+        x[total] = 0.0
+        self.y = y = lead("y", total + 1)
+        y[:total] = fed.y_train[gather]
+        y[total] = 0
+        self.onehot = onehot = lead("onehot", total + 1, self.model.num_classes)
+        onehot.fill(False)
+        onehot[index, y[:total]] = True
+        self.picks = picks = np.multiply(y[:total], total, out=lead("picks", total))
+        picks += index
+
+        steps = -(-sizes // b)
+        self.order = order = lead("order", m)
+        order[...] = np.argsort(-steps, kind="stable")
+        n_sorted = sizes[order]
+        n_steps = int(steps[order[0]])
+        slot = np.arange(n_steps * b)
+        self.slots = slots = lead("slots", m, slot.size)
+        np.add(starts[order][:, None], slot, out=slots)
+        np.copyto(slots, total, where=slot >= n_sorted[:, None])
+        self.counts = np.minimum(n_sorted[:, None] - slot[::b], b, out=lead("counts", m, n_steps))
+        self.active = np.sum(steps[:, None] > np.arange(n_steps), axis=0, out=lead("active", n_steps))
+        for name in self._PLAN:
+            getattr(self, name).flags.writeable = False
+
+        self.rows = lead("rows", self.epochs, m, slot.size)
+        # Each sorted client's real slots of every epoch: what its shuffles permute.
+        self.shuffles = list(zip(*([row[:n] for row, n in zip(epoch, n_sorted.tolist())] for epoch in self.rows)))
+        self.logits = lead("logits", self.model.num_classes, total)
+        self.reduced = lead("reduced", total)
+        self.picked = lead("picked", total)
 
 
 def train_clients(
@@ -433,7 +482,9 @@ def client_update(
     round_index: int | None = None,
 ):
     """``train_clients`` for client ``client`` of ``fed`` alone, shuffling
-    from the stream with Philox ``key``: returns (loss_before, delta)."""
+    from the stream with Philox ``key``: returns (loss_before, delta). No
+    run calls it: the tests train single clients with it, and the bench's
+    tracer (``bench/spans.py``) rebinds it by name."""
     cohort = Cohort(model, fed, [client], batch_size, epochs)
     losses, deltas = train_clients(theta, cohort, [key], lr, weight_decay, round_index)
     return float(losses[0]), deltas[0]
@@ -545,9 +596,11 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     Cross-device runs sample a client subset each round, fill in the
     unobserved response entries with the doubly robust estimate, update the
     full decision from the linearized gradient, and aggregate only over the
-    sampled clients with subset-renormalized coefficients. A silo run builds
-    one ``Cohort`` of every client and trains it every round; a cross-device
-    run builds one of each round's sample.
+    sampled clients with subset-renormalized coefficients. A run builds one
+    ``Cohort``: a silo run trains it on every client every round, and a
+    cross-device run fills it with each round's sample. The sampling keys of
+    every round come from one ``stream_keys`` call, and each round rekeys the
+    run's one generator with its own.
 
     ``fed`` injects a pre-built ``Federation`` of k clients in place of the
     generated one; the baselines' sample sizes are its ``train_sizes``."""
@@ -559,27 +612,25 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     model = LogisticModel(cfg.data.input_dim, cfg.data.num_classes)
     theta = model.init_params()
 
-    batching = np.random.Generator(np.random.Philox(key=0))
+    rng = np.random.Generator(np.random.Philox(key=0))
     learner = Learner(cfg, fed.train_sizes)
 
-    # Every client trains every silo round, so a silo run builds its cohort once.
-    silo = cfg.setting is Setting.CROSS_SILO
-    if silo:
-        cohort = Cohort(model, fed, np.arange(cfg.k), cfg.b, cfg.e)
+    # Every client of a silo run; a cross-device round refills it with its sample.
+    silo, m = cfg.setting is Setting.CROSS_SILO, cfg.subset_size
+    cohort = Cohort(model, fed, np.arange(m), cfg.b, cfg.e)
+    subset = cohort.subset
+    if not silo:
+        sampling = stream_keys(cfg.seed, STREAM_SAMPLING, np.arange(1, cfg.t_rounds + 1))
     records = []
     lr = cfg.lr
     try:
         for t in range(1, cfg.t_rounds + 1):
             tic = time.perf_counter()
             if not silo:
-                # The last round's cohort goes before this round's is built,
-                # so that the two never hold heap space at once.
-                cohort = None
-                sampled = sample_clients(cfg.k, cfg.subset_size, stream(cfg.seed, STREAM_SAMPLING, t))
-                cohort = Cohort(model, fed, sampled, cfg.b, cfg.e)
-            subset = cohort.subset
+                subset = sample_clients(cfg.k, m, rekey(rng, sampling[t - 1]))
+                cohort.fill(subset)
             keys = stream_keys(cfg.seed, STREAM_BATCHING, t, subset)
-            losses, deltas = train_clients(theta, cohort, keys, lr, cfg.weight_decay, round_index=t, rng=batching)
+            losses, deltas = train_clients(theta, cohort, keys, lr, cfg.weight_decay, round_index=t, rng=rng)
 
             rec = learner.step(t, losses, subset)
             theta = theta - subset_weights(rec.decision, subset, t) @ deltas

@@ -138,17 +138,24 @@ def transform_responses(losses: np.ndarray, rng: ResponseRange, spec: CdfSpec) -
     round is logged and the constant vector c1 + (c2 - c1)*CDF(1) is returned,
     which keeps the "centered at 1" reading and gives the decision maker a
     flat signal.
+
+    Losses whose mean overflows take their ratios from the losses divided
+    by the largest one, whose mean is finite; else every ratio would be 0.
     """
     losses = np.asarray(losses, dtype=float)
     if losses.ndim != 1 or losses.size < 1:
         raise InvalidInputError("expected at least one loss")
     if not np.all(np.isfinite(losses)) or np.any(losses < 0):
         raise InvalidInputError("losses must be finite and >= 0")
-    mean = losses.mean()
+    with np.errstate(over="ignore"):
+        mean = losses.mean()
     if mean == 0.0:
         logger.warning("degenerate round: all local losses are zero; emitting flat responses")
         level = rng.c1 + rng.width * cdf_eval(spec, 1.0)
         return np.full(losses.size, level)
+    if not math.isfinite(mean):
+        losses = losses / losses.max()
+        mean = losses.mean()
     ratios = losses / mean
     return rng.c1 + rng.width * cdf_eval(spec, ratios)
 

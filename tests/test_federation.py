@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -339,17 +339,28 @@ class TestPrepareClients:
     @settings(max_examples=40, deadline=None)
     @given(round_cases)
     def test_rounds_read_nothing_a_previous_round_left(self, case):
+        # One cohort trains its sample twice, then is refilled with samples
+        # of as many clients whose rows go up to the most it can hold and
+        # back down. spoil() checks the plan is read-only after each fill,
+        # and each round must match a fresh cohort of its sample.
         sizes, b, e, wd, seed, shuffle = case
         fed = ragged_clients(seed, sizes)
         subset, theta = TestTrainClients.subset_and_theta(self, sizes, seed, shuffle)
+        by_rows = sorted(range(len(sizes)), key=sizes.__getitem__)
+        fewest, most = by_rows[: len(subset)], by_rows[len(sizes) - len(subset) :]
         reused = Cohort(self.model, fed, subset, b, e)
         rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
-        for t in range(1, 4):
+        for t, sample in enumerate([subset, subset, most, subset, fewest], start=1):
+            if t > 1:
+                reused.fill(sample)
             spoil(reused)
-            keys = stream_keys(seed, 2, t, subset)
+            fresh = Cohort(self.model, fed, sample, b, e)
+            for name in PLAN:
+                assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+            keys = stream_keys(seed, 2, t, sample)
             (la, da), (lb, db) = (
                 train_clients(theta, cohort, keys, 0.3, wd, round_index=t, rng=rng)
-                for rng, cohort in zip(rngs, (reused, Cohort(self.model, fed, subset, b, e)))
+                for rng, cohort in zip(rngs, (reused, fresh))
             )
             assert la.tobytes() == lb.tobytes() and da.tobytes() == db.tobytes()
             theta = theta - da.mean(axis=0)
@@ -377,12 +388,17 @@ class TestPrepareClients:
                 getattr(cohort, name)[...] = 0
         assert subset.flags.writeable
 
+    def test_fill_takes_a_sample_of_the_cohort_size(self):
+        cohort = Cohort(self.model, self.fed, [3, 0, 5], 10, 1)
+        with pytest.raises(ValueError, match="cohort of 3 clients"):
+            cohort.fill([1])
+
     @pytest.mark.parametrize(
-        "overrides, calls",
-        [(dict(method="aaggff-s"), 1), (dict(method="aaggff-d", setting="cross_device", c=0.5), 5)],
-        ids=["silo-once", "device-every-round"],
+        "overrides",
+        [dict(method="aaggff-s"), dict(method="aaggff-d", setting="cross_device", c=0.5)],
+        ids=["silo-once", "device-once"],
     )
-    def test_run_prepares_a_silo_cohort_once(self, monkeypatch, overrides, calls):
+    def test_run_prepares_a_silo_cohort_once(self, monkeypatch, overrides):
         built = []
 
         class Counted(Cohort):
@@ -392,7 +408,7 @@ class TestPrepareClients:
 
         monkeypatch.setattr(federation, "Cohort", Counted)
         run_federation(small_config(**overrides))
-        assert len(built) == calls
+        assert len(built) == 1
 
 
 class TestSampleClients:
@@ -476,7 +492,54 @@ class TestSubsetWeights:
         assert "round 7: zero decision mass on the sampled set; using uniform" in caplog.text
 
 
+# Losses at the edges of the float range, and mixes of them.
+EXTREME_LOSSES = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308])
+
+
+@st.composite
+def learner_runs(draw):
+    """A config of any method and setting it allows, k from 2 to 8, the
+    clients' training sizes, and three rounds of (subset, losses)."""
+    method = draw(st.sampled_from(aggregators.STRATEGIES))
+    setting = {"aaggff-s": "cross_silo", "aaggff-d": "cross_device"}.get(method)
+    setting = setting or draw(st.sampled_from(["cross_silo", "cross_device"]))
+    k = draw(st.integers(2, 8))
+    c = 1.0 if setting == "cross_silo" else draw(st.integers(1, k)) / k
+    cfg = FederationConfig(k=k, t_rounds=3, method=method, setting=setting, c=c)
+    rounds = []
+    for _ in range(3):
+        subset = np.sort(draw(st.permutations(range(k)))[: cfg.subset_size])
+        losses = draw(st.lists(EXTREME_LOSSES, min_size=subset.size, max_size=subset.size))
+        rounds.append((subset, np.array(losses)))
+    return cfg, np.array(draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))), rounds
+
+
 class TestLearner:
+    @settings(max_examples=300, deadline=None)
+    @given(learner_runs())
+    @example((
+        FederationConfig(k=4, t_rounds=3, method="aaggff-s", setting="cross_silo"), np.full(4, 10),
+        [(np.arange(4), np.array([1.7e308, 1.7e308, 1.0, 1.0]))] * 3,
+    ))
+    def test_every_step_decides_on_the_simplex_or_raises_a_named_error(self, run):
+        # A step either plays a finite decision on the simplex, zero off the
+        # subset for a baseline, with a finite decision loss, or rejects its
+        # input with InvalidInputError. The largest loss maps above the
+        # range's floor, so the responses are not flattened.
+        cfg, train_sizes, rounds = run
+        learner = Learner(cfg, train_sizes)
+        for t, (subset, losses) in enumerate(rounds, start=1):
+            try:
+                rec = learner.step(t, losses, subset)
+            except InvalidInputError:
+                return
+            for p in (rec.played, rec.decision):
+                assert np.isfinite(p).all() and (p >= 0).all() and math.isclose(p.sum(), 1.0, rel_tol=1e-9), p
+            if not cfg.adaptive:
+                assert not np.delete(rec.decision, subset).any()
+            assert math.isfinite(rec.decision_loss)
+            assert losses.max() == 0 or rec.observed.max() > cfg.response_range.c1
+
     def test_term_step_overflowing_its_step_size_raises(self):
         # term_lambda = 1e300 is a valid config, but its step size 1e-300
         # turns a loss of 1e9 into an infinite exponent.

@@ -109,6 +109,14 @@ class TestTransformResponses:
         np.testing.assert_allclose(got, level, atol=1e-15)
         assert any("degenerate" in r.message for r in caplog.records)
 
+    def test_losses_whose_mean_overflows_keep_their_ratios(self, recwarn):
+        losses = np.array([1.7e308, 1.7e308, 1.0, 1.0])
+        rng_range, spec = ResponseRange(0, 0.5), CdfSpec()
+        got = transform.transform_responses(losses, rng_range, spec)
+        assert not recwarn.list
+        np.testing.assert_array_equal(got, transform.transform_responses(losses / 1.7e308, rng_range, spec))
+        np.testing.assert_allclose(got, 0.5 * transform.cdf_eval(spec, np.array([2.0, 2.0, 0.0, 0.0])), atol=1e-15)
+
     def test_bounded_over_ten_orders_of_magnitude(self, rng):
         rng_range = ResponseRange(0.1, 0.9)
         for kind in ALL_KINDS:
