@@ -1,12 +1,12 @@
 """Keep large arrays out of glibc's brk heap.
 
-A run allocates and frees arrays of tens of MB (the generated federation, its
-standardized copy, the round log). glibc raises its mmap threshold to the
-size of every mmapped block it frees, up to 32 MiB, so after the first such
-array later ones come from the brk heap instead. Whether the next one fits a
-hole the last one left there depends on the address-space layout and the
-string hash seed, so a process that runs several federations kept a peak
-resident set that moved by about 14 MB from one process to the next.
+A run allocates and frees arrays of tens of MB (the generated federation,
+the round log). glibc raises its mmap threshold to the size of every mmapped
+block it frees, up to 32 MiB, so after the first such array later ones come
+from the brk heap instead. Whether the next one fits a hole the last one left
+there depends on the address-space layout and the string hash seed, so a
+process that runs several federations kept a peak resident set that moved by
+about 14 MB from one process to the next.
 Pinning the threshold turns that adjustment off: every block of at least
 ``MMAP_THRESHOLD`` bytes gets its own mapping and goes back to the system
 when freed.

@@ -93,22 +93,23 @@ def stream_keys(seed: int, *path) -> np.ndarray:
     several words, which this emulation does not.
     """
     pool, calls = _seed_pool(int(seed))
-    words = np.broadcast_arrays(*(np.asarray(p) for p in path)) if path else []
+    words = [np.asarray(p) for p in path]
     for w in words:
         if w.dtype.kind not in "iu" or (w.size and (w.min() < 0 or w.max() > _MASK32)):
             raise ValueError("stream path entries must be integers in [0, 2**32)")
-    shape = words[0].shape if words else ()
-    mixer = np.broadcast_to(pool, shape + (_POOL_SIZE,)).copy()
+    # Each word is mixed in at its own shape: the pool takes an array word's
+    # shape only when that word is mixed in, so a scalar word costs four
+    # lanes, and words that do not broadcast together raise there.
+    mixer = pool
     xor, mul = _path_consts(calls, len(words))
     for w, x, m in zip(words, xor, mul):
         hashed = w.astype(np.uint32)[..., None] ^ x
         hashed *= m
         hashed ^= hashed >> 16
-        mixer *= _MIX_MULT_L
         hashed *= _MIX_MULT_R
-        mixer -= hashed
+        mixer = mixer * _MIX_MULT_L - hashed
         mixer ^= mixer >> 16
-    mixer ^= _OUT[:-1]
+    mixer = mixer ^ _OUT[:-1]  # a new array: never the cached pool
     mixer *= _OUT[1:]
     mixer ^= mixer >> 16
     keys = mixer[..., 1::2].astype(np.uint64) << np.uint64(32)
@@ -189,6 +190,31 @@ class SyntheticDataSpec:
         return self.samples_per_client_mean - self.samples_per_client_spread
 
 
+def column_std(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``x.std(axis=0)`` bit for bit, for a C-ordered (rows, columns) ``x``
+    and its ``mu = x.mean(axis=0)``, without numpy's temporary of ``x - mu``
+    the size of ``x``.
+
+    numpy adds the squared deviations of several columns one row after
+    another. Here they are squared ``ROW_BLOCK`` rows at a time into one
+    scratch buffer whose first row carries the running sum, so each block's
+    ``np.add.reduce`` continues that same row-after-row sum.
+    """
+    total, dim = x.shape
+    if dim == 1:
+        # numpy sums a single column as one vector, pairwise rather than row
+        # after row, so only its own pass gives its bits; its temporary is
+        # one column.
+        return x.std(axis=0)
+    scratch = np.zeros((min(ROW_BLOCK, total) + 1, dim))
+    for start in range(0, total, ROW_BLOCK):
+        block = x[start : start + ROW_BLOCK]
+        squares = np.subtract(block, mu, out=scratch[1 : 1 + len(block)])
+        squares *= squares
+        scratch[0] = np.add.reduce(scratch[: 1 + len(block)], axis=0)
+    return np.sqrt(scratch[0] / total)
+
+
 @dataclass(frozen=True)
 class Federation:
     """Every client's data as whole arrays: the training rows of client 0,
@@ -217,11 +243,13 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     p=label_mix)``: the client draws the n ``rng.random`` values that
     ``choice`` would, and ``choice``'s inverse-CDF lookup maps every row's
     value to a label after the draw loop. Features are standardized over all
-    clients. Each (client, class) group of size s >= 2 puts floor(0.2 s) of
-    its rows in the test set: the rows that ``rng.permutation(s)``, drawn
-    from (STREAM_DATA, 1 + i, 0), ranks first, found by shuffling the
-    group's row indices in place with the same draws. Every other row
-    trains, so each client has at least one training row. Rows keep their
+    clients, with statistics swept ``ROW_BLOCK`` rows at a time
+    (``column_std``), so no temporary as large as the rows is made. Each
+    (client, class) group of size s >= 2 puts floor(0.2 s) of its rows in
+    the test set: the rows that ``rng.permutation(s)``, drawn from
+    (STREAM_DATA, 1 + i, 0), ranks first, found by shuffling the group's row
+    indices in place with the same draws. Every other row trains, so each
+    client has at least one training row. Rows keep their
     drawn order within each client's train and test sets.
 
     The rows are drawn into one buffer and split in place, so ``x_train``
@@ -282,9 +310,9 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
             block = x[rows]
             block *= _NOISE_STD
             block += means[labels[rows]] + shifts[block_owner]
-        del uniforms
+        del uniforms, block_owner  # a view: it would keep all of owner alive
         mu = x.mean(axis=0)
-        sigma = x.std(axis=0)
+        sigma = column_std(x, mu)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ConfigError("data.feature_shift", f"{spec.feature_shift!r} overflows the standardized features")
     sigma[sigma == 0.0] = 1.0

@@ -39,7 +39,7 @@ def project_euclidean(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise InvalidInputError("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInputError("projection input must be finite")
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
@@ -118,6 +118,7 @@ def minimize_quadratic(
     f_x = float(x @ (bx + lin2))
     grad = 2.0 * bx + lin2
     step = 1.0 / (2.0 * lam_bound)
+    step_lo, step_hi = 1.0 / (20.0 * lam_bound), 1e6 / lam_bound
     prev_x = None
     prev_grad = None
     for _ in range(max_iter):
@@ -128,7 +129,7 @@ def minimize_quadratic(
             denom = float(dx @ dg)
             if denom > 0:
                 step = float(dx @ dx) / denom
-        step = float(np.clip(step, 1.0 / (20.0 * lam_bound), 1e6 / lam_bound))
+        step = min(max(step, step_lo), step_hi)
 
         # Armijo backtracking on the proximal-gradient decrease condition.
         for _ in range(60):
@@ -136,10 +137,12 @@ def minimize_quadratic(
             d = x_new - x
             bx_new = b @ x_new
             f_new = float(x_new @ (bx_new + lin2))
-            if f_new <= f_x + grad @ d + (d @ d) / (2.0 * step) + 1e-18:
+            # d @ d stays a numpy scalar: a step that underflows to 0 (B near
+            # the float range) then divides to nan, where a float would raise.
+            if f_new <= f_x + float(grad @ d) + (d @ d) / (2.0 * step) + 1e-18:
                 break
             step *= 0.5
-        move = float(np.max(np.abs(d)))
+        move = float(abs(d).max())
         prev_x, prev_grad = x, grad
         x, f_x = x_new, f_new
         grad = 2.0 * bx_new + lin2

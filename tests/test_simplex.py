@@ -256,6 +256,14 @@ class TestProjectMahalanobis:
         assert is_simplex(x)
         assert_kkt(x, v, b)
 
+    def test_metric_near_the_float_range_keeps_a_feasible_point(self):
+        # The row-sum bound overflows, so every step size is 0; the
+        # backtracking test then divides by a zero step and must not raise.
+        v = np.array([0.2, 0.3, 0.5])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = simplex.project_mahalanobis(v, 1.7e308 * np.eye(3))
+        np.testing.assert_array_equal(got, v)
+
 
 class TestAbsRowSumBound:
     @pytest.mark.parametrize("k", [1, 5, simplex.ROW_BLOCK - 1, 2 * simplex.ROW_BLOCK + 11])
