@@ -86,7 +86,7 @@ def main():
         regrets, bound = [], None
         for seed in range(args.seeds):
             played, responses, bound = harness(seed)
-            regrets.append(metrics.regret(played, responses))
+            regrets.append(metrics.regret(list(map(decision.decision_loss, played, responses)), responses))
         elapsed = time.perf_counter() - tic
         print(
             f"{name:8s} mean={np.mean(regrets):8.4f} worst={np.max(regrets):8.4f} "

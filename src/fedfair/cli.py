@@ -57,7 +57,7 @@ import numpy as np
 
 from . import metrics, simplex
 from .errors import ConfigError, ConvergenceError, DivergenceError
-from .federation import FederationConfig, Learner, RunResult, run_federation, subset_weights
+from .federation import FederationConfig, Learner, RunResult, run_federation, scored_response, subset_weights
 
 logger = logging.getLogger(__name__)
 
@@ -295,7 +295,7 @@ def round_curves(records: list) -> tuple[list, list]:
     decision played in round t, and the entropy of each round's new decision."""
     cumulative, cum = [], 0.0
     for rec in records:
-        cum += float(rec.played[rec.sampled] @ rec.losses)
+        cum += float(rec.played_sampled @ rec.losses)
         cumulative.append(cum)
     return cumulative, [metrics.decision_entropy(rec.decision) for rec in records]
 
@@ -307,10 +307,13 @@ def summary_from_log(result: RunResult, curves: tuple[list, list]) -> dict:
     cfg, records, accuracy = result.config, result.records, result.client_accuracy
 
     observed_vs_uniform = 0.0
-    for r in records:
-        observed_vs_uniform -= float(np.log1p(subset_weights(r.played, r.sampled, r.round) @ r.observed))
+    responses = np.empty((len(records), cfg.k))
+    for r, row in zip(records, responses):
+        weights = subset_weights(r.played_sampled, np.arange(r.sampled.size), r.round)
+        observed_vs_uniform -= float(np.log1p(weights @ r.observed))
         observed_vs_uniform += float(np.log1p(simplex.uniform(r.sampled.size) @ r.observed))
-    regret = metrics.regret(np.array([r.played for r in records]), np.array([r.response for r in records]))
+        row[...] = scored_response(cfg, r.observed, r.sampled)
+    regret = metrics.regret([r.decision_loss for r in records], responses)
     bound = cfg.regret_bound
     cumulative, entropy = curves
 

@@ -181,19 +181,18 @@ class FederationConfig:
 @dataclass
 class RoundRecord:
     """One round, as ``Learner.step`` returns it: the clients ``sampled``,
-    their pre-update ``losses``, the decision ``played``, the sampled
-    clients' ``observed`` responses and the (possibly estimated) ``response``
-    over all clients, the new ``decision`` and the played decision's
-    ``decision_loss``. ``cli.round_series`` rebuilds the run's records from
-    its round log alone, every field but ``duration``, the wall-clock
-    seconds the run sets and keeps out of the log."""
+    their pre-update ``losses``, their entries ``played_sampled`` of the
+    decision played, their ``observed`` responses, the new ``decision`` (the
+    record's one length-k array) and the played decision's ``decision_loss``
+    on the round's ``scored_response``. ``cli.round_series`` rebuilds the
+    run's records from its round log alone, every field but ``duration``,
+    the wall-clock seconds the run sets and keeps out of the log."""
 
     round: int
     sampled: np.ndarray
     losses: np.ndarray
-    played: np.ndarray
+    played_sampled: np.ndarray
     observed: np.ndarray
-    response: np.ndarray
     decision: np.ndarray
     decision_loss: float
     duration: float = 0.0
@@ -498,14 +497,13 @@ def sample_clients(k: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(k, size=m, replace=False))
 
 
-def round_responses(cfg: FederationConfig, losses, subset) -> tuple[np.ndarray, np.ndarray]:
-    """(observed, response) of one round: the sampled clients' ``losses``
-    through the configured transform, and the response the decision is scored
-    on: the observed one (cross-silo) or its doubly robust estimate (cross-device)."""
-    observed = transform_responses(losses, cfg.response_range, cfg.cdf)
+def scored_response(cfg: FederationConfig, observed, subset) -> np.ndarray:
+    """The response a round's decision is scored on, from the ``observed``
+    responses of the clients ``subset``: the observed one (cross-silo) or
+    its doubly robust estimate over all clients (cross-device)."""
     if cfg.setting is Setting.CROSS_SILO:
-        return observed, observed
-    return observed, decision.dr_estimate(observed, subset, cfg.inclusion_probability, cfg.k)
+        return observed
+    return decision.dr_estimate(observed, subset, cfg.inclusion_probability, cfg.k)
 
 
 def subset_weights(p: np.ndarray, subset, round_index: int) -> np.ndarray:
@@ -553,7 +551,8 @@ class Learner:
 
     def step(self, round_index: int, losses: np.ndarray, subset: np.ndarray) -> RoundRecord:
         cfg, state, played = self.cfg, self._state, self.played
-        observed, response = round_responses(cfg, losses, subset)
+        observed = transform_responses(losses, cfg.response_range, cfg.cdf)
+        response = scored_response(cfg, observed, subset)
         if cfg.method == ADAPTIVE_SILO:
             self._state, p = aggregators.ons_step(state, decision.decision_gradient(played, response))
         elif cfg.method == ADAPTIVE_DEVICE:
@@ -568,7 +567,7 @@ class Learner:
         if cfg.adaptive:
             self.played = p
         return RoundRecord(
-            round_index, subset, losses, played, observed, response, p, decision.decision_loss(played, response)
+            round_index, subset, losses, played[subset], observed, p, decision.decision_loss(played, response)
         )
 
 

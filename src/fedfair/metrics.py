@@ -4,28 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import aggregators, decision
+from . import aggregators
 from .errors import InvalidInputError
 
 
-def regret(decisions, responses) -> float:
-    """Cumulative decision loss of the played decisions minus the loss of the
-    best fixed decision in hindsight.
-
-    ``decisions[t]`` must be the decision in effect when ``responses[t]``
-    arrived. Responses are full-length vectors; under client sampling the
-    caller passes the doubly-robust estimated ones. Nonnegative up to solver
-    tolerance.
-    """
-    decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
+def regret(played_losses, responses) -> float:
+    """Sum of ``played_losses`` in round order minus the cumulative loss of
+    the best fixed decision in hindsight. ``played_losses[t]`` is the
+    ``decision.decision_loss`` that ``responses[t]``, a full-length (under
+    sampling, doubly robust) response, dealt the decision then in effect.
+    Nonnegative up to solver tolerance for a fixed played decision."""
     responses = np.atleast_2d(np.asarray(responses, dtype=float))
-    if decisions.size == 0 or responses.size == 0:
-        raise InvalidInputError("need at least one round")
-    if decisions.shape != responses.shape:
-        raise InvalidInputError("decision and response sequences must align")
-    played = sum(decision.decision_loss(p, r) for p, r in zip(decisions, responses))
-    best = aggregators.hindsight_best(responses)
-    return played - aggregators.cumulative_loss(best, responses)
+    if len(played_losses) != responses.shape[0]:
+        raise InvalidInputError("need one decision loss per round of responses")
+    best = aggregators.hindsight_best(responses)  # raises InvalidInputError for no rounds
+    return sum(played_losses) - aggregators.cumulative_loss(best, responses)
 
 
 def gini(perf) -> float:

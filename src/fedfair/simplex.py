@@ -170,8 +170,9 @@ def project_mahalanobis(
     ``start`` (default ``v``) warm-starts the iteration (callers stepping a
     slowly-moving decision benefit a lot).
 
-    Raises ConvergenceError (carrying the best iterate and its movement
-    residual) if the cap ``max_iter`` (default 10*K*(-log10 tol)) is hit.
+    Raises InvalidMatrixError when B v overflows, and ConvergenceError
+    (carrying the best iterate and its movement residual) if the cap
+    ``max_iter`` (default 10*K*(-log10 tol)) is hit.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -179,7 +180,10 @@ def project_mahalanobis(
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("projection input must be finite")
     b = _check_psd(b, v.size)
-    return minimize_quadratic(b, -(b @ v), v if start is None else start, tol=tol, max_iter=max_iter)
+    lin = -(b @ v)
+    if not np.isfinite(lin).all():
+        raise InvalidMatrixError("metric times the projection input overflows")
+    return minimize_quadratic(b, lin, v if start is None else start, tol=tol, max_iter=max_iter)
 
 
 def normalize_subset(p: np.ndarray, subset: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import cli, decision, federation
+from fedfair import aggregators, cli, decision, federation
 from fedfair.datasets import SyntheticDataSpec, generate_federation
 from fedfair.errors import ConfigError, ConvergenceError
 from fedfair.transform import transform_responses
@@ -489,14 +490,13 @@ class TestRunSuite:
         series = replayed.records
         assert len(series) == 4
         assert_records_equal(series, result.records)
-        played = [r.played for r in series]
         if cfg.adaptive:
             # An adaptive learner plays its previous decision, from uniform.
-            assert np.array_equal(played[0], np.full(cfg.k, 1 / cfg.k))
-            assert all(np.array_equal(p, rec.decision) for p, rec in zip(played[1:], result.records))
+            played = [np.full(cfg.k, 1 / cfg.k)] + [rec.decision for rec in result.records[:-1]]
         else:
             sizes = result.train_sizes.astype(float)
-            assert all(np.array_equal(p, sizes / sizes.sum()) for p in played)
+            played = [sizes / sizes.sum()] * len(series)
+        assert all(np.array_equal(r.played_sampled, p[r.sampled]) for p, r in zip(played, series))
 
         assert cli.run_suite(cli.ExperimentSuite([cfg], tmp_path / "out")) == 0
         assert (tmp_path / f"out/runs/{cli.run_id_for(cfg)}.rounds.jsonl").read_text() == "".join(
@@ -522,8 +522,9 @@ class TestRunSuite:
         ids=["aaggff-s", "aaggff-d", "qfedavg-silo", "qfedavg-device"],
     )
     def test_summary_replays_the_run_decisions_and_responses(self, tmp_path, monkeypatch, text, method):
-        # The summary rebuilds the decision played and the response of every
-        # round from the log; they must be the very floats the run used.
+        # The summary rebuilds the scored response of every round from the
+        # log, and takes the decision losses the replay steps; both must be
+        # the very floats the run used.
         text = text.replace("aaggff-s", method).replace("aaggff-d", method)
         run = RecordingDecision()
         monkeypatch.setattr(federation, "decision", run)
@@ -535,16 +536,66 @@ class TestRunSuite:
         replayed = []
         regret = cli.metrics.regret
 
-        def recording_regret(decisions, responses):
-            replayed.append((decisions, responses))
-            return regret(decisions, responses)
+        def recording_regret(played_losses, responses):
+            replayed.append((played_losses, responses))
+            return regret(played_losses, responses)
 
         monkeypatch.setattr(cli.metrics, "regret", recording_regret)
         cli.write_report(tmp_path, cli.round_series(lines))
-        [(played, responses)] = replayed
+        [(played_losses, responses)] = replayed
         assert len(run.responses) == 3
-        assert np.array_equal(played, np.array(run.played))
+        assert played_losses == [decision.decision_loss(p, r) for p, r in zip(run.played, run.responses)]
         assert np.array_equal(responses, np.array(run.responses))
+
+    @pytest.mark.parametrize(
+        "text, method",
+        [(SMALL_RUN, "aaggff-s"), (DEVICE_RUN, "aaggff-d"), (SMALL_RUN, "qfedavg"), (DEVICE_RUN, "qfedavg")],
+        ids=["aaggff-s", "aaggff-d", "qfedavg-silo", "qfedavg-device"],
+    )
+    def test_summary_regret_is_that_of_the_played_decisions(self, tmp_path, text, method):
+        # The reference rebuilds every round's played decision (uniform, then
+        # the previous decision, or a baseline's prior every round) and full
+        # response, and scores the played sequence against the hindsight best.
+        text = text.replace("aaggff-s", method).replace("aaggff-d", method)
+        cfg = cli.parse_config(write_config(tmp_path, text)).configs[0]
+        result = federation.run_federation(cfg)
+        if cfg.adaptive:
+            played = [np.full(cfg.k, 1 / cfg.k)] + [rec.decision for rec in result.records[:-1]]
+        else:
+            sizes = result.train_sizes.astype(float)
+            played = [sizes / sizes.sum()] * cfg.t_rounds
+        responses = []
+        for rec in result.records:
+            response = transform_responses(rec.losses, cfg.response_range, cfg.cdf)
+            if cfg.setting == "cross_device":
+                response = decision.dr_estimate(response, rec.sampled, cfg.inclusion_probability, cfg.k)
+            responses.append(response)
+        responses = np.array(responses)
+        expected = sum(decision.decision_loss(p, r) for p, r in zip(played, responses))
+        expected -= aggregators.cumulative_loss(aggregators.hindsight_best(responses), responses)
+        assert cli.write_report(tmp_path, result)["regret"] == expected
+
+    @pytest.mark.parametrize("method", ["aaggff-d", "qfedavg"])
+    def test_cross_device_memory_grows_by_two_client_vectors_a_round(self, tmp_path, method):
+        # A round keeps one k-vector, its new decision, and the report adds
+        # one, the round's row of the response matrix. A record that also
+        # kept the decision played or the full response, or a report that
+        # stacked either, would add a third and a fourth.
+        k = 5000
+        data = SyntheticDataSpec(input_dim=2, num_classes=2, samples_per_client_mean=10)
+        fed = generate_federation(data, k, 0)
+        peaks = []
+        for t_rounds in (20, 80):
+            cfg = federation.FederationConfig(
+                k=k, t_rounds=t_rounds, method=method, setting="cross_device", c=0.01, b=10, data=data
+            )
+            tracemalloc.start()
+            try:
+                cli.write_report(tmp_path, federation.run_federation(cfg, fed))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 60 < 3 * 8 * k
 
     def test_regret_vs_uniform_observed_sums_transformed_losses(self, tmp_path):
         path = write_config(tmp_path, DEVICE_RUN, "dev.cfg")

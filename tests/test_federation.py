@@ -529,11 +529,13 @@ class TestLearner:
         cfg, train_sizes, rounds = run
         learner = Learner(cfg, train_sizes)
         for t, (subset, losses) in enumerate(rounds, start=1):
+            played = learner.played
             try:
                 rec = learner.step(t, losses, subset)
             except InvalidInputError:
                 return
-            for p in (rec.played, rec.decision):
+            assert np.array_equal(rec.played_sampled, played[subset])
+            for p in (played, rec.decision):
                 assert np.isfinite(p).all() and (p >= 0).all() and math.isclose(p.sum(), 1.0, rel_tol=1e-9), p
             if not cfg.adaptive:
                 assert not np.delete(rec.decision, subset).any()

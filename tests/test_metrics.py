@@ -41,6 +41,10 @@ def cumulative_objective(lines):
     return cli.round_curves(cli.round_series(lines).records)[0][-1]
 
 
+def played_losses(decisions, responses):
+    return [decision.decision_loss(p, r) for p, r in zip(decisions, responses)]
+
+
 class TestRegret:
     def test_optimal_decisions_zero_regret(self, rng):
         responses = rng.uniform(0, 1, size=(15, 3))
@@ -48,20 +52,20 @@ class TestRegret:
 
         best = hindsight_best(responses)
         decisions = np.tile(best, (15, 1))
-        assert abs(metrics.regret(decisions, responses)) <= 1e-8
+        assert abs(metrics.regret(played_losses(decisions, responses), responses)) <= 1e-8
 
     def test_constant_responses_any_decisions(self, rng):
         responses = np.tile(np.full(4, 0.3), (10, 1))
         decisions = random_simplex(rng, 4, n=10)
-        assert metrics.regret(decisions, responses) == pytest.approx(0.0, abs=1e-9)
+        assert metrics.regret(played_losses(decisions, responses), responses) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_grid_oracle(self, rng):
         responses = rng.uniform(0, 1, size=(20, 3))
         decisions = random_simplex(rng, 3, n=20)
-        got = metrics.regret(decisions, responses)
-        played = sum(decision.decision_loss(p, r) for p, r in zip(decisions, responses))
+        played = played_losses(decisions, responses)
+        got = metrics.regret(played, responses)
         oracle_best = hindsight_grid_oracle(responses)
-        oracle_regret = played - sum(decision.decision_loss(oracle_best, r) for r in responses)
+        oracle_regret = sum(played) - sum(decision.decision_loss(oracle_best, r) for r in responses)
         assert got == pytest.approx(oracle_regret, abs=2e-3)
 
     def test_nonnegative_for_fixed_decisions(self, rng):
@@ -72,11 +76,21 @@ class TestRegret:
             t, k = int(rng.integers(1, 12)), int(rng.integers(2, 5))
             responses = rng.uniform(0, 0.5, size=(t, k))
             fixed = np.tile(random_simplex(rng, k), (t, 1))
-            assert metrics.regret(fixed, responses) >= -1e-8
+            assert metrics.regret(played_losses(fixed, responses), responses) >= -1e-8
+
+    def test_sums_the_losses_in_order(self):
+        # The played side is the losses' own in-order sum, not a re-summation.
+        responses = np.zeros((3, 2))
+        losses = [1e16, 1.0, -1e16]
+        assert metrics.regret(losses, responses) == sum(losses) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            metrics.regret(np.empty((0, 2)), np.empty((0, 2)))
+            metrics.regret([], np.empty((0, 2)))
+
+    def test_one_loss_per_round_required(self):
+        with pytest.raises(InvalidInputError, match="one decision loss per round"):
+            metrics.regret([0.0, 0.0], np.zeros((3, 2)))
 
 
 class TestGini:

@@ -264,6 +264,11 @@ class TestProjectMahalanobis:
             got = simplex.project_mahalanobis(v, 1.7e308 * np.eye(3))
         np.testing.assert_array_equal(got, v)
 
+    def test_metric_overflowing_on_a_finite_input_names_the_metric(self):
+        # v is finite, but B v overflows: the metric is at fault, not v.
+        with np.errstate(over="ignore"), pytest.raises(InvalidMatrixError, match="metric"):
+            simplex.project_mahalanobis(np.array([5.0, -3.0, 1.0]), 1.7e308 * np.eye(3))
+
 
 class TestAbsRowSumBound:
     @pytest.mark.parametrize("k", [1, 5, simplex.ROW_BLOCK - 1, 2 * simplex.ROW_BLOCK + 11])
