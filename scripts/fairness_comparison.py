@@ -2,17 +2,26 @@
 """Compare client-level fairness of aggregation strategies on a synthetic
 heterogeneous federation (label-skewed logistic clients, full participation).
 
-Prints per-method means over seeds: average / worst / best-10% accuracy,
+Runs configs/silo_adaptive.cfg once per method, with the flags' clients,
+rounds and label concentration, as one suite of seeds through
+``cli.run_suite`` (what ``fedfair run`` does), and prints per-method means
+over seeds of each run's summary.json: average / worst / best-10% accuracy,
 Gini (x100), and the accuracy parity gap.
 """
 
 import argparse
+import dataclasses
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from fedfair import metrics
-from fedfair.datasets import SyntheticDataSpec
-from fedfair.federation import FederationConfig, run_federation
+from fedfair import cli
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "silo_adaptive.cfg"
 
 
 def main():
@@ -24,39 +33,33 @@ def main():
     parser.add_argument("--concentration", type=float, default=0.1)
     args = parser.parse_args()
 
-    data = SyntheticDataSpec(
-        input_dim=10,
-        num_classes=5,
-        samples_per_client_mean=100,
-        samples_per_client_spread=40,
-        dirichlet_concentration=args.concentration,
-        feature_shift=1.0,
-    )
     header = f"{'method':10s} {'avg':>7s} {'worst':>7s} {'best10%':>8s} {'gini*100':>9s} {'gap':>7s}"
     print(header)
     print("-" * len(header))
-    for method in args.methods.split(","):
-        rows = []
-        for seed in range(args.seeds):
-            cfg = FederationConfig(
-                k=args.clients,
-                t_rounds=args.rounds,
-                method=method.strip(),
-                setting="cross_silo",
-                b=20,
-                lr=0.3,
-                lr_decay=0.98,
-                lr_decay_step=10,
-                seed=seed,
-                data=data,
-            )
-            acc = run_federation(cfg).client_accuracy
-            _, best10 = metrics.worst_best(acc, 0.1)
-            rows.append(
-                (acc.mean(), acc.min(), best10, 100 * metrics.gini(acc), metrics.accuracy_parity_gap(acc))
-            )
-        mean = np.mean(rows, axis=0)
-        print(f"{method:10s} {mean[0]:7.3f} {mean[1]:7.3f} {mean[2]:8.3f} {mean[3]:9.3f} {mean[4]:7.3f}")
+    with tempfile.TemporaryDirectory() as out:
+        parsed = cli.parse_config(CONFIG, out_dir=out, seeds=range(args.seeds))
+        for method in args.methods.split(","):
+            configs = [
+                dataclasses.replace(
+                    cfg,
+                    method=method.strip(),
+                    k=args.clients,
+                    t_rounds=args.rounds,
+                    data=dataclasses.replace(cfg.data, dirichlet_concentration=args.concentration),
+                )
+                for cfg in parsed.configs
+            ]
+            suite = cli.ExperimentSuite(configs, parsed.out_dir)
+            if cli.run_suite(suite, jobs=os.cpu_count() or 1) != 0:
+                sys.exit(f"fairness_comparison: a {method} run failed")
+            rows = []
+            for cfg in configs:
+                s = json.loads((suite.out_dir / "runs" / f"{cli.run_id_for(cfg)}.summary.json").read_text())
+                rows.append(
+                    (s["avg_accuracy"], s["worst_accuracy"], s["best10_accuracy"], 100 * s["gini"], s["accuracy_parity_gap"])
+                )
+            mean = np.mean(rows, axis=0)
+            print(f"{method:10s} {mean[0]:7.3f} {mean[1]:7.3f} {mean[2]:8.3f} {mean[3]:9.3f} {mean[4]:7.3f}")
 
 
 if __name__ == "__main__":

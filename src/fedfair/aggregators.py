@@ -129,14 +129,23 @@ def baseline_response(params: BaselineParams, losses: np.ndarray) -> np.ndarray:
     raise InvalidInputError(f"unknown baseline {method!r}")  # pragma: no cover
 
 
+def _exp_weights(w: np.ndarray) -> np.ndarray:
+    """The simplex point proportional to exp(w), computed in place in ``w``
+    with its max subtracted first so that no entry overflows."""
+    w -= w.max()
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
+
+
 def eg_step(prev: np.ndarray, response: np.ndarray, eta: float) -> np.ndarray:
     """Multiplicative-weights update p_i' proportional to p_i exp(r_i / eta).
 
     Computed in the log domain (max subtracted before exponentiation) so that
     large responses, e.g. from the q -> inf minimax limit, cannot overflow;
     a response / eta beyond the float range raises InvalidInputError.
-    Zero-support entries stay zero; a nonzero response there is ignored with
-    a warning since the entropic update cannot revive dead coordinates.
+    A zero entry of ``prev`` stays zero whatever its response (log 0 = -inf),
+    and no warning is logged.
     """
     prev = np.asarray(prev, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -152,15 +161,9 @@ def eg_step(prev: np.ndarray, response: np.ndarray, eta: float) -> np.ndarray:
         scaled = response / eta
     if not np.all(np.isfinite(scaled)):
         raise InvalidInputError(f"response / step size overflows the float range at step size {eta!r}")
-    dead = prev == 0.0
-    if np.any(dead & (response != 0.0)):
-        logger.warning("entropic step: %d zero-support entries carry nonzero response",
-                       int(np.sum(dead & (response != 0.0))))
     with np.errstate(divide="ignore"):
-        w = np.where(dead, -np.inf, np.log(np.where(dead, 1.0, prev))) + scaled
-    w -= w.max()
-    p = np.exp(w)
-    return p / p.sum()
+        w = np.log(prev) + scaled
+    return _exp_weights(w)
 
 
 @dataclass(frozen=True)
@@ -292,10 +295,7 @@ def ftrl_eg_step(state: FtrlState, gradient: np.ndarray) -> tuple[FtrlState, np.
     if k == 1:
         return new_state, np.ones(1)
     eta = state.l_inf * np.sqrt(t_new + 1.0) / np.sqrt(np.log(k))
-    w = -cum / eta
-    w -= w.max()
-    p = np.exp(w)
-    return new_state, p / p.sum()
+    return new_state, _exp_weights(-cum / eta)
 
 
 def cumulative_loss(p: np.ndarray, responses: np.ndarray) -> float:
@@ -329,10 +329,7 @@ def _entropic_warm_start(r, p, budget, target_gap):
             # log(0) = -inf is the correct limit for coordinates driven to
             # zero; the multiplicative update keeps them there.
             with np.errstate(divide="ignore"):
-                w = np.log(p) - step * grad
-            w -= w.max()
-            cand = np.exp(w)
-            cand /= cand.sum()
+                cand = _exp_weights(np.log(p) - step * grad)
             f_cand = cumulative_loss(cand, r)
             if f_cand <= f + 1e-4 * float(grad @ (cand - p)):
                 accepted = True

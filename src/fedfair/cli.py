@@ -221,10 +221,8 @@ def _json_line(payload: dict) -> str:
 
 def _meta_line(result) -> dict:
     cfg = result.config
-    raw = dataclasses.asdict(cfg)
-    raw["setting"] = cfg.setting.value
-    raw["cdf"]["kind"] = cfg.cdf.kind.value
-    meta = {"type": "meta", "schema": SCHEMA_VERSION, "config": raw}
+    # The str enums (setting, cdf.kind) encode as, and equal, their values.
+    meta = {"type": "meta", "schema": SCHEMA_VERSION, "config": dataclasses.asdict(cfg)}
     if not cfg.adaptive:
         meta["train_sizes"] = result.train_sizes.tolist()
     return meta
@@ -341,7 +339,7 @@ def summary_from_log(result: RunResult, curves: tuple[list, list]) -> dict:
         "final_system_loss": -float(records[-1].decision_loss),
         "final_decision_entropy": entropy[-1],
         "per_client_accuracy": accuracy.tolist(),
-        "config": _meta_line(result)["config"],
+        "config": dataclasses.asdict(cfg),
         "error": None,
     }
 

@@ -137,9 +137,10 @@ def minimize_quadratic(
             d = x_new - x
             bx_new = b @ x_new
             f_new = float(x_new @ (bx_new + lin2))
-            # d @ d stays a numpy scalar: a step that underflows to 0 (B near
-            # the float range) then divides to nan, where a float would raise.
-            if f_new <= f_x + float(grad @ d) + (d @ d) / (2.0 * step) + 1e-18:
+            # A trial that does not move passes, and is accepted before a step
+            # that underflowed to 0 (B near the float range) makes this 0/0.
+            dd = d @ d
+            if dd == 0.0 or f_new <= f_x + float(grad @ d) + dd / (2.0 * step) + 1e-18:
                 break
             step *= 0.5
         move = float(abs(d).max())

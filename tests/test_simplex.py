@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,13 +258,19 @@ class TestProjectMahalanobis:
         assert is_simplex(x)
         assert_kkt(x, v, b)
 
-    def test_metric_near_the_float_range_keeps_a_feasible_point(self):
-        # The row-sum bound overflows, so every step size is 0; the
-        # backtracking test then divides by a zero step and must not raise.
+    def test_metric_near_the_float_range_keeps_a_feasible_point(self, monkeypatch):
+        # The row-sum bound overflows, so every step size is 0 and the first
+        # trial does not move: it is accepted without dividing by the zero
+        # step, and the iteration stops.
+        calls = []
+        project = simplex.project_euclidean
+        monkeypatch.setattr(simplex, "project_euclidean", lambda v: calls.append(v) or project(v))
         v = np.array([0.2, 0.3, 0.5])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = simplex.project_mahalanobis(v, 1.7e308 * np.eye(3))
         np.testing.assert_array_equal(got, v)
+        assert len(calls) == 2
 
     def test_metric_overflowing_on_a_finite_input_names_the_metric(self):
         # v is finite, but B v overflows: the metric is at fault, not v.
