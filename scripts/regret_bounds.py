@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from fedfair import decision, metrics
+from fedfair import cli, decision, metrics
 from fedfair.aggregators import FtrlState, OnsState, ftrl_eg_step, ons_step
 from fedfair.transform import ResponseRange
 
@@ -78,7 +78,7 @@ def play_sampled(seed, k=50, t=2000, c=0.1):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=20, help="seeds per harness")
+    parser.add_argument("--seeds", type=cli.positive_int, default=20, help="seeds per harness")
     args = parser.parse_args()
 
     for name, harness in (("ons", play_ons), ("ftrl", play_ftrl), ("sampled", play_sampled)):

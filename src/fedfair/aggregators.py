@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import simplex
-from .errors import ConvergenceError, InvalidInputError
+from .errors import STEP_SIZE, ConfigError, ConvergenceError, InvalidInputError, at_least, require_valid
 
 logger = logging.getLogger(__name__)
 
@@ -45,9 +45,9 @@ class BaselineParams:
 
     method: BaselineMethod
     sample_sizes: np.ndarray
-    q: float = 1.0
-    tilt: float = 1.0
-    m: float = 3.0
+    q: float = field(default=1.0, metadata={"bound": at_least(0)})
+    tilt: float = field(default=1.0, metadata={"bound": STEP_SIZE})
+    m: float = field(default=3.0, metadata={"bound": at_least(1)})
 
     def __post_init__(self):
         object.__setattr__(self, "method", BaselineMethod(self.method))
@@ -55,14 +55,10 @@ class BaselineParams:
         if sizes.ndim != 1 or sizes.size < 1 or np.any(sizes < 1):
             raise InvalidInputError("sample sizes must be a vector of values >= 1")
         object.__setattr__(self, "sample_sizes", sizes)
-        if not np.all(np.isfinite([self.q, self.tilt, self.m])):
-            raise InvalidInputError("q, tilt and m must be finite")
-        if self.q < 0:
-            raise InvalidInputError("q must be >= 0")
-        if self.tilt <= 0 or np.isinf(1 / self.tilt):
-            raise InvalidInputError("tilt must be > 0 with a finite step size 1/tilt")
-        if self.m < 1:
-            raise InvalidInputError("baseline constant m must be >= 1")
+        try:
+            require_valid(self)
+        except ConfigError as err:
+            raise InvalidInputError(str(err)) from None
 
     @property
     def prior(self) -> np.ndarray:

@@ -510,14 +510,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jobs(raw: str) -> int:
+def positive_int(raw: str) -> int:
+    """An argparse type: ``raw`` as an integer >= 1."""
     try:
-        jobs = int(raw)
+        n = int(raw)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        n = 0
+    if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
-    return jobs
+    return n
 
 
 def main(argv=None) -> int:
@@ -530,7 +531,7 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--out", default=None, help="output directory (default: config's 'out' or ./results)")
     run_p.add_argument("--seeds", default=None, help="comma-separated seeds overriding the config")
-    run_p.add_argument("--jobs", type=_jobs, default=1, metavar="N", help="up to N seeds at a time in forked processes (POSIX)")
+    run_p.add_argument("--jobs", type=positive_int, default=1, metavar="N", help="up to N seeds at a time in forked processes (POSIX)")
     run_p.add_argument("--validate-only", action="store_true", help="parse and validate, run nothing")
 
     level = os.environ.get("FEDFAIR_LOG", "warning").upper()

@@ -18,11 +18,11 @@ SeedSequence nor a new bit generator per (round, client) stream.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import POSITIVE, ConfigError, at_least, require_valid
 
 # Cluster geometry: unit noise with means one noise-std apart keeps the
 # classification task genuinely hard, so weighting choices show up in
@@ -161,29 +161,17 @@ class SyntheticDataSpec:
     feature_shift the magnitude of each client's private input offset.
     """
 
-    input_dim: int = 10
-    num_classes: int = 5
-    samples_per_client_mean: int = 100
-    samples_per_client_spread: int = 0
-    dirichlet_concentration: float = 0.5
-    feature_shift: float = 0.0
+    input_dim: int = field(default=10, metadata={"bound": at_least(1)})
+    num_classes: int = field(default=5, metadata={"bound": at_least(2)})
+    samples_per_client_mean: int = field(default=100, metadata={"bound": at_least(1)})
+    samples_per_client_spread: int = field(default=0, metadata={"bound": at_least(0)})
+    dirichlet_concentration: float = field(default=0.5, metadata={"bound": POSITIVE})
+    feature_shift: float = field(default=0.0, metadata={"bound": at_least(0)})
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ConfigError("data.input_dim", "must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigError("data.num_classes", "must be >= 2")
-        if self.samples_per_client_mean < 1:
-            raise ConfigError("data.samples_per_client_mean", "must be >= 1")
-        if self.samples_per_client_spread < 0:
-            raise ConfigError("data.samples_per_client_spread", "must be >= 0")
+        require_valid(self, "data.")
         if self.samples_per_client_spread >= self.samples_per_client_mean:
             raise ConfigError("data.samples_per_client_spread", "must be < mean")
-        if self.dirichlet_concentration <= 0:
-            raise ConfigError("data.dirichlet_concentration", "must be > 0")
-        if self.feature_shift < 0:
-            raise ConfigError("data.feature_shift", "must be >= 0")
-        require_finite(self, "data.")
 
     @property
     def min_samples(self) -> int:

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the finiteness check of
-the config dataclasses."""
+"""Exception types shared across the package, and the one check of the
+config dataclasses' numeric fields: each field declares its valid range as a
+``bound`` in its ``dataclasses.field`` metadata, and ``require_valid``
+enforces every bound."""
 
 import dataclasses
 import math
@@ -57,10 +59,26 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def require_finite(config, prefix=""):
-    """Raise ConfigError naming the first numeric field of the dataclass
-    ``config`` that is not finite; ``prefix`` dots nested names (``cdf.``)."""
+def at_least(n):
+    """The bound of a field that must be >= ``n``."""
+    return (lambda v: v >= n, f"must be >= {n}")
+
+
+POSITIVE = (lambda v: v > 0, "must be > 0")
+UNIT_FRACTION = (lambda v: 0 < v <= 1, "must be in (0,1]")
+# A field used as 1/v: a subnormal v is > 0, but its reciprocal overflows.
+STEP_SIZE = (lambda v: v > 0 and math.isfinite(1 / v), "must be > 0 with a finite reciprocal")
+
+
+def require_valid(config, prefix=""):
+    """Raise ConfigError naming the first field of the dataclass ``config``,
+    in field order, whose number is not finite or whose value breaks the
+    ``(holds, text)`` pair in its metadata's ``bound``; a None value has no
+    bound. ``prefix`` dots nested names (``cdf.``)."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if isinstance(value, numbers.Real) and not math.isfinite(value):
             raise ConfigError(prefix + f.name, "must be finite")
+        bound = f.metadata.get("bound")
+        if bound is not None and value is not None and not bound[0](value):
+            raise ConfigError(prefix + f.name, bound[1])

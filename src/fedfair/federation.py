@@ -33,7 +33,8 @@ from .datasets import (
     stream,  # noqa: F401 - no run calls it; bench/spans.py rebinds federation.stream
     stream_keys,
 )
-from .errors import ConfigError, DegenerateSubsetError, DivergenceError, require_finite
+from .errors import POSITIVE, STEP_SIZE, UNIT_FRACTION, at_least, require_valid
+from .errors import ConfigError, DegenerateSubsetError, DivergenceError
 from .transform import CdfSpec, ResponseRange, Setting, default_range, transform_responses
 
 logger = logging.getLogger(__name__)
@@ -47,41 +48,31 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class FederationConfig:
     """Full description of one simulated federation run."""
 
-    k: int
-    t_rounds: int
+    k: int = field(metadata={"bound": at_least(2)})
+    t_rounds: int = field(metadata={"bound": at_least(1)})
     method: str
     setting: Setting
-    c: float = 1.0
-    e: int = 1
-    b: int = 20
-    lr: float = 0.1
-    lr_decay: float = 1.0
-    lr_decay_step: int = 1
-    weight_decay: float = 0.0
-    seed: int = 0
+    c: float = field(default=1.0, metadata={"bound": UNIT_FRACTION})
+    e: int = field(default=1, metadata={"bound": at_least(1)})
+    b: int = field(default=20, metadata={"bound": at_least(1)})
+    lr: float = field(default=0.1, metadata={"bound": POSITIVE})
+    lr_decay: float = field(default=1.0, metadata={"bound": UNIT_FRACTION})
+    lr_decay_step: int = field(default=1, metadata={"bound": at_least(1)})
+    weight_decay: float = field(default=0.0, metadata={"bound": at_least(0)})
+    seed: int = field(default=0, metadata={"bound": at_least(0)})
     cdf: CdfSpec = field(default_factory=CdfSpec)
     data: SyntheticDataSpec = field(default_factory=SyntheticDataSpec)
-    qfedavg_q: float = 1.0
-    term_lambda: float = 1.0
-    propfair_m: float = 3.0
-    afl_q: float = aggregators.DEFAULT_AFL_Q
+    qfedavg_q: float = field(default=1.0, metadata={"bound": at_least(0)})
+    term_lambda: float = field(default=1.0, metadata={"bound": STEP_SIZE})
+    propfair_m: float = field(default=3.0, metadata={"bound": at_least(1)})
+    afl_q: float = field(default=aggregators.DEFAULT_AFL_Q, metadata={"bound": at_least(0)})
 
     def __post_init__(self):
         try:
             object.__setattr__(self, "setting", Setting(self.setting))
         except ValueError:
             raise ConfigError("setting", f"must be one of {[s.value for s in Setting]}") from None
-        require_finite(self)
-        if self.k < 2:
-            raise ConfigError("k", "must be >= 2")
-        if self.t_rounds < 1:
-            raise ConfigError("t_rounds", "must be >= 1")
-        if not (0 < self.c <= 1):
-            raise ConfigError("c", "c must be in (0,1]")
-        if self.e < 1:
-            raise ConfigError("e", "must be >= 1")
-        if self.b < 1:
-            raise ConfigError("b", "must be >= 1")
+        require_valid(self)
         # Standardizing sums each feature's squared deviation from its mean over
         # every row. A deviation is at most twice the shift plus the noise, so
         # these sums stay finite where (4 shift)^2 times the largest possible
@@ -98,16 +89,6 @@ class FederationConfig:
                 "data.samples_per_client_mean",
                 f"minimum client sample count {self.data.min_samples} is below the batch size {self.b}",
             )
-        if self.lr <= 0:
-            raise ConfigError("lr", "must be > 0")
-        if not (0 < self.lr_decay <= 1):
-            raise ConfigError("lr_decay", "must be in (0,1]")
-        if self.lr_decay_step < 1:
-            raise ConfigError("lr_decay_step", "must be >= 1")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay", "must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
         if self.method not in aggregators.STRATEGIES:
             raise ConfigError("method", f"must be one of {aggregators.STRATEGIES}")
         if self.method == ADAPTIVE_DEVICE and self.setting is not Setting.CROSS_DEVICE:
@@ -116,14 +97,6 @@ class FederationConfig:
             raise ConfigError("method", f"{ADAPTIVE_SILO!r} requires setting=cross_silo")
         if self.setting is Setting.CROSS_SILO and self.c != 1.0:
             raise ConfigError("c", "cross_silo runs use full participation; set c = 1")
-        if self.qfedavg_q < 0:
-            raise ConfigError("qfedavg_q", "must be >= 0")
-        if self.term_lambda <= 0 or math.isinf(1 / self.term_lambda):
-            raise ConfigError("term_lambda", "must be > 0 with a finite step size 1/term_lambda")
-        if self.propfair_m < 1:
-            raise ConfigError("propfair_m", "must be >= 1")
-        if self.afl_q < 0:
-            raise ConfigError("afl_q", "must be >= 0")
 
     # The three below are computed once per config: a cross-device round
     # reads each of them.

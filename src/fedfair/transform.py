@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, require_finite
+from .errors import POSITIVE, ConfigError, InvalidInputError, require_valid
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +48,8 @@ class CdfSpec:
     """A named distribution with scale and shape parameters."""
 
     kind: CdfKind = CdfKind.WEIBULL
-    scale: float = 1.0
-    shape: float | None = None
+    scale: float = field(default=1.0, metadata={"bound": POSITIVE})
+    shape: float | None = field(default=None, metadata={"bound": POSITIVE})
 
     def __post_init__(self):
         try:
@@ -57,13 +57,9 @@ class CdfSpec:
         except ValueError:
             raise ConfigError("cdf.kind", f"must be one of {[k.value for k in CdfKind]}") from None
         object.__setattr__(self, "kind", kind)
-        if self.scale <= 0:
-            raise ConfigError("cdf.scale", "must be > 0")
+        require_valid(self, "cdf.")
         if self.shape is None:
             object.__setattr__(self, "shape", _DEFAULT_SHAPE[kind])
-        elif self.shape <= 0:
-            raise ConfigError("cdf.shape", "must be > 0")
-        require_finite(self, "cdf.")
 
 
 @dataclass(frozen=True)

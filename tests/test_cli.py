@@ -160,7 +160,7 @@ class TestParseConfig:
 
     def test_c_zero_rejected_with_field_message(self, tmp_path):
         bad = MINIMAL + "c = 0\n"
-        with pytest.raises(ConfigError, match=r"c: c must be in \(0,1\]"):
+        with pytest.raises(ConfigError, match=r"^c: must be in \(0,1\]$"):
             cli.parse_config(write_config(tmp_path, bad))
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fairness_comparison
+import regret_bounds
 from fedfair import cli, metrics
 from fedfair.datasets import SyntheticDataSpec
 from fedfair.federation import FederationConfig, run_federation
@@ -67,3 +68,34 @@ def test_fairness_comparison_names_the_method_of_a_failed_run(monkeypatch, capsy
         fairness_comparison.main()
     assert exc.value.code != 0
     assert "fedavg" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--methods", "fedavg,aaggff-d"], "config error: method: 'aaggff-d' requires setting=cross_device"),
+        (["--clients", "1"], "config error: k: must be >= 2"),
+        (["--rounds", "0"], "config error: t_rounds: must be >= 1"),
+        (["--seeds", "0"], "config error: --seeds: must be >= 1"),
+    ],
+)
+def test_fairness_comparison_bad_flag_exits_1_before_any_run(monkeypatch, capsys, args, message):
+    runs = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, jobs: runs.append(suite) or 0)
+    monkeypatch.setattr(sys, "argv", ["fairness_comparison.py", *ARGS, *args])
+    with pytest.raises(SystemExit) as exc:
+        fairness_comparison.main()
+    # sys.exit with a message prints it to stderr and exits 1.
+    assert exc.value.code == message
+    assert runs == [] and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1", "x"])
+def test_regret_bounds_rejects_fewer_than_one_seed_at_the_flag(monkeypatch, capsys, seeds):
+    monkeypatch.setattr(sys, "argv", ["regret_bounds.py", "--seeds", seeds])
+    with pytest.raises(SystemExit) as exc:
+        regret_bounds.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"regret_bounds.py: error: argument --seeds: expected an integer >= 1, got {seeds!r}"
+    assert "Traceback" not in err
