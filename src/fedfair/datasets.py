@@ -10,8 +10,9 @@ Every random draw of a run comes from a named stream: a Philox generator
 whose key is exactly the one ``np.random.SeedSequence(seed,
 spawn_key=path).generate_state(2, np.uint64)`` gives. ``stream_keys``
 takes the seed's hashed pool from numpy's ``SeedSequence(seed)`` and mixes
-many paths into it in one vectorized pass, and ``rekey`` points one
-existing Philox at the start of any of them, so a run pays for neither a
+many paths into it in one vectorized pass. ``streams`` points one existing
+Philox at the start of each of a sequence of them in turn, reusing one
+state dict, and ``rekey`` at the start of one, so a run pays for neither a
 SeedSequence nor a new bit generator per (round, client) stream.
 """
 
@@ -30,6 +31,11 @@ from .errors import POSITIVE, ConfigError, at_least, require_valid
 _CLASS_SEPARATION = 1.0
 _NOISE_STD = 1.0
 _TEST_FRACTION = 0.2
+
+# numpy's Dirichlet normalizes one gamma draw per class (a sequential sum,
+# then a multiply by its reciprocal) when the largest concentration is at
+# least this; below it, it breaks sticks with beta draws.
+_GAMMA_DIRICHLET = 0.1
 
 # Rows per block of generate_federation's row-wise passes: enough to amortize
 # each numpy call, few enough that a block's temporaries stay in cache.
@@ -120,24 +126,38 @@ def stream_keys(seed: int, *path) -> np.ndarray:
 _FRESH = [0, 0, 0, 0]
 
 
-def rekey(rng: np.random.Generator, key) -> np.random.Generator:
-    """Point ``rng``'s Philox at the start of the stream with Philox ``key``
-    (one row of ``stream_keys``) and return it.
+def streams(rng: np.random.Generator, keys):
+    """Yield ``rng`` once per Philox key of ``keys`` (rows of ``stream_keys``,
+    best as lists of ints), each time pointed at the start of that key's
+    stream.
 
     The counter, the output buffer and the buffered 32-bit half are all
-    reset, so the draws that follow equal a fresh ``Generator(Philox(key=key))``
-    whatever was drawn before. A run keeps its own generator: one rekeyed
-    Generator is one live stream at a time.
+    reset, so the draws made before the next yield equal those of a fresh
+    ``Generator(Philox(key=key))`` whatever was drawn before. One state dict
+    serves every key: only its key changes, and the Philox setter copies it.
+    A run keeps its own generator: one rekeyed Generator is one live stream
+    at a time.
     """
-    rng.bit_generator.state = {
+    philox = {"counter": _FRESH, "key": None}
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": _FRESH, "key": key},
+        "state": philox,
         "buffer": _FRESH,
         "buffer_pos": 4,  # the buffer's size: nothing buffered
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
+    bit_generator = rng.bit_generator
+    for key in keys:
+        philox["key"] = key
+        bit_generator.state = state
+        yield rng
+
+
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """Point ``rng``'s Philox at the start of the stream with Philox ``key``
+    and return it: ``streams`` of one key."""
+    return next(streams(rng, (key,)))
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -225,8 +245,9 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     ``min_batch`` is the local batch size the training loop will use; client
     sample counts below it are a configuration error.
 
-    Client i draws, from stream (STREAM_DATA, 1 + i), its label mix, sample
-    count, labels, shift direction and noise; the class means come from
+    Client i draws, from stream (STREAM_DATA, 1 + i), its label mix (the
+    bits of ``rng.dirichlet``), sample count, labels, shift direction and
+    noise; the class means come from
     (STREAM_DATA, 0). The labels equal ``rng.choice(num_classes, size=n,
     p=label_mix)``: the client draws the n ``rng.random`` values that
     ``choice`` would, and ``choice``'s inverse-CDF lookup maps every row's
@@ -257,24 +278,34 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
 
     ids = 1 + np.arange(k)
     lo, hi = spec.min_samples, spec.samples_per_client_mean + spec.samples_per_client_spread
-    alpha = np.full(classes, spec.dirichlet_concentration)
+    concentration = spec.dirichlet_concentration
+    gamma_mix = concentration >= _GAMMA_DIRICHLET
+    alpha = np.full(classes, concentration)
     probs = np.empty((k, classes))
     sizes = np.empty(k, dtype=np.intp)
     directions = np.zeros((k, dim))
     sq_norms = np.ones(k)
     uniforms = np.empty(k * hi)
     x = np.empty((k * hi, dim))
+    shifted = spec.feature_shift > 0
+    dirichlet, standard_gamma, integers = rng.dirichlet, rng.standard_gamma, rng.integers
+    uniform, standard_normal = rng.random, rng.standard_normal
     total = 0
-    for i, key in enumerate(stream_keys(seed, STREAM_DATA, ids).tolist()):
-        rekey(rng, key)
-        probs[i] = rng.dirichlet(alpha)
-        n = sizes[i] = rng.integers(lo, hi + 1)
-        rng.random(out=uniforms[total : total + n])
-        if spec.feature_shift > 0:
-            rng.standard_normal(out=directions[i])
+    for i, _ in enumerate(streams(rng, stream_keys(seed, STREAM_DATA, ids).tolist())):
+        if gamma_mix:
+            standard_gamma(concentration, out=probs[i])  # normalized after the loop
+        else:
+            probs[i] = dirichlet(alpha)
+        n = int(integers(lo, hi + 1))
+        sizes[i] = n
+        uniform(out=uniforms[total : total + n])
+        if shifted:
+            standard_normal(out=directions[i])
             sq_norms[i] = directions[i].dot(directions[i])
-        rng.standard_normal(out=x[total : total + n])
+        standard_normal(out=x[total : total + n])
         total += n
+    if gamma_mix:
+        probs *= 1.0 / probs.cumsum(axis=1)[:, -1:]
     # Give back the rows no client drew; nothing else refers to the buffer.
     x.resize((total, dim), refcheck=False)
     uniforms.resize(total, refcheck=False)
@@ -317,14 +348,16 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     del owner, group
     ends = np.cumsum(counts)
     starts = ends - counts
-    split_keys = stream_keys(seed, STREAM_DATA, ids, 0).tolist()
-    client = -1
     shuffled = np.flatnonzero(counts > 1)  # shuffling one row draws nothing
-    for g, start, end in zip(shuffled.tolist(), starts[shuffled].tolist(), ends[shuffled].tolist()):
-        if g // classes != client:
-            client = g // classes
-            rekey(rng, split_keys[client])
-        rng.shuffle(order[start:end])
+    client = shuffled // classes
+    first = np.ones(shuffled.size, dtype=bool)  # a client's first shuffled group
+    np.not_equal(client[1:], client[:-1], out=first[1:])
+    keyed = streams(rng, stream_keys(seed, STREAM_DATA, 1 + client[first], 0).tolist())
+    shuffle = rng.shuffle
+    for start, end, rekeyed in zip(starts[shuffled].tolist(), ends[shuffled].tolist(), first.tolist()):
+        if rekeyed:
+            next(keyed)
+        shuffle(order[start:end])
     n_test = np.floor(_TEST_FRACTION * counts).astype(np.intp)
     first_of_group = np.arange(total) - np.repeat(starts, counts) < np.repeat(n_test, counts)
     is_test = np.zeros(total, dtype=bool)

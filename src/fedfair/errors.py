@@ -74,11 +74,17 @@ def require_valid(config, prefix=""):
     """Raise ConfigError naming the first field of the dataclass ``config``,
     in field order, whose number is not finite or whose value breaks the
     ``(holds, text)`` pair in its metadata's ``bound``; a None value has no
-    bound. ``prefix`` dots nested names (``cdf.``)."""
+    bound. An integer beyond the float range is rejected as such, since the
+    numerics take it as a float. ``prefix`` dots nested names (``cdf.``)."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise ConfigError(prefix + f.name, "must be finite")
+        if isinstance(value, numbers.Real):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                raise ConfigError(prefix + f.name, "must be within the float range") from None
+            if not finite:
+                raise ConfigError(prefix + f.name, "must be finite")
         bound = f.metadata.get("bound")
         if bound is not None and value is not None and not bound[0](value):
             raise ConfigError(prefix + f.name, bound[1])

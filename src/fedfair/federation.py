@@ -32,6 +32,7 @@ from .datasets import (
     rekey,
     stream,  # noqa: F401 - no run calls it; bench/spans.py rebinds federation.stream
     stream_keys,
+    streams,
 )
 from .errors import POSITIVE, STEP_SIZE, UNIT_FRACTION, at_least, require_valid
 from .errors import ConfigError, DegenerateSubsetError, DivergenceError
@@ -221,7 +222,9 @@ class Cohort:
     training rows in ``subset`` order, each with a trailing 1 for the bias,
     then one zero row that minibatch padding points at; client j's rows
     start at ``starts[j]``. ``y`` holds the rows' labels and ``onehot`` the
-    same labels as rows of booleans, the zero row's all False. ``picks``
+    same labels as a (classes, rows + 1) table of booleans, class-major like
+    the logits, so its column for row r is True at r's label only, and the
+    zero row's column is all False. ``picks``
     holds each training row's flat index into the (classes, rows) logits of
     the loss pass: the logit of the row's label. The step plan sorts clients
     by step count, most first (``order``), so the clients still training at
@@ -253,7 +256,7 @@ class Cohort:
             **{name: np.empty(m, dtype=np.intp) for name in ("subset", "sizes", "starts", "order")},
             "x": np.empty((rows + 1) * cols),
             "y": np.empty(rows + 1, dtype=np.intp),
-            "onehot": np.empty((rows + 1) * classes, dtype=bool),
+            "onehot": np.empty(classes * (rows + 1), dtype=bool),
             "picks": np.empty(rows, dtype=np.intp),
             "slots": np.empty(slots, dtype=np.intp),
             "counts": np.empty(slots // batch_size, dtype=np.intp),
@@ -267,8 +270,10 @@ class Cohort:
         self.params = np.empty((m, classes, cols))
         self.batch = np.empty((m, batch_size), dtype=np.intp)
         self.batch_x = np.empty((m, batch_size, cols))
-        self.batch_onehot = np.empty((m, batch_size, classes), dtype=bool)
-        self.probs = np.empty((m, classes, batch_size))
+        # Flat: a step of the first a clients views the leading part as
+        # (classes, a, b), class-major like the loss pass's logits.
+        self.batch_onehot = np.empty(classes * m * batch_size, dtype=bool)
+        self.probs = np.empty(classes * m * batch_size)
         self.batch_reduced = np.empty((m, batch_size))
         self.grad = np.empty((m, classes, cols))
         self.decay = np.empty((m, classes, cols))
@@ -306,9 +311,9 @@ class Cohort:
         self.y = y = lead("y", total + 1)
         y[:total] = fed.y_train[gather]
         y[total] = 0
-        self.onehot = onehot = lead("onehot", total + 1, self.model.num_classes)
+        self.onehot = onehot = lead("onehot", self.model.num_classes, total + 1)
         onehot.fill(False)
-        onehot[index, y[:total]] = True
+        onehot[y[:total], index] = True
         self.picks = picks = np.multiply(y[:total], total, out=lead("picks", total))
         picks += index
 
@@ -392,10 +397,10 @@ def train_clients(
         rng = np.random.Generator(np.random.Philox(key=0))
     rows = cohort.rows
     rows[...] = cohort.slots
-    for key, shuffles in zip(np.asarray(keys)[order].tolist(), cohort.shuffles):
-        rekey(rng, key)
-        for shuffle in shuffles:
-            rng.shuffle(shuffle)
+    shuffle = rng.shuffle
+    for _, shuffles in zip(streams(rng, np.asarray(keys)[order].tolist()), cohort.shuffles):
+        for rows_of_epoch in shuffles:
+            shuffle(rows_of_epoch)
 
     for epoch_rows in rows:
         for s, a in enumerate(cohort.active.tolist()):
@@ -421,19 +426,31 @@ def train_clients(
 def _sgd_step(cohort: Cohort, params, batch, counts, lr: float, weight_decay: float) -> None:
     """One minibatch SGD step of the first ``a`` sorted clients of
     ``cohort``, in place on their ``params`` (a, classes, input_dim + 1).
-    ``batch`` (a, b) holds the rows of the cohort's ``x`` and ``onehot`` in
-    each client's minibatch, padding slots pointing at the zero row, and
-    ``counts`` (a,) each client's number of real rows."""
-    a = batch.shape[0]
+    ``batch`` (a, b) holds the rows of the cohort's ``x`` (and columns of
+    its ``onehot``) in each client's minibatch, padding slots pointing at
+    the zero row, and ``counts`` (a,) each client's number of real rows.
+
+    The probabilities and the gathered labels are class-major, (classes, a,
+    b) views of the leading part of the cohort's flat buffers, so the
+    softmax's max and sum run over whole contiguous (a, b) slabs, one class
+    after another. Both matmuls see each client's (classes, b) block
+    through a transposed view, so they make the same BLAS calls on the same
+    values as a batch-major (a, classes, b) layout, whose sum over classes
+    numpy also takes in order at b >= 2 (at b = 1 it sums 8 or more
+    contiguous classes pairwise)."""
+    a, b = batch.shape
+    shape = (params.shape[1], a, b)
+    size = math.prod(shape)
     xb = np.take(cohort.x, batch, axis=0, out=cohort.batch_x[:a], mode="clip")
-    probs = np.matmul(params, xb.transpose(0, 2, 1), out=cohort.probs[:a])
-    reduced = cohort.batch_reduced[:a, None, :]
-    probs -= np.max(probs, axis=1, keepdims=True, out=reduced)
+    probs = cohort.probs[:size].reshape(shape)
+    np.matmul(params, xb.transpose(0, 2, 1), out=probs.transpose(1, 0, 2))
+    reduced = cohort.batch_reduced[:a]
+    probs -= np.maximum.reduce(probs, axis=0, out=reduced)
     np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=1, keepdims=True, out=reduced)
-    onehot = np.take(cohort.onehot, batch, axis=0, out=cohort.batch_onehot[:a], mode="clip")
-    probs -= onehot.transpose(0, 2, 1)
-    g = np.matmul(probs, xb, out=cohort.grad[:a])
+    probs /= np.add.reduce(probs, axis=0, out=reduced)
+    onehot = cohort.batch_onehot[:size].reshape(shape)
+    probs -= np.take(cohort.onehot, batch, axis=1, out=onehot, mode="clip")
+    g = np.matmul(probs.transpose(1, 0, 2), xb, out=cohort.grad[:a])
     g /= counts[:, None, None]
     if weight_decay:
         g += np.multiply(weight_decay, params, out=cohort.decay[:a])

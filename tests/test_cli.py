@@ -685,6 +685,13 @@ class TestRunSuite:
         assert "1 run(s) validated" in capsys.readouterr().out
         assert not out.exists()
 
+    def test_integer_beyond_the_float_range_exits_1_naming_the_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL.replace("k = 2", "k = 1" + "0" * 400))
+        assert cli.main(["run", str(path), "--validate-only"]) == 1
+        out, err = capsys.readouterr()
+        assert err.strip() == "config error: k: must be within the float range"
+        assert "ok" not in out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, MINIMAL + "c = 0\n")
         assert cli.main(["run", str(bad)]) == 1

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedfair import datasets
-from fedfair.datasets import STREAM_DATA, SyntheticDataSpec, generate_federation, rekey, stream, stream_keys
+from fedfair.datasets import STREAM_DATA, SyntheticDataSpec, generate_federation, rekey, stream, stream_keys, streams
 from fedfair.errors import ConfigError
 from packing import unpack
 
@@ -119,17 +119,43 @@ class TestRekey:
         return (rng.integers(0, 2**31, size=3, dtype=np.int32), rng.standard_normal(5), rng.permutation(9),
                 rng.random(2))
 
+    @staticmethod
+    def assert_fresh(rng, seed, path):
+        """The draws of ``rng`` equal those of the SeedSequence-keyed stream ``path``."""
+        for a, b in zip(TestRekey.draws(rng), TestRekey.draws(seed_sequence_stream(seed, *path)), strict=True):
+            np.testing.assert_array_equal(a, b)
+
     @settings(max_examples=50, deadline=None)
-    @given(seeds, paths, paths)
-    def test_rekeyed_draws_equal_a_fresh_generator(self, seed, previous, path):
+    @given(seeds, paths, paths, st.booleans())
+    def test_rekeyed_draws_equal_a_fresh_generator(self, seed, previous, path, as_list):
         rng = stream(seed, *previous)
         # One 32-bit draw leaves the other half of a 64-bit output buffered.
         rng.integers(0, 100, dtype=np.int32)
         rng.standard_normal(3)
-        got = self.draws(rekey(rng, stream_keys(seed, *path)))
-        expected = self.draws(seed_sequence_stream(seed, *path))
-        for a, b in zip(got, expected):
-            np.testing.assert_array_equal(a, b)
+        key = stream_keys(seed, *path)
+        # rekey is streams of one key, as an array or as a list of ints.
+        assert rekey(rng, key.tolist() if as_list else key) is rng
+        self.assert_fresh(rng, seed, path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, st.lists(paths, min_size=1, max_size=6), st.data())
+    def test_streams_draw_as_fresh_generators_even_when_stopped_early(self, seed, path_list, data):
+        # Paths of one length, so that one stream_keys call keys them all.
+        path_list = [(path + [0, 0, 0])[:3] for path in path_list]
+        keys = stream_keys(seed, *np.array(path_list).T).tolist()
+        rng = stream(seed, 9)
+        rng.integers(0, 100, dtype=np.int32)  # leaves a 32-bit half buffered
+        stop = data.draw(st.integers(1, len(keys)))
+        for j, got in enumerate(streams(rng, keys)):
+            assert got is rng
+            self.assert_fresh(rng, seed, path_list[j])
+            if data.draw(st.booleans()):  # leaves a 32-bit half buffered for the next stream
+                rng.integers(0, 100, dtype=np.int32)
+            if j + 1 == stop:
+                break
+        # A loop stopped early leaves nothing behind for the next one.
+        for got, path in zip(streams(rng, keys), path_list, strict=True):
+            self.assert_fresh(got, seed, path)
 
     @settings(max_examples=30, deadline=None)
     @given(seeds, paths)
@@ -175,6 +201,27 @@ class TestGenerateFederation:
             for name, u, v in zip(("x_train", "y_train", "x_test", "y_test", "class_probs"), a, b):
                 assert u.dtype == v.dtype and u.shape == v.shape, (client, name)
                 assert u.tobytes() == v.tobytes(), (client, name)
+
+    # numpy's Dirichlet normalizes gamma draws from a concentration of 0.1 up
+    # and breaks sticks with beta draws below it; generate_federation draws
+    # the gammas itself on the one side and calls rng.dirichlet on the other.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 64),
+        st.one_of(st.floats(1e-3, 0.1, exclude_max=True), st.floats(0.1, 1e5), st.sampled_from([0.1, 0.0999999])),
+        st.integers(1, 6),
+        st.integers(0, 2**32),
+    )
+    def test_label_mixes_equal_numpy_dirichlet(self, classes, concentration, k, seed):
+        spec = SyntheticDataSpec(input_dim=1, num_classes=classes, samples_per_client_mean=4,
+                                 samples_per_client_spread=3, dirichlet_concentration=concentration)
+        fed = generate_federation(spec, k, seed)
+        for i in range(k):
+            rng = stream(seed, STREAM_DATA, 1 + i)
+            assert fed.class_probs[i].tobytes() == rng.dirichlet(np.full(classes, concentration)).tobytes()
+            # The draw after the label mix, the client's sample count, follows
+            # from the same point of the stream.
+            assert fed.train_sizes[i] + fed.test_sizes[i] == rng.integers(1, 8)
 
     @staticmethod
     def assert_equals_reference(fed, spec, k, seed):

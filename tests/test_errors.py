@@ -95,6 +95,16 @@ def test_every_bound_rejects_outside_accepts_its_edge_and_requires_finite(cls, v
 
 
 @pytest.mark.parametrize("cls, valid, prefix, exc_type, expected", CASES, ids=IDS)
+def test_an_integer_beyond_the_float_range_is_named_not_an_overflow(cls, valid, prefix, exc_type, expected):
+    """math.isfinite overflows on such an int; every bounded field, of
+    either type, names it instead."""
+    for f in bounded_fields(cls):
+        with pytest.raises(exc_type) as exc:
+            cls(**{**valid, f.name: 10**400})
+        assert str(exc.value) == f"{prefix}{f.name}: must be within the float range"
+
+
+@pytest.mark.parametrize("cls, valid, prefix, exc_type, expected", CASES, ids=IDS)
 def test_the_first_bad_field_in_field_order_is_named(cls, valid, prefix, exc_type, expected):
     """With every bounded field out of range, the error names them one by
     one in field order as each is mended."""

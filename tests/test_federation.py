@@ -314,6 +314,63 @@ class TestTrainClients:
                 assert np.array_equal(rows, offset + permuted.permutation(n)), n
 
 
+def batch_major_step(x, onehot_rows, params, batch, counts, lr, weight_decay):
+    """One minibatch step as a batch-major layout takes it, in place on
+    ``params``: probabilities (a, classes, b), softmax reductions over the
+    middle axis, and labels gathered as (a, b, classes) from ``onehot_rows``,
+    one row of booleans per row of ``x``."""
+    xb = np.take(x, batch, axis=0, mode="clip")
+    probs = np.matmul(params, xb.transpose(0, 2, 1))
+    probs -= np.max(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=1, keepdims=True)
+    probs -= np.take(onehot_rows, batch, axis=0, mode="clip").transpose(0, 2, 1)
+    g = np.matmul(probs, xb)
+    g /= counts[:, None, None]
+    if weight_decay:
+        g += weight_decay * params
+    g *= lr
+    params -= g
+
+
+class TestSgdStep:
+    # b >= 2: with one slot per minibatch the batch-major probabilities
+    # have their classes contiguous, and numpy sums 8 or more contiguous
+    # values pairwise; the class-major step sums one class after another,
+    # in the order the batch-major one takes at every b >= 2.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 10),
+        st.lists(st.integers(1, 30), min_size=1, max_size=6),
+        st.integers(2, 12),
+        st.sampled_from([0.0, 0.05]),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_class_major_step_equals_batch_major_bit_for_bit(self, classes, dim, sizes, b, wd, seed, data):
+        g = np.random.default_rng(seed)
+        clients = []
+        for n in sizes:
+            x, y = g.standard_normal((n, dim)), g.integers(0, classes, size=n)
+            clients.append((x, y, x[:0], y[:0], np.full(classes, 1 / classes)))
+        model = LogisticModel(dim, classes)
+        cohort = Cohort(model, pack(clients), range(len(sizes)), b, 1)
+        # A step s of the active prefix, or of fewer clients still; a ragged
+        # client's last minibatch has padding slots.
+        s = data.draw(st.integers(0, cohort.active.size - 1))
+        a = data.draw(st.integers(1, int(cohort.active[s])))
+        batch = np.array(cohort.slots[:a, s * b : (s + 1) * b])
+        for row in batch:
+            g.shuffle(row)
+        counts = cohort.counts[:a, s]
+        params = g.standard_normal((a, classes, dim + 1))
+        expected = params.copy()
+        federation._sgd_step(cohort, params, batch, counts, 0.3, wd)
+        batch_major_step(cohort.x, np.ascontiguousarray(cohort.onehot.T), expected, batch, counts, 0.3, wd)
+        np.testing.assert_array_equal(params, expected)
+
+
 # The read-only arrays of a cohort: the clients' data and step plan.
 PLAN = {"subset", "sizes", "starts", "x", "y", "picks", "order", "slots", "counts", "active", "onehot"}
 
