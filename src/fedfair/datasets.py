@@ -154,6 +154,18 @@ def streams(rng: np.random.Generator, keys):
         yield rng
 
 
+def shuffler(rng: np.random.Generator):
+    """``rng.shuffle`` of a 1-d array, draw for draw, without its per-call
+    overhead: the legacy ``RandomState.shuffle`` on ``rng``'s own bit
+    generator. Both run numpy's ``random_interval`` Fisher-Yates on that
+    bit generator, and leave it in the same state; the legacy one skips
+    ``Generator.shuffle``'s axis handling, and NEP 19 freezes its stream.
+    It shares the bit generator, so ``streams`` and ``rekey`` of ``rng``
+    rekey it too. Building one costs about a microsecond: build it once
+    per loop of streams, not once per stream."""
+    return np.random.RandomState(rng.bit_generator).shuffle
+
+
 def rekey(rng: np.random.Generator, key) -> np.random.Generator:
     """Point ``rng``'s Philox at the start of the stream with Philox ``key``
     and return it: ``streams`` of one key."""
@@ -223,6 +235,14 @@ def column_std(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.sqrt(scratch[0] / total)
 
 
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's ``rows[i].dot(rows[i])`` of a 2-d ``rows``, bit for bit,
+    in one call: numpy multiplies each (1, dim) by (dim, 1) pair of a stacked
+    matmul with the same ``cblas_ddot`` call. ``np.einsum`` and
+    ``(rows * rows).sum(axis=1)`` add the squares in other orders."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+
+
 @dataclass(frozen=True)
 class Federation:
     """Every client's data as whole arrays: the training rows of client 0,
@@ -251,19 +271,22 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     (STREAM_DATA, 0). The labels equal ``rng.choice(num_classes, size=n,
     p=label_mix)``: the client draws the n ``rng.random`` values that
     ``choice`` would, and ``choice``'s inverse-CDF lookup maps every row's
-    value to a label after the draw loop. Features are standardized over all
-    clients, with statistics swept ``ROW_BLOCK`` rows at a time
-    (``column_std``), so no temporary as large as the rows is made. Each
-    (client, class) group of size s >= 2 puts floor(0.2 s) of its rows in
-    the test set: the rows that ``rng.permutation(s)``, drawn from
-    (STREAM_DATA, 1 + i, 0), ranks first, found by shuffling the group's row
-    indices in place with the same draws. Every other row trains, so each
-    client has at least one training row. Rows keep their
-    drawn order within each client's train and test sets.
+    value to a label after the draw loop, counted one class at a time. The
+    shift directions' norms are taken after the loop, in one call
+    (``squared_norms``). Features are standardized over all clients, with
+    statistics swept ``ROW_BLOCK`` rows at a time (``column_std``), so no
+    temporary as large as the rows is made. Each (client, class) group of
+    size s >= 2 puts floor(0.2 s) of its rows in the test set: the rows that
+    ``rng.permutation(s)``, drawn from (STREAM_DATA, 1 + i, 0), ranks first,
+    found by shuffling the group's row indices in place with the same draws
+    (``shuffler``). Every other row trains, so each client has at least one
+    training row. Rows keep their drawn order within each client's train
+    and test sets.
 
     The rows are drawn into one buffer and split in place, so ``x_train``
     and ``x_test`` are its leading and trailing rows (and ``y_train`` and
-    ``y_test`` those of one label buffer).
+    ``y_test`` those of one label buffer). Every pass after the draw loop
+    works ``ROW_BLOCK`` rows at a time, or on the test rows alone.
     """
     if k < 1:
         raise ConfigError("k", "must be >= 1")
@@ -284,7 +307,6 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     probs = np.empty((k, classes))
     sizes = np.empty(k, dtype=np.intp)
     directions = np.zeros((k, dim))
-    sq_norms = np.ones(k)
     uniforms = np.empty(k * hi)
     x = np.empty((k * hi, dim))
     shifted = spec.feature_shift > 0
@@ -301,7 +323,6 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
         uniform(out=uniforms[total : total + n])
         if shifted:
             standard_normal(out=directions[i])
-            sq_norms[i] = directions[i].dot(directions[i])
         standard_normal(out=x[total : total + n])
         total += n
     if gamma_mix:
@@ -310,37 +331,58 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     x.resize((total, dim), refcheck=False)
     uniforms.resize(total, refcheck=False)
     owner = np.repeat(np.arange(k), sizes)
+    sq_norms = squared_norms(directions) if shifted else np.ones(k)
 
     # A row's label is how many of its client's normalized cumulative label
     # probabilities are at or below its uniform draw: choice's
-    # cdf.searchsorted(u, side="right"). The features are noise plus (class
-    # mean + client shift), standardized over all clients. Finite statistics
-    # leave every standardized feature finite; a feature shift near the
-    # float range overflows them.
+    # cdf.searchsorted(u, side="right"). It is counted one class at a time;
+    # the last class's cumulative probability, 1 (or NaN), is never at or
+    # below a uniform in [0, 1), so it counts nothing. The features are
+    # noise plus (class mean + client shift), standardized over all clients.
+    # Finite statistics leave every standardized feature finite; a feature
+    # shift near the float range overflows them.
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    labels = np.empty(total, dtype=np.int64)
+    below_by_class = cdf.T[:-1].copy()  # one contiguous row per class
+    labels = np.zeros(total, dtype=np.int64)
+    width = min(ROW_BLOCK, total)
+    column, below = np.empty(width), np.empty(width, dtype=bool)
+    offsets, client_shifts = np.empty((width, dim)), np.empty((width, dim))
     with np.errstate(over="ignore", invalid="ignore"):
         shifts = spec.feature_shift * directions / np.sqrt(sq_norms)[:, None]
         for start in range(0, total, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            block_owner = owner[rows]
-            np.sum(cdf[block_owner] <= uniforms[rows, None], axis=1, out=labels[rows])
+            block_owner, block_labels = owner[rows], labels[rows]
+            n = block_owner.size
+            for cumulative in below_by_class:
+                np.take(cumulative, block_owner, out=column[:n], mode="clip")
+                block_labels += np.less_equal(column[:n], uniforms[rows], out=below[:n])
             block = x[rows]
             block *= _NOISE_STD
-            block += means[labels[rows]] + shifts[block_owner]
+            offset = np.take(means, block_labels, axis=0, out=offsets[:n], mode="clip")
+            offset += np.take(shifts, block_owner, axis=0, out=client_shifts[:n], mode="clip")
+            block += offset
         del uniforms, block_owner  # a view: it would keep all of owner alive
+        del column, below, offsets, client_shifts, offset
         mu = x.mean(axis=0)
         sigma = column_std(x, mu)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ConfigError("data.feature_shift", f"{spec.feature_shift!r} overflows the standardized features")
     sigma[sigma == 0.0] = 1.0
-    x -= mu
-    x /= sigma
+    # Elementwise, so a row block flattened against the statistics tiled to
+    # its length gives the bits of x -= mu; x /= sigma, in long contiguous
+    # passes instead of dim-long ones.
+    mu_rows, sigma_rows = np.tile(mu, width), np.tile(sigma, width)
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, mu_rows.size):
+        part = flat[start : start + mu_rows.size]
+        part -= mu_rows[: part.size]
+        part /= sigma_rows[: part.size]
+    del mu_rows, sigma_rows
 
     # Stratified split: rows grouped by (client, class), drawn order kept
-    # within a group. rng.shuffle makes rng.permutation's draws, so shuffling
-    # a group's row indices in place puts them in the order of the group's
+    # within a group. Shuffling a group's row indices in place makes
+    # rng.permutation's draws, so it puts them in the order of the group's
     # permutation, and the first floor(0.2 s) of them go to test.
     group = owner * classes + labels
     order = np.argsort(group, kind="stable")
@@ -353,31 +395,35 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     first = np.ones(shuffled.size, dtype=bool)  # a client's first shuffled group
     np.not_equal(client[1:], client[:-1], out=first[1:])
     keyed = streams(rng, stream_keys(seed, STREAM_DATA, 1 + client[first], 0).tolist())
-    shuffle = rng.shuffle
+    shuffle = shuffler(rng)
     for start, end, rekeyed in zip(starts[shuffled].tolist(), ends[shuffled].tolist(), first.tolist()):
         if rekeyed:
             next(keyed)
         shuffle(order[start:end])
+    # Each group's test rows sit at its first n_test positions of order.
     n_test = np.floor(_TEST_FRACTION * counts).astype(np.intp)
-    first_of_group = np.arange(total) - np.repeat(starts, counts) < np.repeat(n_test, counts)
+    test_ends = np.cumsum(n_test)
+    positions = np.repeat(starts - (test_ends - n_test), n_test)
+    positions += np.arange(positions.size)
     is_test = np.zeros(total, dtype=bool)
-    is_test[order[first_of_group]] = True
-    del order, first_of_group
+    is_test[np.take(order, positions)] = True
+    del order, positions
     test_sizes = n_test.reshape(k, classes).sum(axis=1)
 
     # Partition in place: train rows move forward, each to a position at or
     # before its own, so a block never overwrites a row still to be read;
     # then the test rows, copied out, go after them.
-    test_rows = np.flatnonzero(is_test)
-    x_test, y_test = x[test_rows], labels[test_rows]
-    train_rows = np.flatnonzero(~is_test)
-    del is_test, test_rows
-    n_train = train_rows.size
-    for start in range(0, n_train, ROW_BLOCK):
-        rows = train_rows[start : start + ROW_BLOCK]
-        x[start : start + rows.size] = x[rows]
-        labels[start : start + rows.size] = labels[rows]
-    del train_rows
+    x_test, y_test = np.compress(is_test, x, axis=0), np.compress(is_test, labels)
+    n_train = 0
+    for start in range(0, total, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        train = ~is_test[rows]
+        kept = np.compress(train, x[rows], axis=0)  # a copy: boolean indexing is twice as slow
+        n = kept.shape[0]
+        x[n_train : n_train + n] = kept
+        labels[n_train : n_train + n] = np.compress(train, labels[rows])
+        n_train += n
+    del is_test, kept, train
     x[n_train:] = x_test
     labels[n_train:] = y_test
     return Federation(x[:n_train], labels[:n_train], x[n_train:], labels[n_train:], sizes - test_sizes, test_sizes, probs)

@@ -30,6 +30,7 @@ from .datasets import (
     SyntheticDataSpec,
     generate_federation,
     rekey,
+    shuffler,
     stream,  # noqa: F401 - no run calls it; bench/spans.py rebinds federation.stream
     stream_keys,
     streams,
@@ -240,7 +241,9 @@ class Cohort:
     the sample's rows or steps is a view of the leading part of flat storage
     kept out of its attributes, laid out as in a cohort built for the
     sample alone. Allocated anew each round, the arrays would be trimmed
-    off the top of glibc's brk heap and faulted back in.
+    off the top of glibc's brk heap and faulted back in. ``rng`` is the
+    generator that ``train_clients`` rekeys when given none, and
+    ``shuffle`` its ``datasets.shuffler``, built once with the cohort.
     """
 
     _PLAN = ("subset", "sizes", "starts", "x", "y", "onehot", "picks", "order", "slots", "counts", "active")
@@ -281,6 +284,8 @@ class Cohort:
         # The weights of flat as (m, classes, input_dim): a view, since each
         # row's weights are contiguous.
         self.flat_weights = self.flat[:, : classes * (cols - 1)].reshape(m, classes, cols - 1)
+        self.rng = np.random.Generator(np.random.Philox(key=0))
+        self.shuffle = shuffler(self.rng)
         self.fill(subset)
 
     def fill(self, subset) -> None:
@@ -357,7 +362,8 @@ def train_clients(
     parameters after the cohort's epochs of minibatch SGD. Client
     ``subset[j]`` shuffles its rows with one permutation per epoch from the
     stream with Philox key ``keys[j]`` (a row of ``datasets.stream_keys``),
-    drawn through ``rng`` rekeyed (a new Generator if None), and takes
+    drawn through ``rng`` rekeyed (the cohort's own generator if None) by
+    ``datasets.shuffler``, whose draws are ``rng.shuffle``'s, and takes
     ceil(n_j / batch_size) steps per epoch, the last one on the remainder.
     Step s of every client that still has a minibatch s is one vectorized
     update, whose gradient subtracts the minibatch's rows of the cohort's
@@ -393,11 +399,9 @@ def train_clients(
     # client's rows in place makes the draws of rng.permutation. Streams are
     # independent, so drawing a client's epochs together changes no draw.
     # The rows of params are all theta, so they need no reordering.
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=0))
+    rng, shuffle = (cohort.rng, cohort.shuffle) if rng is None else (rng, shuffler(rng))
     rows = cohort.rows
     rows[...] = cohort.slots
-    shuffle = rng.shuffle
     for _, shuffles in zip(streams(rng, np.asarray(keys)[order].tolist()), cohort.shuffles):
         for rows_of_epoch in shuffles:
             shuffle(rows_of_epoch)
@@ -589,7 +593,7 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     ``Cohort``: a silo run trains it on every client every round, and a
     cross-device run fills it with each round's sample. The sampling keys of
     every round come from one ``stream_keys`` call, and each round rekeys the
-    run's one generator with its own.
+    cohort's generator with its own before training rekeys it per client.
 
     ``fed`` injects a pre-built ``Federation`` of k clients in place of the
     generated one; the baselines' sample sizes are its ``train_sizes``."""
@@ -601,7 +605,6 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
     model = LogisticModel(cfg.data.input_dim, cfg.data.num_classes)
     theta = model.init_params()
 
-    rng = np.random.Generator(np.random.Philox(key=0))
     learner = Learner(cfg, fed.train_sizes)
 
     # Every client of a silo run; a cross-device round refills it with its sample.
@@ -616,10 +619,10 @@ def run_federation(cfg: FederationConfig, fed: Federation | None = None) -> RunR
         for t in range(1, cfg.t_rounds + 1):
             tic = time.perf_counter()
             if not silo:
-                subset = sample_clients(cfg.k, m, rekey(rng, sampling[t - 1]))
+                subset = sample_clients(cfg.k, m, rekey(cohort.rng, sampling[t - 1]))
                 cohort.fill(subset)
             keys = stream_keys(cfg.seed, STREAM_BATCHING, t, subset)
-            losses, deltas = train_clients(theta, cohort, keys, lr, cfg.weight_decay, round_index=t, rng=rng)
+            losses, deltas = train_clients(theta, cohort, keys, lr, cfg.weight_decay, round_index=t)
 
             rec = learner.step(t, losses, subset)
             theta = theta - subset_weights(rec.decision, subset, t) @ deltas

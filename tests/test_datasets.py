@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedfair import datasets
-from fedfair.datasets import STREAM_DATA, SyntheticDataSpec, generate_federation, rekey, stream, stream_keys, streams
+from fedfair.datasets import (
+    STREAM_DATA,
+    SyntheticDataSpec,
+    generate_federation,
+    rekey,
+    shuffler,
+    stream,
+    stream_keys,
+    streams,
+)
 from fedfair.errors import ConfigError
 from packing import unpack
 
@@ -164,6 +174,35 @@ class TestRekey:
             np.testing.assert_array_equal(a, b)
 
 
+def philox_state(rng):
+    """Every field of ``rng``'s Philox state, as plain values."""
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+# Fisher-Yates draws one bounded integer per position, below a power of two
+# or just past one: the rejection masks and 32-bit halves change there.
+shuffle_sizes = st.sampled_from([1, 2] + [2**j + d for j in range(2, 12) for d in (0, 1)])
+
+
+class TestShuffler:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2), st.lists(shuffle_sizes, min_size=1, max_size=3),
+           st.integers(0, 2**40))
+    def test_draws_and_leaves_the_state_of_generator_shuffle(self, key, sizes, offset):
+        rng = np.random.Generator(np.random.Philox(key=0))
+        shuffle = shuffler(rng)  # built before the rekey, as a loop of streams does
+        rekey(rng, key)
+        expected = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))  # a list goes through float
+        for n in sizes:
+            got, want = offset + np.arange(n), offset + np.arange(n)
+            shuffle(got)
+            expected.shuffle(want)
+            np.testing.assert_array_equal(got, want)
+        assert philox_state(rng) == philox_state(expected)
+
+
 # Small federations: few classes and rows, so spreads down to a mean minus
 # spread of 1 give clients and classes with a single row.
 specs = st.builds(
@@ -231,14 +270,25 @@ class TestGenerateFederation:
                 assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
     # One feature is the case where numpy's column statistics sum the rows
-    # pairwise rather than one row after another.
+    # pairwise rather than one row after another. Labels are counted one
+    # class at a time, and an unshifted federation skips the directions.
     @pytest.mark.parametrize("input_dim", [1, 2, 3, 10])
     @pytest.mark.parametrize("row_block", [1, 7, 64])
     def test_row_blocks_equal_the_reference(self, monkeypatch, input_dim, row_block):
         monkeypatch.setattr(datasets, "ROW_BLOCK", row_block)
-        spec = SyntheticDataSpec(input_dim=input_dim, num_classes=3, samples_per_client_mean=12,
-                                 samples_per_client_spread=6, dirichlet_concentration=0.3, feature_shift=0.7)
-        self.assert_equals_reference(generate_federation(spec, 25, 11), spec, 25, 11)
+        for classes, shift in itertools.product([2, 3, 12], [0.0, 0.7]):
+            spec = SyntheticDataSpec(input_dim=input_dim, num_classes=classes, samples_per_client_mean=12,
+                                     samples_per_client_spread=6, dirichlet_concentration=0.3, feature_shift=shift)
+            self.assert_equals_reference(generate_federation(spec, 25, 11), spec, 25, 11)
+
+    # Rows of magnitudes from 1e-150 to 1e150, and zero rows: a sum of the
+    # squares in any order other than cblas_ddot's rounds differently.
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 64])
+    def test_squared_norms_equal_each_rows_dot(self, dim):
+        rows = np.random.default_rng(dim).standard_normal((300, dim)) * np.logspace(-150, 150, 300)[:, None]
+        rows[::50] = 0.0
+        expected = np.array([row.dot(row) for row in rows])
+        assert datasets.squared_norms(rows).tobytes() == expected.tobytes()
 
     # Columns of magnitudes from 1e-150 to 1e150, each ten of its standard
     # deviations from zero, so that a sum in any other order rounds
@@ -266,8 +316,8 @@ class TestGenerateFederation:
 
     def test_generation_peak_stays_near_twice_the_federation(self):
         # The device-wide bench's data at k = 2,000. The peak holds the drawn
-        # rows, the test rows copied out by the split and some row indices,
-        # about 1.65 times the federation. A temporary as large as the drawn
+        # rows, the test rows copied out by the split and one row block,
+        # about 1.7 times the federation. A temporary as large as the drawn
         # rows, such as the x - mean that x.std makes, takes it past 1.8 times.
         tracemalloc.start()
         try:

@@ -298,19 +298,20 @@ class TestTrainClients:
         assert got.value.round_index == 7
 
     def test_shuffling_rows_in_place_draws_as_permutation(self):
-        # train_clients shuffles offset + arange(n) in place where the
-        # per-client loop took offset + rng.permutation(n); numpy's
-        # permutation shuffles an arange, so the two agree draw for draw,
-        # epoch after epoch from one stream.
+        # train_clients shuffles offset + arange(n) in place, through the
+        # cohort's shuffler, where the per-client loop took offset +
+        # rng.permutation(n); numpy's permutation shuffles an arange, so the
+        # two agree draw for draw, epoch after epoch from one stream.
         offsets = np.random.default_rng(1).integers(0, 10**6, size=71)
         keys = stream_keys(3, 2, 1, np.arange(71)).tolist()
-        shuffled, permuted = (np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
+        cohort = Cohort(self.model, generate_federation(SMALL_DATA, 2, 0), [0], 4, 1)
+        permuted = np.random.Generator(np.random.Philox(key=0))
         for n, (offset, key) in enumerate(zip(offsets.tolist(), keys)):
-            rekey(shuffled, key)
+            rekey(cohort.rng, key)
             rekey(permuted, key)
             for _ in range(3):
                 rows = offset + np.arange(n)
-                shuffled.shuffle(rows)
+                cohort.shuffle(rows)
                 assert np.array_equal(rows, offset + permuted.permutation(n)), n
 
 
