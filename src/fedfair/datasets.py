@@ -285,8 +285,8 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
 
     The rows are drawn into one buffer and split in place, so ``x_train``
     and ``x_test`` are its leading and trailing rows (and ``y_train`` and
-    ``y_test`` those of one label buffer). Every pass after the draw loop
-    works ``ROW_BLOCK`` rows at a time, or on the test rows alone.
+    ``y_test`` those of one label buffer). The label, offset and partition
+    passes work ``ROW_BLOCK`` rows at a time.
     """
     if k < 1:
         raise ConfigError("k", "must be >= 1")
@@ -369,16 +369,8 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ConfigError("data.feature_shift", f"{spec.feature_shift!r} overflows the standardized features")
     sigma[sigma == 0.0] = 1.0
-    # Elementwise, so a row block flattened against the statistics tiled to
-    # its length gives the bits of x -= mu; x /= sigma, in long contiguous
-    # passes instead of dim-long ones.
-    mu_rows, sigma_rows = np.tile(mu, width), np.tile(sigma, width)
-    flat = x.reshape(-1)
-    for start in range(0, flat.size, mu_rows.size):
-        part = flat[start : start + mu_rows.size]
-        part -= mu_rows[: part.size]
-        part /= sigma_rows[: part.size]
-    del mu_rows, sigma_rows
+    x -= mu
+    x /= sigma
 
     # Stratified split: rows grouped by (client, class), drawn order kept
     # within a group. Shuffling a group's row indices in place makes

@@ -242,8 +242,9 @@ class Cohort:
     kept out of its attributes, laid out as in a cohort built for the
     sample alone. Allocated anew each round, the arrays would be trimmed
     off the top of glibc's brk heap and faulted back in. ``rng`` is the
-    generator that ``train_clients`` rekeys when given none, and
-    ``shuffle`` its ``datasets.shuffler``, built once with the cohort.
+    generator that a run samples with and ``train_clients`` rekeys per
+    client, and ``shuffle_rows`` its ``datasets.shuffler``, built once with
+    the cohort.
     """
 
     _PLAN = ("subset", "sizes", "starts", "x", "y", "onehot", "picks", "order", "slots", "counts", "active")
@@ -285,7 +286,7 @@ class Cohort:
         # row's weights are contiguous.
         self.flat_weights = self.flat[:, : classes * (cols - 1)].reshape(m, classes, cols - 1)
         self.rng = np.random.Generator(np.random.Philox(key=0))
-        self.shuffle = shuffler(self.rng)
+        self.shuffle_rows = shuffler(self.rng)
         self.fill(subset)
 
     def fill(self, subset) -> None:
@@ -351,7 +352,6 @@ def train_clients(
     lr: float,
     weight_decay: float = 0.0,
     round_index: int | None = None,
-    rng: np.random.Generator | None = None,
 ):
     """Evaluate then locally train the received model on every client of
     ``cohort`` at once.
@@ -362,8 +362,8 @@ def train_clients(
     parameters after the cohort's epochs of minibatch SGD. Client
     ``subset[j]`` shuffles its rows with one permutation per epoch from the
     stream with Philox key ``keys[j]`` (a row of ``datasets.stream_keys``),
-    drawn through ``rng`` rekeyed (the cohort's own generator if None) by
-    ``datasets.shuffler``, whose draws are ``rng.shuffle``'s, and takes
+    drawn through the cohort's ``rng`` rekeyed, by its ``shuffle_rows``,
+    whose draws are ``rng.shuffle``'s, and takes
     ceil(n_j / batch_size) steps per epoch, the last one on the remainder.
     Step s of every client that still has a minibatch s is one vectorized
     update, whose gradient subtracts the minibatch's rows of the cohort's
@@ -399,10 +399,10 @@ def train_clients(
     # client's rows in place makes the draws of rng.permutation. Streams are
     # independent, so drawing a client's epochs together changes no draw.
     # The rows of params are all theta, so they need no reordering.
-    rng, shuffle = (cohort.rng, cohort.shuffle) if rng is None else (rng, shuffler(rng))
+    shuffle = cohort.shuffle_rows
     rows = cohort.rows
     rows[...] = cohort.slots
-    for _, shuffles in zip(streams(rng, np.asarray(keys)[order].tolist()), cohort.shuffles):
+    for _, shuffles in zip(streams(cohort.rng, np.asarray(keys)[order].tolist()), cohort.shuffles):
         for rows_of_epoch in shuffles:
             shuffle(rows_of_epoch)
 

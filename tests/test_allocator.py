@@ -65,12 +65,11 @@ def test_silo_training_rounds_fault_no_pages_back_in():
     )
     model = LogisticModel(spec.input_dim, spec.num_classes)
     cohort = Cohort(model, generate_federation(spec, 500, 0, min_batch=20), np.arange(500), 20, 1)
-    rng = np.random.Generator(np.random.Philox(key=0))
     theta, faults = model.init_params(), []
     for t in range(1, 6):
         keys = stream_keys(0, STREAM_BATCHING, t, cohort.subset)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        losses, deltas = train_clients(theta, cohort, keys, 0.3, rng=rng)
+        losses, deltas = train_clients(theta, cohort, keys, 0.3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         theta = theta - deltas.mean(axis=0)
     assert max(faults[1:]) <= 32, faults
@@ -87,14 +86,13 @@ def test_device_training_rounds_fault_no_pages_back_in():
     )
     model = LogisticModel(spec.input_dim, spec.num_classes)
     cohort = Cohort(model, generate_federation(spec, 10_000, 0, min_batch=20), np.arange(50), 20, 1)
-    rng = np.random.Generator(np.random.Philox(key=0))
     theta, faults = model.init_params(), []
     for t in range(1, 7):
-        sample = sample_clients(10_000, 50, rekey(rng, stream_keys(0, STREAM_SAMPLING, t)))
+        sample = sample_clients(10_000, 50, rekey(cohort.rng, stream_keys(0, STREAM_SAMPLING, t)))
         keys = stream_keys(0, STREAM_BATCHING, t, sample)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         cohort.fill(sample)
-        losses, deltas = train_clients(theta, cohort, keys, 0.3, rng=rng)
+        losses, deltas = train_clients(theta, cohort, keys, 0.3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         theta = theta - deltas.mean(axis=0)
     assert max(faults[1:]) <= 32, faults

@@ -311,7 +311,7 @@ class TestTrainClients:
             rekey(permuted, key)
             for _ in range(3):
                 rows = offset + np.arange(n)
-                cohort.shuffle(rows)
+                cohort.shuffle_rows(rows)
                 assert np.array_equal(rows, offset + permuted.permutation(n)), n
 
 
@@ -407,7 +407,6 @@ class TestPrepareClients:
         by_rows = sorted(range(len(sizes)), key=sizes.__getitem__)
         fewest, most = by_rows[: len(subset)], by_rows[len(sizes) - len(subset) :]
         reused = Cohort(self.model, fed, subset, b, e)
-        rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
         for t, sample in enumerate([subset, subset, most, subset, fewest], start=1):
             if t > 1:
                 reused.fill(sample)
@@ -417,8 +416,7 @@ class TestPrepareClients:
                 assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
             keys = stream_keys(seed, 2, t, sample)
             (la, da), (lb, db) = (
-                train_clients(theta, cohort, keys, 0.3, wd, round_index=t, rng=rng)
-                for rng, cohort in zip(rngs, (reused, fresh))
+                train_clients(theta, cohort, keys, 0.3, wd, round_index=t) for cohort in (reused, fresh)
             )
             assert la.tobytes() == lb.tobytes() and da.tobytes() == db.tobytes()
             theta = theta - da.mean(axis=0)
@@ -426,14 +424,13 @@ class TestPrepareClients:
     def test_reused_cohort_trains_as_a_fresh_one_each_round(self):
         subset = np.arange(6)
         reused = Cohort(self.model, self.fed, subset, 10, 2)
-        rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
         thetas = [self.model.init_params()] * 2
         for t in range(1, 4):
             keys = stream_keys(4, 2, t, subset)
             cohorts = [reused, Cohort(self.model, self.fed, subset, 10, 2)]
             (la, da), (lb, db) = (
-                train_clients(theta, cohort, keys, 0.3, 0.01, round_index=t, rng=rng)
-                for theta, cohort, rng in zip(thetas, cohorts, rngs)
+                train_clients(theta, cohort, keys, 0.3, 0.01, round_index=t)
+                for theta, cohort in zip(thetas, cohorts)
             )
             assert np.array_equal(la, lb) and np.array_equal(da, db)
             thetas = [theta - d.mean(axis=0) for theta, d in zip(thetas, (da, db))]
