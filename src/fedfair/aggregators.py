@@ -294,16 +294,18 @@ def ftrl_eg_step(state: FtrlState, gradient: np.ndarray) -> tuple[FtrlState, np.
     return new_state, _exp_weights(-cum / eta)
 
 
+def _objective(p, r):
+    """(cumulative loss, 1 / (1 + R p)) at ``p``, or (+inf, None) outside the
+    domain; the gradient there is -(R^T @ inv_growth), one more pass over R."""
+    growth = 1.0 + r @ p
+    if np.any(growth <= 0.0):
+        return np.inf, None
+    return -float(np.log(growth).sum()), 1.0 / growth
+
+
 def cumulative_loss(p: np.ndarray, responses: np.ndarray) -> float:
     """Sum over rounds of -log(1 + <p, r_t>); +inf outside the domain."""
-    growth = 1.0 + responses @ p
-    if np.any(growth <= 0.0):
-        return np.inf
-    return -float(np.log(growth).sum())
-
-
-def _cumulative_gradient(p, r):
-    return -(r.T @ (1.0 / (1.0 + r @ p)))
+    return _objective(p, responses)[0]
 
 
 def _optimality_gap(p, grad):
@@ -312,12 +314,12 @@ def _optimality_gap(p, grad):
     return float(grad @ p - grad.min())
 
 
-def _entropic_warm_start(r, p, budget, target_gap):
-    """Entropic mirror descent with Armijo backtracking; cheap early phase."""
-    f = cumulative_loss(p, r)
+def _entropic_warm_start(r, p, f, inv_growth, budget, target_gap):
+    """Entropic mirror descent with Armijo backtracking; cheap early phase.
+    Takes and returns a point with its ``_objective`` values."""
     step = 1.0
     for _ in range(budget):
-        grad = _cumulative_gradient(p, r)
+        grad = -(r.T @ inv_growth)
         if _optimality_gap(p, grad) <= target_gap:
             break
         accepted = False
@@ -326,16 +328,16 @@ def _entropic_warm_start(r, p, budget, target_gap):
             # zero; the multiplicative update keeps them there.
             with np.errstate(divide="ignore"):
                 cand = _exp_weights(np.log(p) - step * grad)
-            f_cand = cumulative_loss(cand, r)
+            f_cand, inv_cand = _objective(cand, r)
             if f_cand <= f + 1e-4 * float(grad @ (cand - p)):
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        p, f = cand, f_cand
+        p, f, inv_growth = cand, f_cand, inv_cand
         step *= 1.3
-    return p
+    return p, inv_growth
 
 
 def _newton_on_support(r, x, iters=40):
@@ -346,9 +348,8 @@ def _newton_on_support(r, x, iters=40):
     x >= 0 and backtracked to stay inside the log domain.
     """
     m = x.size
-    f = cumulative_loss(x, r)
+    f, inv_growth = _objective(x, r)
     for _ in range(iters):
-        inv_growth = 1.0 / (1.0 + r @ x)
         grad = -(r.T @ inv_growth)
         scaled = r * inv_growth[:, None]
         hess = scaled.T @ scaled
@@ -373,14 +374,14 @@ def _newton_on_support(r, x, iters=40):
         for _ in range(50):
             cand = np.maximum(x + alpha * dx, 0.0)
             cand /= cand.sum()
-            f_cand = cumulative_loss(cand, r)
+            f_cand, inv_cand = _objective(cand, r)
             if f_cand <= f + 1e-4 * alpha * float(grad @ dx):
                 improved = True
                 break
             alpha *= 0.5
         if not improved:
             break
-        x, f = cand, f_cand
+        x, f, inv_growth = cand, f_cand, inv_cand
         if alpha * float(np.max(np.abs(dx))) <= 1e-15:
             break
     return x
@@ -411,15 +412,16 @@ def hindsight_best(
         return np.ones(1)
 
     p = simplex.uniform(k)
-    if not np.isfinite(cumulative_loss(p, r)):
+    f, inv_growth = _objective(p, r)
+    if inv_growth is None:
         raise InvalidInputError("cumulative loss undefined at the uniform start")
-    p = _entropic_warm_start(r, p, budget=200, target_gap=max(gap_tol, 1e-6))
+    p, inv_growth = _entropic_warm_start(r, p, f, inv_growth, budget=200, target_gap=max(gap_tol, 1e-6))
 
     gap = np.inf
     best_gap = np.inf
     stall = 0
     for _ in range(max_iter):
-        grad = _cumulative_gradient(p, r)
+        grad = -(r.T @ inv_growth)
         gap = _optimality_gap(p, grad)
         if gap <= gap_tol:
             return p
@@ -435,6 +437,10 @@ def hindsight_best(
         x = _newton_on_support(r[:, idx], np.maximum(p[idx], 1e-15) / p[idx].sum())
         p = np.zeros(k)
         p[idx] = x
+        # Not Newton's 1 / (1 + R p): over the support columns, R p sums in another order.
+        inv_growth = _objective(p, r)[1]
+        if inv_growth is None:
+            raise ConvergenceError("hindsight iterate left the log domain", iterate=p, residual=gap)
     if gap <= 1e-6:  # short of gap_tol but still far inside test tolerances
         return p
     raise ConvergenceError(

@@ -45,6 +45,8 @@ ROW_BLOCK = 4096
 STREAM_DATA = 0
 STREAM_SAMPLING = 1
 STREAM_BATCHING = 2
+# The largest stream path entry; see stream_keys().
+MAX_PATH_ENTRY = 2**32 - 1
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on a pool of
 # four uint32 words.
@@ -101,7 +103,7 @@ def stream_keys(seed: int, *path) -> np.ndarray:
     pool, calls = _seed_pool(int(seed))
     words = [np.asarray(p) for p in path]
     for w in words:
-        if w.dtype.kind not in "iu" or (w.size and (w.min() < 0 or w.max() > _MASK32)):
+        if w.dtype.kind not in "iu" or (w.size and (w.min() < 0 or w.max() > MAX_PATH_ENTRY)):
             raise ValueError("stream path entries must be integers in [0, 2**32)")
     # Each word is mixed in at its own shape: the pool takes an array word's
     # shape only when that word is mixed in, so a scalar word costs four

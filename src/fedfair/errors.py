@@ -64,6 +64,11 @@ def at_least(n):
     return (lambda v: v >= n, f"must be >= {n}")
 
 
+def within(lo, hi):
+    """The bound of a field that must lie in [``lo``, ``hi``]."""
+    return (lambda v: lo <= v <= hi, f"must be in [{lo}, {hi}]")
+
+
 POSITIVE = (lambda v: v > 0, "must be > 0")
 UNIT_FRACTION = (lambda v: 0 < v <= 1, "must be in (0,1]")
 # A field used as 1/v: a subnormal v is > 0, but its reciprocal overflows.

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import aggregators, decision, simplex
 from .datasets import (
+    MAX_PATH_ENTRY,
     STREAM_BATCHING,
     STREAM_SAMPLING,
     Federation,
@@ -35,7 +36,7 @@ from .datasets import (
     stream_keys,
     streams,
 )
-from .errors import POSITIVE, STEP_SIZE, UNIT_FRACTION, at_least, require_valid
+from .errors import POSITIVE, STEP_SIZE, UNIT_FRACTION, at_least, require_valid, within
 from .errors import ConfigError, DegenerateSubsetError, DivergenceError
 from .transform import CdfSpec, ResponseRange, Setting, default_range, transform_responses
 
@@ -50,8 +51,9 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class FederationConfig:
     """Full description of one simulated federation run."""
 
-    k: int = field(metadata={"bound": at_least(2)})
-    t_rounds: int = field(metadata={"bound": at_least(1)})
+    # Client ids 1..k and round indices 1..t_rounds key random streams.
+    k: int = field(metadata={"bound": within(2, MAX_PATH_ENTRY)})
+    t_rounds: int = field(metadata={"bound": within(1, MAX_PATH_ENTRY)})
     method: str
     setting: Setting
     c: float = field(default=1.0, metadata={"bound": UNIT_FRACTION})

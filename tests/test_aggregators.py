@@ -466,6 +466,37 @@ class TestHindsightBest:
         with pytest.raises(InvalidInputError):
             hindsight_best(np.empty((0, 3)))
 
+    def test_cumulative_loss_is_inf_outside_the_log_domain(self):
+        responses = np.array([[0.5, -1.0], [0.5, -3.0]])
+        assert aggregators.cumulative_loss(np.array([0.0, 1.0]), responses) == np.inf
+        # 1 + <p, r> = 0 in one round is outside as well.
+        assert aggregators.cumulative_loss(np.array([0.0, 1.0]), responses[:1]) == np.inf
+        assert np.isfinite(aggregators.cumulative_loss(np.array([1.0, 0.0]), responses))
+
+    def test_undefined_at_the_uniform_start_rejected(self):
+        with pytest.raises(InvalidInputError, match="undefined at the uniform start"):
+            hindsight_best([[0.5, -3.0]])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_doubly_robust_responses_with_infeasible_vertices(self, seed):
+        """Estimated responses with K >> T: the inverse-probability weights
+        drive some entries below -1, so some vertices lie outside the log
+        domain. The hindsight best stays inside it and is optimal."""
+        rng = np.random.default_rng(seed)
+        k, t, c = 200, 10, 0.05
+        m = round(c * k)
+        responses = np.array([
+            decision.dr_estimate(rng.uniform(0, 1, size=m), np.sort(rng.choice(k, m, replace=False)), c, k)
+            for _ in range(t)
+        ])
+        assert any(aggregators.cumulative_loss(e, responses) == np.inf for e in np.eye(k))
+        p = hindsight_best(responses)
+        assert is_simplex(p)
+        growth = 1.0 + responses @ p
+        assert np.all(growth > 0)
+        grad = -responses.T @ (1.0 / growth)
+        assert grad @ p - grad.min() <= 1e-6
+
 
 class TestRegretBoundsSmoke:
     """Small-scale previews of the full-scale bound checks in the acceptance

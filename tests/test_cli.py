@@ -692,6 +692,22 @@ class TestRunSuite:
         assert err.strip() == "config error: k: must be within the float range"
         assert "ok" not in out
 
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("k = 2", "k = 4294967297", "k: must be in [2, 4294967295]"),
+            ("t_rounds = 1", "t_rounds = 4294967296", "t_rounds: must be in [1, 4294967295]"),
+        ],
+    )
+    def test_a_stream_index_past_2_32_exits_1_naming_the_field(self, tmp_path, capsys, line, bad, message):
+        """Client ids 1..k and rounds 1..t_rounds are stream path entries,
+        which datasets.stream_keys takes below 2**32."""
+        path = write_config(tmp_path, MINIMAL.replace(line, bad))
+        assert cli.main(["run", str(path), "--validate-only"]) == 1
+        out, err = capsys.readouterr()
+        assert err.strip() == f"config error: {message}"
+        assert "validated" not in out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, MINIMAL + "c = 0\n")
         assert cli.main(["run", str(bad)]) == 1

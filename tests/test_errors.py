@@ -54,6 +54,10 @@ def edges(cls, f):
         n = int(at_least.group(1))
         below = n - 1 if typing.get_type_hints(cls)[f.name] is int else math.nextafter(n, -math.inf)
         return [below], [n]
+    within = re.fullmatch(r"must be in \[(\d+), (\d+)\]", text)
+    if within:  # integer fields only
+        lo, hi = map(int, within.groups())
+        return [lo - 1, hi + 1], [lo, hi]
     if f.metadata["bound"] is POSITIVE:
         return [0.0, -1.0], [TINY]
     if f.metadata["bound"] is UNIT_FRACTION:
@@ -61,7 +65,7 @@ def edges(cls, f):
     if f.metadata["bound"] is STEP_SIZE:
         # 1e-310 is subnormal: > 0, but 1/1e-310 overflows.
         return [0.0, 1e-310], [sys.float_info.min]
-    raise AssertionError(f"{cls.__name__}.{f.name}: bound {text!r} is not one of the four helpers")
+    raise AssertionError(f"{cls.__name__}.{f.name}: bound {text!r} is not one of the five helpers")
 
 
 def named(err, exc_type):
