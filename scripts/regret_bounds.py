@@ -70,8 +70,7 @@ def play_sampled(seed, k=50, t=2000, c=0.1):
     for i in range(t):
         played[i] = p
         subset = np.sort(rng.choice(k, size=m, replace=False))
-        est = decision.dr_estimate(responses[i, subset], subset, m / k, k)
-        g = decision.linearized_gradient(p, est, np.full(k, responses[i, subset].mean()))
+        _, g, _ = decision.dr_round(p, responses[i, subset], subset, m / k, k, l_dr)
         state, p = ftrl_eg_step(state, g)
     return played, responses, decision.regret_bound(l_dr, k, t, second_order=False)
 

@@ -26,6 +26,7 @@ from .decision import (
     decision_gradient,
     decision_loss,
     dr_estimate,
+    dr_round,
     linearized_gradient,
     lipschitz_dr,
     lipschitz_full,
@@ -58,6 +59,7 @@ __all__ = [
     "decision_loss",
     "default_range",
     "dr_estimate",
+    "dr_round",
     "eg_step",
     "ftrl_eg_step",
     "generate_federation",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import simplex
+from . import decision, simplex
 from .errors import STEP_SIZE, ConfigError, ConvergenceError, InvalidInputError, at_least, require_valid
 
 logger = logging.getLogger(__name__)
@@ -208,12 +208,7 @@ def _checked_gradient(gradient, k: int, l_inf: float) -> np.ndarray:
     g = np.asarray(gradient, dtype=float)
     if g.shape != (k,):
         raise InvalidInputError("gradient dimension mismatch")
-    if not np.all(np.isfinite(g)):
-        raise InvalidInputError("gradient must be finite")
-    if np.max(np.abs(g)) > l_inf + 1e-9:
-        raise InvalidInputError(
-            f"gradient sup norm {np.max(np.abs(g)):.6g} exceeds Lipschitz bound {l_inf:.6g}"
-        )
+    decision.check_lipschitz(g, l_inf)
     return g
 
 
@@ -281,9 +276,15 @@ def ftrl_eg_step(state: FtrlState, gradient: np.ndarray) -> tuple[FtrlState, np.
     After accumulating the t-th gradient the new decision is the softmax of
     -sum(gradients) / eta with eta = l_inf * sqrt(t+1) / sqrt(log K),
     stabilized by subtracting the max exponent. A single-client federation
-    (log K = 0) short-circuits to the trivial decision.
+    (log K = 0) short-circuits to the trivial decision. The step returns a
+    new cumulative vector and leaves ``state`` as it was.
     """
-    g = _checked_gradient(gradient, state.k, state.l_inf)
+    return _ftrl_eg_step(state, _checked_gradient(gradient, state.k, state.l_inf))
+
+
+def _ftrl_eg_step(state: FtrlState, g: np.ndarray) -> tuple[FtrlState, np.ndarray]:
+    """``ftrl_eg_step`` on a gradient its caller has checked; the cross-device
+    learner checks it on its m + 1 distinct values in ``decision.dr_round``."""
     cum = state.cumulative_gradient + g
     t_new = state.t + 1
     new_state = replace(state, t=t_new, cumulative_gradient=cum)
@@ -291,7 +292,8 @@ def ftrl_eg_step(state: FtrlState, gradient: np.ndarray) -> tuple[FtrlState, np.
     if k == 1:
         return new_state, np.ones(1)
     eta = state.l_inf * np.sqrt(t_new + 1.0) / np.sqrt(np.log(k))
-    return new_state, _exp_weights(-cum / eta)
+    # cum / -eta has the bits of -cum / eta, in one pass instead of two.
+    return new_state, _exp_weights(np.divide(cum, -eta))
 
 
 def _objective(p, r):

@@ -31,7 +31,10 @@ def decision_loss(p: np.ndarray, r: np.ndarray) -> float:
     Estimated responses may carry negative entries; the loss is still defined
     as long as 1 + <p, r> stays positive.
     """
-    p, r = _check_pair(p, r)
+    return _growth_loss(*_check_pair(p, r))
+
+
+def _growth_loss(p: np.ndarray, r: np.ndarray) -> float:
     growth = 1.0 + float(p @ r)
     if growth <= 0.0:
         raise InvalidInputError(f"decision loss undefined: 1 + <p, r> = {growth:.3e} <= 0")
@@ -95,10 +98,69 @@ def linearized_gradient(p: np.ndarray, r: np.ndarray, r0: np.ndarray) -> np.ndar
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != p.shape:
         raise InvalidInputError("reference dimension mismatch")
+    base, slope = _linearization(p, r, r0)
+    return -r / base + r0 * slope
+
+
+def _linearization(p: np.ndarray, r: np.ndarray, r0: np.ndarray) -> tuple[float, float]:
+    """(1 + <p, r0>, <p, r - r0> / (1 + <p, r0>)^2): the linearized gradient
+    is -r / base + r0 * slope."""
     base = 1.0 + float(p @ r0)
     if base <= 0.0:
         raise InvalidInputError("linearization reference yields nonpositive growth")
-    return -r / base + r0 * (float(p @ (r - r0)) / base**2)
+    return base, float(p @ (r - r0)) / base**2
+
+
+def dr_round(
+    p: np.ndarray, observed: np.ndarray, subset: np.ndarray, c: float, k: int, l_inf: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One cross-device round of the adaptive learner at decision ``p``.
+
+    Returns the doubly robust response ``dr_estimate(observed, subset, c, k)``,
+    its linearized gradient at the observed-mean reference
+    ``linearized_gradient(p, response, np.full(k, rbar))`` and
+    ``decision_loss(p, response)``, bit for bit. It raises what those calls,
+    then ``check_lipschitz(gradient, l_inf)``, would raise, with the same
+    types and messages, in the order the learner met them.
+
+    Off ``subset`` every response entry is rbar and every gradient entry is
+    -rbar / base + rbar * slope, so that value is formed once as a float and
+    only the m sampled entries are computed as vectors; the finiteness and
+    sup-norm checks run on these m + 1 distinct values, and ``p`` is checked
+    once. The three dot products <p, r0>, <p, r - r0> and <p, r> stay dense:
+    BLAS groups a dot product's sums by position, so a sum over the sampled
+    entries alone would change their bits.
+    """
+    response = dr_estimate(observed, subset, c, k)
+    subset = np.asarray(subset, dtype=int)
+    p = np.asarray(p, dtype=float)
+    if p.shape != response.shape:
+        raise InvalidInputError(f"dimension mismatch: p has shape {p.shape}, r has shape {response.shape}")
+    rbar = float(np.asarray(observed, dtype=float).mean())
+    sampled = response[subset]
+    # A non-finite rbar makes every sampled entry non-finite too, so this
+    # matches the dense check even when every client is sampled.
+    if not (np.isfinite(p).all() and np.isfinite(sampled).all() and np.isfinite(rbar)):
+        raise InvalidInputError("inputs must be finite")
+    base, slope = _linearization(p, response, np.full(k, rbar))
+    unsampled = -rbar / base + rbar * slope
+    g_sampled = -sampled / base + rbar * slope
+    gradient = np.full(k, unsampled)
+    gradient[subset] = g_sampled
+    every_client_sampled = subset.size >= k and np.unique(subset).size == k
+    check_lipschitz(g_sampled if every_client_sampled else np.append(g_sampled, unsampled), l_inf)
+    return response, gradient, _growth_loss(p, response)
+
+
+def check_lipschitz(gradient: np.ndarray, l_inf: float) -> None:
+    """Raise InvalidInputError unless every entry of ``gradient`` is finite
+    and within the sup-norm bound ``l_inf`` (up to 1e-9)."""
+    if not np.all(np.isfinite(gradient)):
+        raise InvalidInputError("gradient must be finite")
+    if np.max(np.abs(gradient)) > l_inf + 1e-9:
+        raise InvalidInputError(
+            f"gradient sup norm {np.max(np.abs(gradient)):.6g} exceeds Lipschitz bound {l_inf:.6g}"
+        )
 
 
 def lipschitz_full(rng: ResponseRange) -> float:

@@ -546,25 +546,37 @@ class Learner:
             self.played = self._state.prior
 
     def step(self, round_index: int, losses: np.ndarray, subset: np.ndarray) -> RoundRecord:
+        """Observe round ``round_index``'s ``losses`` of the clients ``subset``
+        and return its record; the decision played is scored on the round's
+        ``scored_response``.
+
+        An ``aaggff-d`` round takes its response, gradient and loss from one
+        ``decision.dr_round`` call, which checks the gradient on its m + 1
+        distinct values, and then makes the unchecked FTRL step. Besides
+        O(m) work it makes 16 passes over length-k vectors: three fills
+        (response, reference, gradient), two to check the decision played
+        for finiteness, three dot products and one difference, the
+        cumulative sum, its scaling and five for the softmax.
+        """
         cfg, state, played = self.cfg, self._state, self.played
         observed = transform_responses(losses, cfg.response_range, cfg.cdf)
-        response = scored_response(cfg, observed, subset)
-        if cfg.method == ADAPTIVE_SILO:
-            self._state, p = aggregators.ons_step(state, decision.decision_gradient(played, response))
-        elif cfg.method == ADAPTIVE_DEVICE:
-            g = decision.linearized_gradient(played, response, np.full(cfg.k, observed.mean()))
-            self._state, p = aggregators.ftrl_eg_step(state, g)
+        if cfg.method == ADAPTIVE_DEVICE:
+            _, g, loss = decision.dr_round(played, observed, subset, cfg.inclusion_probability, cfg.k, state.l_inf)
+            self._state, p = aggregators._ftrl_eg_step(state, g)
         else:
-            prior = state.sample_sizes[subset]
-            p = np.zeros(cfg.k)
-            p[subset] = aggregators.eg_step(
-                prior / prior.sum(), aggregators.baseline_response(state, losses), state.step_size
-            )
+            response = scored_response(cfg, observed, subset)
+            if cfg.method == ADAPTIVE_SILO:
+                self._state, p = aggregators.ons_step(state, decision.decision_gradient(played, response))
+            else:
+                prior = state.sample_sizes[subset]
+                p = np.zeros(cfg.k)
+                p[subset] = aggregators.eg_step(
+                    prior / prior.sum(), aggregators.baseline_response(state, losses), state.step_size
+                )
+            loss = decision.decision_loss(played, response)
         if cfg.adaptive:
             self.played = p
-        return RoundRecord(
-            round_index, subset, losses, played[subset], observed, p, decision.decision_loss(played, response)
-        )
+        return RoundRecord(round_index, subset, losses, played[subset], observed, p, loss)
 
 
 def evaluate_clients(model: LogisticModel, theta: np.ndarray, fed: Federation) -> np.ndarray:

@@ -94,12 +94,19 @@ def cdf_eval(spec: CdfSpec, x) -> np.ndarray | float:
     Normal:       (1 + erf((x - a)/(b sqrt 2))) / 2
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("cdf input must be finite")
+    if spec.kind in (CdfKind.WEIBULL, CdfKind.FRECHET, CdfKind.EXPONENTIAL) and (arr < 0).any():
+        raise InvalidInputError(f"{spec.kind.value} CDF requires x >= 0")
+    out = _cdf(spec, arr)
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _cdf(spec: CdfSpec, arr: np.ndarray) -> np.ndarray:
+    """``cdf_eval`` of an array it has checked; ``transform_responses`` calls
+    it on loss ratios, which are finite and >= 0 by construction."""
     a, b = spec.scale, spec.shape
     kind = spec.kind
-    if kind in (CdfKind.WEIBULL, CdfKind.FRECHET, CdfKind.EXPONENTIAL) and np.any(arr < 0):
-        raise InvalidInputError(f"{kind.value} CDF requires x >= 0")
     # Overflow in the inner exponent saturates to the correct tail limit
     # (exp(-inf) -> 0, 1/(1+inf) -> 0), so silence it.
     with np.errstate(over="ignore"):
@@ -119,8 +126,7 @@ def cdf_eval(spec: CdfSpec, x) -> np.ndarray | float:
             out = 0.5 * (1.0 + _erf((arr - a) / (b * np.sqrt(2.0))))
         else:  # pragma: no cover
             raise InvalidInputError(f"unknown CDF kind {kind!r}")
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return np.clip(out, 0.0, 1.0)
 
 
 def transform_responses(losses: np.ndarray, rng: ResponseRange, spec: CdfSpec) -> np.ndarray:
@@ -141,7 +147,7 @@ def transform_responses(losses: np.ndarray, rng: ResponseRange, spec: CdfSpec) -
     losses = np.asarray(losses, dtype=float)
     if losses.ndim != 1 or losses.size < 1:
         raise InvalidInputError("expected at least one loss")
-    if not np.all(np.isfinite(losses)) or np.any(losses < 0):
+    if not np.isfinite(losses).all() or (losses < 0).any():
         raise InvalidInputError("losses must be finite and >= 0")
     with np.errstate(over="ignore"):
         mean = losses.mean()
@@ -152,8 +158,7 @@ def transform_responses(losses: np.ndarray, rng: ResponseRange, spec: CdfSpec) -
     if not math.isfinite(mean):
         losses = losses / losses.max()
         mean = losses.mean()
-    ratios = losses / mean
-    return rng.c1 + rng.width * cdf_eval(spec, ratios)
+    return rng.c1 + rng.width * _cdf(spec, losses / mean)
 
 
 def default_range(setting: Setting, k: int, c: float) -> ResponseRange:

@@ -375,7 +375,25 @@ def test_entropic_updates_equal_the_out_of_place_formula(rng):
         assert np.array_equal(p, out_of_place_exp_weights(-cum / eta))
 
 
+def test_negated_divisor_keeps_the_bits():
+    # The FTRL step divides by -eta instead of negating the cumulative
+    # gradient first; IEEE division rounds the magnitude alike either way.
+    tiny = np.finfo(float).smallest_subnormal
+    cum = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-320, 1e300, -1e300, 1.7e308, 0.1, -7.3])
+    cum = np.concatenate([cum, np.random.default_rng(5).normal(size=50) * 10.0 ** np.arange(-300, 300, 12)])
+    for eta in (1.0, 0.3, 7.5, 1e-300, 1e300, tiny, np.sqrt(2.0) / np.sqrt(np.log(10_000.0))):
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.divide(cum, -eta).tobytes() == (-cum / eta).tobytes()
+
+
 class TestFtrlEgStep:
+    def test_leaves_its_state_as_it_was(self, rng):
+        state = FtrlState.init(5, l_inf=1.0)
+        state, _ = ftrl_eg_step(state, rng.uniform(-1, 1, size=5))
+        before = state.cumulative_gradient.copy()
+        ftrl_eg_step(state, rng.uniform(-1, 1, size=5))
+        assert np.array_equal(state.cumulative_gradient, before) and state.t == 1
+
     def test_constant_cumulative_gradient_uniform(self):
         state = FtrlState.init(6, l_inf=1.0)
         state, p = ftrl_eg_step(state, np.full(6, 0.7))

@@ -108,11 +108,13 @@ def assert_replay_rewrites_report(runs_dir: Path, run_id: str, replay_dir: Path)
 
 
 def count_learner_steps(monkeypatch) -> dict:
-    """Count every call of the learners' step functions from now on."""
+    """Count every call of the learners' step functions from now on. The
+    cross-device learner checks its gradient itself and calls the FTRL
+    step's unchecked core, through which the public step goes too."""
     from fedfair import aggregators
 
     calls = {}
-    for name in ("ons_step", "ftrl_eg_step", "eg_step"):
+    for name in ("ons_step", "_ftrl_eg_step", "eg_step"):
         def counted(*args, _name=name, _step=getattr(aggregators, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _step(*args, **kwargs)
@@ -123,7 +125,9 @@ def count_learner_steps(monkeypatch) -> dict:
 
 class RecordingDecision:
     """Stands in for the ``decision`` module inside ``federation`` and keeps
-    every (decision, response) pair the run passes to ``decision_loss``."""
+    every (decision, response) pair the run scores a decision loss on:
+    through ``decision_loss``, or, in a cross-device adaptive round,
+    ``dr_round``."""
 
     def __init__(self):
         self.played, self.responses = [], []
@@ -135,6 +139,12 @@ class RecordingDecision:
         self.played.append(np.array(p))
         self.responses.append(np.array(r))
         return decision.decision_loss(p, r)
+
+    def dr_round(self, p, *args):
+        response, gradient, loss = decision.dr_round(p, *args)
+        self.played.append(np.array(p))
+        self.responses.append(np.array(response))
+        return response, gradient, loss
 
 
 class TestParseConfig:
@@ -513,7 +523,7 @@ class TestRunSuite:
         calls = count_learner_steps(monkeypatch)
         text = text.replace("aaggff-s", method)
         assert cli.main(["run", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")]) == 0
-        step = {"aaggff-s": "ons_step", "aaggff-d": "ftrl_eg_step"}.get(method, "eg_step")
+        step = {"aaggff-s": "ons_step", "aaggff-d": "_ftrl_eg_step"}.get(method, "eg_step")
         assert calls == {step: 3}
 
     @pytest.mark.parametrize(

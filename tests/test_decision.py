@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfair import aggregators, decision
 from fedfair.errors import DegenerateRoundError, InvalidInputError
@@ -214,6 +216,138 @@ class TestLinearizedGradient:
         mean = total / n
         se = np.sqrt(np.maximum(totalsq / n - mean**2, 0) / n)
         assert np.all(np.abs(mean - target) <= 4 * np.maximum(se, 1e-12))
+
+
+def dense_round(p, observed, subset, c, k, l_inf):
+    """The composition ``decision.dr_round`` replaces, in the order the
+    cross-device learner ran it: estimate, linearized gradient, the FTRL
+    step's sup-norm check, decision loss."""
+    response = decision.dr_estimate(observed, subset, c, k)
+    gradient = decision.linearized_gradient(p, response, np.full(k, np.mean(observed)))
+    aggregators.ftrl_eg_step(aggregators.FtrlState.init(k, l_inf), gradient)
+    return response, gradient, decision.decision_loss(p, response)
+
+
+def outcome(fn, *args):
+    """The bytes of what ``fn(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return [np.asarray(x).tobytes() for x in fn(*args)]
+    except Exception as err:
+        return type(err), str(err)
+
+
+def assert_same_round(p, observed, subset, c, k, l_inf):
+    args = (np.asarray(p, dtype=float), np.asarray(observed, dtype=float), np.asarray(subset), c, k, l_inf)
+    assert outcome(decision.dr_round, *args) == outcome(dense_round, *args)
+
+
+@st.composite
+def sampled_rounds(draw):
+    """A cross-device round of a valid config: k in [2, 300], any configured
+    c (so floor(c k) may truncate, and c = 1 samples every client), a flat or
+    skewed decision, and uniform, all-zero or all-equal observed responses in
+    the default range [0, c]."""
+    k = draw(st.integers(2, 300))
+    c_config = draw(st.one_of(st.just(1.0), st.floats(1.0 / k, 1.0)))
+    cfg = FederationConfig(k=k, t_rounds=1, method="aaggff-d", setting="cross_device", c=c_config)
+    m, c = cfg.subset_size, cfg.inclusion_probability
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subset = np.sort(rng.choice(k, size=m, replace=False))
+    p = random_simplex(rng, k) ** draw(st.sampled_from([1, 12]))
+    p /= p.sum()
+    kind = draw(st.sampled_from(["uniform", "zero", "equal"]))
+    observed = {
+        "uniform": lambda: rng.uniform(0.0, c, size=m),
+        "zero": lambda: np.zeros(m),
+        "equal": lambda: np.full(m, rng.uniform(0.0, c)),
+    }[kind]()
+    return p, observed, subset, c, k, cfg.lipschitz
+
+
+class TestDrRound:
+    """``decision.dr_round`` returns and raises what the dense composition does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampled_rounds())
+    def test_bits_equal_the_dense_composition(self, case):
+        p, observed, subset, c, k, l_inf = case
+        got = outcome(decision.dr_round, p, observed, subset, c, k, l_inf)
+        assert isinstance(got, list), got
+        assert got == outcome(dense_round, p, observed, subset, c, k, l_inf)
+
+    def test_truncated_inclusion_probability(self, rng):
+        cfg = FederationConfig(k=100, t_rounds=1, method="aaggff-d", setting="cross_device", c=0.125)
+        assert (cfg.subset_size, cfg.inclusion_probability) == (12, 0.12)
+        subset = np.sort(rng.choice(100, size=12, replace=False))
+        assert_same_round(random_simplex(rng, 100), rng.uniform(0, 0.12, size=12), subset, 0.12, 100, cfg.lipschitz)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_decision(self, rng, bad):
+        p = random_simplex(rng, 10)
+        p[7] = bad
+        assert_same_round(p, [0.1, 0.2], [2, 5], 0.2, 10, 3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("subset", [[2, 5], list(range(10))])
+    def test_non_finite_observed(self, subset, bad):
+        observed = np.linspace(0.0, 0.1, len(subset))
+        observed[-1] = bad
+        with np.errstate(invalid="ignore"):
+            assert_same_round(np.full(10, 0.1), observed, subset, len(subset) / 10, 10, 3.0)
+
+    def test_over_bound_sampled_entry_only(self):
+        # rbar = 0.1 and slope = 0: the unsampled entries read -0.1 / 1.1,
+        # the sampled ones 0.4 / 1.1 and -0.6 / 1.1.
+        p, observed, subset = np.full(10, 0.1), [0.0, 0.2], [2, 5]
+        _, g, _ = dense_round(p, observed, subset, 0.2, 10, np.inf)
+        assert abs(g[0]) < 0.5 < abs(g[5])
+        assert_same_round(p, observed, subset, 0.2, 10, 0.5)
+
+    def test_over_bound_unsampled_value_only(self):
+        # Rounding puts every sampled response one ulp below rbar; with p = 0
+        # each gradient entry is minus its response.
+        v, c = 123456789012.0, 0.6
+        p, observed, subset = np.zeros(10), np.full(6, v), np.arange(6)
+        r = (1.0 - 1.0 / c) * v + v / c
+        _, g, _ = dense_round(p, observed, subset, c, 10, np.inf)
+        assert np.all(np.abs(g[:6]) == r) and np.all(np.abs(g[6:]) == v) and v > r + 1e-9
+        assert_same_round(p, observed, subset, c, 10, r)
+
+    def test_unsampled_value_absent_when_every_client_is_sampled(self):
+        # rbar rounds one ulp above the equal observed values, so the value
+        # off the subset would exceed the bound, but no entry holds it.
+        v = 0.7 * 2.0**40
+        observed = np.full(6, v)
+        assert observed.mean() > v + 1e-9
+        assert_same_round(np.zeros(6), observed, np.arange(6), 1.0, 6, v)
+        response, g, loss = decision.dr_round(np.zeros(6), observed, np.arange(6), 1.0, 6, v)
+        assert np.all(g == -v)
+
+    @pytest.mark.parametrize("l_inf", [10.0, 1.0])
+    def test_growth_at_most_zero(self, l_inf):
+        # rbar = 0.5, response -2 and 3 on the subset, p on client 0: the loss
+        # is undefined (1 + <p, r> = -1); at l_inf = 1 the gradient's check
+        # fires first, as the learner's step met it.
+        p = np.eye(10)[0]
+        assert_same_round(p, [0.0, 1.0], [0, 1], 0.2, 10, l_inf)
+        with pytest.raises(InvalidInputError, match="decision loss undefined" if l_inf > 3 else "sup norm"):
+            decision.dr_round(p, np.array([0.0, 1.0]), np.array([0, 1]), 0.2, 10, l_inf)
+
+    def test_nonpositive_linearization_reference(self):
+        assert_same_round(np.full(10, 0.1), [-20.0, -20.0], [2, 5], 0.2, 10, 3.0)
+
+    @pytest.mark.parametrize(
+        "observed, subset, c, p",
+        [
+            ([], [], 0.5, np.full(4, 0.25)),
+            ([0.1], [4], 0.25, np.full(4, 0.25)),
+            ([0.1], [1], 1.5, np.full(4, 0.25)),
+            ([0.1, 0.2], [1], 0.25, np.full(4, 0.25)),
+            ([0.1], [1], 0.25, np.full(5, 0.2)),
+        ],
+    )
+    def test_invalid_inputs(self, observed, subset, c, p):
+        assert_same_round(p, observed, np.asarray(subset, dtype=int), c, 4, 3.0)
 
 
 class TestLipschitzConstants:

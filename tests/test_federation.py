@@ -705,23 +705,35 @@ class TestRunSilo:
         np.testing.assert_allclose(result.theta, theta, atol=1e-10)
 
 
+def assert_matches_manual_ftrl_replay(k, c):
+    """Every decision and decision loss of an ``aaggff-d`` run equals, bit for
+    bit, a replay through the dense composition: the doubly robust estimate
+    of each round's sampled responses, the linearized gradient at the
+    observed-mean reference, and the public ``ftrl_eg_step``."""
+    cfg = small_config(k=k, t_rounds=6, method="aaggff-d", setting="cross_device", c=c, lr=0.3)
+    result = run_federation(cfg)
+
+    state = FtrlState.init(cfg.k, decision.lipschitz_dr(cfg.response_range, cfg.inclusion_probability))
+    p = np.full(cfg.k, 1.0 / cfg.k)
+    for rec in result.records:
+        observed = transform_responses(rec.losses, cfg.response_range, cfg.cdf)
+        response = decision.dr_estimate(observed, rec.sampled, cfg.inclusion_probability, cfg.k)
+        g = decision.linearized_gradient(p, response, np.full(cfg.k, observed.mean()))
+        state, p_next = ftrl_eg_step(state, g)
+        np.testing.assert_array_equal(rec.decision, p_next)
+        assert rec.decision_loss == decision.decision_loss(p, response)
+        p = p_next
+
+
 class TestRunDevice:
     def test_full_participation_matches_manual_ftrl_replay(self):
-        cfg = small_config(
-            k=4, t_rounds=6, method="aaggff-d", setting="cross_device", c=1.0, lr=0.3
-        )
-        result = run_federation(cfg)
+        # At c = 1 the estimate is the observed response itself.
+        assert_matches_manual_ftrl_replay(4, 1.0)
 
-        # Replay: full-length responses, estimate collapses to the identity,
-        # linearized gradient at the observed-mean reference.
-        state = FtrlState.init(cfg.k, decision.lipschitz_dr(cfg.response_range, 1.0))
-        p = np.full(cfg.k, 0.25)
-        for rec in result.records:
-            observed = transform_responses(rec.losses, cfg.response_range, cfg.cdf)
-            g = decision.linearized_gradient(p, observed, np.full(cfg.k, observed.mean()))
-            state, p_next = ftrl_eg_step(state, g)
-            np.testing.assert_allclose(rec.decision, p_next, atol=1e-12)
-            p = p_next
+    # At k = 8, c = 0.3 samples floor(2.4) = 2 clients: inclusion probability 0.25.
+    @pytest.mark.parametrize("c", [0.5, 0.3, 0.125])
+    def test_sampled_rounds_match_manual_ftrl_replay(self, c):
+        assert_matches_manual_ftrl_replay(8, c)
 
     def test_identical_clients_uniform_subset_weights(self):
         k = 100

@@ -80,6 +80,16 @@ class TestResponseRange:
 
 
 class TestTransformResponses:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bits_equal_the_checked_cdf_of_the_ratios(self, kind, rng):
+        # The transform skips cdf_eval's input checks, which its ratios pass.
+        spec, rr = CdfSpec(kind=kind), ResponseRange(0.0, 0.005)
+        for losses in (rng.uniform(0, 3, size=50), np.array([0.0, 0.0, 2.0]), np.array([1e300, 3e300])):
+            with np.errstate(over="ignore"):
+                scaled = losses if np.isfinite(losses.mean()) else losses / losses.max()
+            want = rr.c1 + rr.width * transform.cdf_eval(spec, scaled / scaled.mean())
+            assert transform.transform_responses(losses, rr, spec).tobytes() == want.tobytes()
+
     def test_reference_weibull_example(self):
         got = transform.transform_responses(
             np.array([0.01, 0.10, 0.02]), ResponseRange(0, 1), CdfSpec(kind="weibull")
