@@ -147,7 +147,8 @@ def dr_round(
     g_sampled = -sampled / base + rbar * slope
     gradient = np.full(k, unsampled)
     gradient[subset] = g_sampled
-    every_client_sampled = subset.size >= k and np.unique(subset).size == k
+    # np.unique would load numpy.ma on numpy 2; bincount does not.
+    every_client_sampled = subset.size >= k and np.bincount(subset, minlength=k).all()
     check_lipschitz(g_sampled if every_client_sampled else np.append(g_sampled, unsampled), l_inf)
     return response, gradient, _growth_loss(p, response)
 
