@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from fedfair import cli, decision, metrics
+from fedfair import cli, decision, metrics, simplex
 from fedfair.aggregators import FtrlState, OnsState, ftrl_eg_step, ons_step
 from fedfair.transform import ResponseRange
 
@@ -31,48 +31,38 @@ def adversarial_responses(rng, t, k, c2):
     return r
 
 
-# Each harness plays one seed's adversarial stream and returns the decisions
-# it played, the responses and the learner's regret bound.
+def play(seed, k, t, c2=1.0, second_order=False, c=None):
+    """Play one seed's stream of responses in [0, c2] with ONS (``second_order``) or entropic FTRL, on
+    exact gradients or, given a sampling fraction ``c``, on doubly robust ones from a sorted sample of
+    round(c k) clients a round. Returns the decisions played, the responses and the regret bound."""
+    rng = np.random.default_rng(seed)
+    responses = adversarial_responses(rng, t, k, c2)
+    l_inf = c2 if c is None else decision.lipschitz_dr(ResponseRange(0.0, c2), c)
+    state = (OnsState if second_order else FtrlState).init(k, l_inf)
+    step = ons_step if second_order else ftrl_eg_step
+    p = simplex.uniform(k)
+    played = np.empty((t, k))
+    for i in range(t):
+        played[i] = p
+        if c is None:
+            g = decision.decision_gradient(p, responses[i])
+        else:
+            subset = np.sort(rng.choice(k, size=round(c * k), replace=False))
+            _, g, _ = decision.dr_round(p, responses[i, subset], subset, subset.size / k, k, l_inf)
+        state, p = step(state, g)
+    return played, responses, decision.regret_bound(l_inf, k, t, second_order=second_order)
 
 
 def play_ons(seed, k=10, t=1000):
-    rng = np.random.default_rng(seed)
-    c2 = 1.0 / k
-    responses = adversarial_responses(rng, t, k, c2)
-    state = OnsState.init(k, c2)
-    played = np.empty((t, k))
-    for i in range(t):
-        played[i] = state.decision
-        state, _ = ons_step(state, decision.decision_gradient(state.decision, responses[i]))
-    return played, responses, decision.regret_bound(c2, k, t, second_order=True)
+    return play(seed, k, t, 1.0 / k, second_order=True)
 
 
 def play_ftrl(seed, k=50, t=2000):
-    rng = np.random.default_rng(seed)
-    responses = adversarial_responses(rng, t, k, 1.0)
-    state = FtrlState.init(k, 1.0)
-    p = np.full(k, 1.0 / k)
-    played = np.empty((t, k))
-    for i in range(t):
-        played[i] = p
-        state, p = ftrl_eg_step(state, decision.decision_gradient(p, responses[i]))
-    return played, responses, decision.regret_bound(1.0, k, t, second_order=False)
+    return play(seed, k, t)
 
 
 def play_sampled(seed, k=50, t=2000, c=0.1):
-    rng = np.random.default_rng(seed)
-    m = round(c * k)
-    responses = adversarial_responses(rng, t, k, c)
-    l_dr = decision.lipschitz_dr(ResponseRange(0.0, c), c)
-    state = FtrlState.init(k, l_dr)
-    p = np.full(k, 1.0 / k)
-    played = np.empty((t, k))
-    for i in range(t):
-        played[i] = p
-        subset = np.sort(rng.choice(k, size=m, replace=False))
-        _, g, _ = decision.dr_round(p, responses[i, subset], subset, m / k, k, l_dr)
-        state, p = ftrl_eg_step(state, g)
-    return played, responses, decision.regret_bound(l_dr, k, t, second_order=False)
+    return play(seed, k, t, c, c=c)
 
 
 def main():

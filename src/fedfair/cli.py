@@ -265,24 +265,40 @@ def round_series(lines: list) -> RunResult:
     (``duration`` aside), and the client eval line's ``client_accuracy``
     (None in a diverged run's log); no ``theta`` or ``runtime``.
 
-    Raises ValueError for a log of another schema, and naming the first
-    round whose new decision does not match the line's ``decision_digest``."""
+    The log must be the meta line, round lines numbered 1, 2, ... and, only
+    after all ``t_rounds`` of them, a last client eval line; each round line
+    must have its run's fields and equal the line of its rebuilt record.
+    Raises ValueError for a log of another schema, naming the first round
+    whose new decision does not match the line's ``decision_digest``, and
+    naming the line for any other fault."""
+    if not lines or lines[0].get("type") != "meta":
+        raise ValueError("line 1: a round log starts with its meta line")
     if lines[0].get("schema") != SCHEMA_VERSION:
         raise ValueError(f"round log schema {lines[0].get('schema')} is not {SCHEMA_VERSION}")
     cfg = FederationConfig.from_dict(lines[0]["config"])
     train_sizes = None if cfg.adaptive else np.array(lines[0]["train_sizes"])
     learner = Learner(cfg, train_sizes)
     silo = cfg.setting == "cross_silo"
+    fields = {"type", "round", "losses", "decision_digest", "decision_loss"} | (set() if silo else {"sampled"})
     records, accuracy = [], None
-    for r in lines[1:]:
-        if r["type"] == "client_eval":
+    for n, r in enumerate(lines[1:], start=2):
+        i, kind = len(records) + 1, r.get("type")
+        if i > cfg.t_rounds:
+            if kind != "client_eval" or n < len(lines) or r.keys() != {"type", "accuracy"}:
+                raise ValueError(f"line {n}: after round {i - 1} only a last client_eval line may follow")
             accuracy = np.array(r["accuracy"])
             continue
+        if kind != "round" or r.keys() != fields:
+            raise ValueError(f"line {n}: expected round {i}'s line with fields {sorted(fields)}, got {sorted(r)}")
         sampled = np.arange(cfg.k) if silo else np.asarray(r["sampled"], dtype=int)
-        rec = learner.step(r["round"], np.asarray(r["losses"]), sampled)
-        digest, logged = decision_digest(rec.decision), r["decision_digest"]
+        rec = learner.step(i, np.asarray(r["losses"]), sampled)
+        rebuilt = _round_line(rec, silo)
+        digest, logged = rebuilt["decision_digest"], r["decision_digest"]
         if digest != logged:
-            raise ValueError(f"round {r['round']}: replayed decision digest {digest} differs from the logged {logged}")
+            raise ValueError(f"round {i}: replayed decision digest {digest} differs from the logged {logged}")
+        if rebuilt != r:
+            differing = ", ".join(key for key in sorted(fields) if rebuilt[key] != r[key])
+            raise ValueError(f"line {n}: the replay of round {i} differs in {differing}")
         records.append(rec)
     return RunResult(cfg, records, theta=None, client_accuracy=accuracy, runtime=None, train_sizes=train_sizes)
 

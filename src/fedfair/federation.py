@@ -224,12 +224,12 @@ class Cohort:
     The plan is read-only outside ``fill``. ``x`` holds the clients'
     training rows in ``subset`` order, each with a trailing 1 for the bias,
     then one zero row that minibatch padding points at; client j's rows
-    start at ``starts[j]``. ``y`` holds the rows' labels and ``onehot`` the
-    same labels as a (classes, rows + 1) table of booleans, class-major like
-    the logits, so its column for row r is True at r's label only, and the
-    zero row's column is all False. ``picks``
-    holds each training row's flat index into the (classes, rows) logits of
-    the loss pass: the logit of the row's label. The step plan sorts clients
+    start at ``starts[j]``. ``onehot`` holds the rows' labels as a
+    (classes, rows + 1) table of booleans, class-major like the logits, so
+    its column for row r is True at r's label only, and the zero row's
+    column is all False. ``picks`` holds each training row's flat index into
+    the (classes, rows) logits of the loss pass: the logit of the row's
+    label. The step plan sorts clients
     by step count, most first (``order``), so the clients still training at
     step s are a prefix, ``active[s]`` of them. ``slots`` holds the rows of
     ``x`` that each sorted client's minibatch slots read before shuffling:
@@ -249,7 +249,7 @@ class Cohort:
     the cohort.
     """
 
-    _PLAN = ("subset", "sizes", "starts", "x", "y", "onehot", "picks", "order", "slots", "counts", "active")
+    _PLAN = ("subset", "sizes", "starts", "x", "onehot", "picks", "order", "slots", "counts", "active")
 
     def __init__(self, model: LogisticModel, fed: Federation, subset, batch_size: int, epochs: int):
         self.model, self.batch_size, self.epochs, self._fed = model, batch_size, epochs, fed
@@ -261,7 +261,6 @@ class Cohort:
             "offsets": np.cumsum(train_sizes) - train_sizes,
             **{name: np.empty(m, dtype=np.intp) for name in ("subset", "sizes", "starts", "order")},
             "x": np.empty((rows + 1) * cols),
-            "y": np.empty(rows + 1, dtype=np.intp),
             "onehot": np.empty(classes * (rows + 1), dtype=bool),
             "picks": np.empty(rows, dtype=np.intp),
             "slots": np.empty(slots, dtype=np.intp),
@@ -316,13 +315,12 @@ class Cohort:
         x[:total, :-1] = np.take(fed.x_train, gather, axis=0)  # faster than indexing
         x[:total, -1] = 1.0
         x[total] = 0.0
-        self.y = y = lead("y", total + 1)
-        y[:total] = fed.y_train[gather]
-        y[total] = 0
+        # picks holds the rows' labels until they have set onehot.
+        self.picks = picks = np.take(fed.y_train, gather, out=lead("picks", total))
         self.onehot = onehot = lead("onehot", self.model.num_classes, total + 1)
         onehot.fill(False)
-        onehot[y[:total], index] = True
-        self.picks = picks = np.multiply(y[:total], total, out=lead("picks", total))
+        onehot[picks, index] = True
+        picks *= total
         picks += index
 
         steps = -(-sizes // b)

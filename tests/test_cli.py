@@ -787,6 +787,35 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=r"^round 2: replayed decision digest [0-9a-f]{16} differs from the logged 0{16}$"):
             cli.round_series(lines)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # A baseline's decisions do not read the losses, so its digests
+            # match whatever loss the line logs.
+            (lambda lines: lines[2].update(decision_loss=lines[2]["decision_loss"] + 1e-9),
+             r"line 3: the replay of round 2 differs in decision_loss"),
+            (lambda lines: lines[2]["losses"].__setitem__(0, lines[2]["losses"][0] + 1e-9),
+             r"line 3: the replay of round 2 differs in decision_loss"),
+            (lambda lines: lines[2].update(round=7), r"line 3: the replay of round 2 differs in round"),
+            (lambda lines: lines.insert(2, lines.pop()), r"line 3: expected round 2's line with fields .*, got \['accuracy', 'type'\]"),
+            (lambda lines: lines.clear(), r"line 1: a round log starts with its meta line"),
+            (lambda lines: lines.insert(2, {"type": "note"}), r"line 3: expected round 2's line with fields .*, got \['type'\]"),
+            (lambda lines: lines[2].pop("losses"), r"line 3: expected round 2's line with fields .*, got \['decision_digest', 'decision_loss', 'round', 'type'\]"),
+            (lambda lines: lines.insert(4, dict(lines[3], round=4)), r"line 5: after round 3 only a last client_eval line may follow"),
+            (lambda lines: lines.pop(3), r"line 4: expected round 3's line with fields .*, got \['accuracy', 'type'\]"),
+        ],
+        ids=["decision-loss", "one-loss", "round-number", "client-eval-mid-log", "empty", "unknown-type", "no-losses",
+             "round-after-the-last", "client-eval-before-the-last-round"],
+    )
+    def test_replay_names_the_line_of_an_edited_baseline_log(self, tmp_path, edit, message):
+        path = write_config(tmp_path, SMALL_RUN.replace("method = aaggff-s", "method = fedavg"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        lines = read_log(tmp_path / "out/runs/fedavg_seed5.rounds.jsonl")
+        cli.round_series(lines)
+        edit(lines)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.round_series(lines)
+
     def test_failed_rerun_leaves_no_earlier_outputs(self, tmp_path, monkeypatch):
         cfg_path, out = write_config(tmp_path, SMALL_RUN), tmp_path / "out"
         assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0

@@ -373,7 +373,7 @@ class TestSgdStep:
 
 
 # The read-only arrays of a cohort: the clients' data and step plan.
-PLAN = {"subset", "sizes", "starts", "x", "y", "picks", "order", "slots", "counts", "active", "onehot"}
+PLAN = {"subset", "sizes", "starts", "x", "picks", "order", "slots", "counts", "active", "onehot"}
 
 
 def spoil(cohort):
