@@ -30,6 +30,7 @@ CORPUS = [
     *((path, {"cdf.kind": kind}) for path in (SILO, DEVICE) for kind in ("frechet", "gumbel", "exponential", "logistic", "normal")),
     (SILO, {"e": 2, "b": 16, "weight_decay": 0.001}),
     (SILO, {"data.num_classes": 12, "data.dirichlet_concentration": 2.0}),
+    (SILO, {"k": 64}),
     (DEVICE, {"e": 3, "b": 7, "weight_decay": 0.01}),
     *((DEVICE, {"data.input_dim": dim}) for dim in (1, 2)),
     (DEVICE, {"data.dirichlet_concentration": 0.05}),

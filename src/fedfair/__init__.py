@@ -27,6 +27,7 @@ from .decision import (
     decision_loss,
     dr_estimate,
     dr_round,
+    full_round,
     linearized_gradient,
     lipschitz_dr,
     lipschitz_full,
@@ -62,6 +63,7 @@ __all__ = [
     "dr_round",
     "eg_step",
     "ftrl_eg_step",
+    "full_round",
     "generate_federation",
     "gini",
     "hindsight_best",

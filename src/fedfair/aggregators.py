@@ -230,18 +230,24 @@ def ons_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.ndarra
     ``simplex.ROW_BLOCK`` rows at a time through one small scratch block,
     so a round allocates no K x K array. Each entry is computed as
     B + beta * (g g^T) was, so the bits are those of the out-of-place sum.
+    Each block's absolute row sums, whose largest bounds B's largest
+    eigenvalue for the minimizer's step sizes, are taken while the block is
+    still in cache, so B is swept once a round.
     """
     g = _checked_gradient(gradient, state.decision.size, state.l_inf)
     b = state.b_matrix
     scratch = np.empty((min(simplex.ROW_BLOCK, g.size), g.size))
+    row_sums = np.empty(g.size)
     for lo in range(0, g.size, simplex.ROW_BLOCK):
         rows = g[lo : lo + simplex.ROW_BLOCK]
         block = scratch[: rows.size]
         np.multiply(rows[:, None], g, out=block)
         block *= state.beta
-        b[lo : lo + rows.size] += block
+        b_rows = b[lo : lo + rows.size]
+        b_rows += block
+        simplex._abs_row_sums(b_rows, block, row_sums[lo : lo + rows.size])
     lin_new = state.linear_term + (1.0 - state.beta * float(g @ state.decision)) * g
-    decision = simplex.minimize_quadratic(b, lin_new, start=state.decision)
+    decision = simplex.minimize_quadratic(b, lin_new, state.decision, float(row_sums.max()))
     new_state = replace(state, decision=decision, linear_term=lin_new)
     return new_state, decision
 

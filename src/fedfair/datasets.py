@@ -54,7 +54,8 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(_MIX_L), np.uint32(_MIX_R)
 
 
 def _hash_const(i: int) -> int:
@@ -63,25 +64,28 @@ def _hash_const(i: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
-    """numpy's ``SeedSequence(seed).pool``, and the number of hashmix calls
-    that made it: one per pool word, one per ordered pair of distinct pool
-    words, and one per pool word for each seed word past the pool size.
-    (With a spawn key numpy zero-pads the seed's words to the pool size,
-    and hashing those zeros is what fills a short seed's pool anyway.)"""
-    pool = np.random.SeedSequence(seed).pool.copy()  # raises for seed < 0
-    pool.flags.writeable = False  # cached: shared by every caller
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """numpy's ``SeedSequence(seed).pool`` as ints, and the number of
+    hashmix calls that made it: one per pool word, one per ordered pair of
+    distinct pool words, and one per pool word for each seed word past the
+    pool size. (With a spawn key numpy zero-pads the seed's words to the
+    pool size, and hashing those zeros is what fills a short seed's pool
+    anyway.)"""
+    pool = np.random.SeedSequence(seed).pool  # raises for seed < 0
     words = -(-max(seed.bit_length(), 1) // 32)
-    return pool, _POOL_SIZE * (_POOL_SIZE + max(words - _POOL_SIZE, 0))
+    return tuple(pool.tolist()), _POOL_SIZE * (_POOL_SIZE + max(words - _POOL_SIZE, 0))
 
 
 @functools.lru_cache(maxsize=64)
-def _path_consts(calls: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiply) constants, each (length, pool size), of the hashmix
-    calls that mix ``length`` path words into the pool after ``calls``."""
-    consts = np.array([_hash_const(calls + i) for i in range(length * _POOL_SIZE + 1)], dtype=np.uint32)
+def _path_consts(calls: int, length: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The constants of the hashmix calls that mix ``length`` path words
+    into the pool after ``calls``: as ints, where lane j of word i is
+    xor-ed with entry 4 i + j and multiplied by entry 4 i + j + 1, and as
+    those (xor, multiply) arrays, each (length, pool size)."""
+    ints = tuple(_hash_const(calls + i) for i in range(length * _POOL_SIZE + 1))
+    consts = np.array(ints, dtype=np.uint32)
     consts.flags.writeable = False  # cached: shared by every caller
-    return consts[:-1].reshape(length, _POOL_SIZE), consts[1:].reshape(length, _POOL_SIZE)
+    return ints, consts[:-1].reshape(length, _POOL_SIZE), consts[1:].reshape(length, _POOL_SIZE)
 
 
 # generate_state(2, np.uint64) hashes the four pool words with these
@@ -101,23 +105,40 @@ def stream_keys(seed: int, *path) -> np.ndarray:
     several words, which this emulation does not.
     """
     pool, calls = _seed_pool(int(seed))
-    words = [np.asarray(p) for p in path]
+    # The leading Python ints (a stream label, a round) are mixed into the
+    # four pool lanes as Python ints, which costs less than numpy's per-call
+    # overhead on four lanes; numpy mixes the rest. A bool is not of type int.
+    lead = 0
+    for w in path:
+        if type(w) is not int:
+            break
+        if not 0 <= w <= MAX_PATH_ENTRY:
+            raise ValueError("stream path entries must be integers in [0, 2**32)")
+        lead += 1
+    words = [np.asarray(p) for p in path[lead:]]
     for w in words:
         if w.dtype.kind not in "iu" or (w.size and (w.min() < 0 or w.max() > MAX_PATH_ENTRY)):
             raise ValueError("stream path entries must be integers in [0, 2**32)")
-    # Each word is mixed in at its own shape: the pool takes an array word's
-    # shape only when that word is mixed in, so a scalar word costs four
-    # lanes, and words that do not broadcast together raise there.
-    mixer = pool
-    xor, mul = _path_consts(calls, len(words))
-    for w, x, m in zip(words, xor, mul):
+    ints, xor, mul = _path_consts(calls, len(path))
+    lanes = list(pool)
+    for i, w in enumerate(path[:lead]):
+        for j in range(_POOL_SIZE):
+            hashed = (w ^ ints[4 * i + j]) * ints[4 * i + j + 1] & _MASK32
+            hashed = (hashed ^ hashed >> 16) * _MIX_R & _MASK32
+            lane = lanes[j] * _MIX_L - hashed & _MASK32
+            lanes[j] = lane ^ lane >> 16
+    # Each array word is mixed in at its own shape: the pool takes an array
+    # word's shape only when that word is mixed in, so a scalar word costs
+    # four lanes, and words that do not broadcast together raise there.
+    mixer = np.array(lanes, dtype=np.uint32)
+    for w, x, m in zip(words, xor[lead:], mul[lead:]):
         hashed = w.astype(np.uint32)[..., None] ^ x
         hashed *= m
         hashed ^= hashed >> 16
         hashed *= _MIX_MULT_R
         mixer = mixer * _MIX_MULT_L - hashed
         mixer ^= mixer >> 16
-    mixer = mixer ^ _OUT[:-1]  # a new array: never the cached pool
+    mixer ^= _OUT[:-1]
     mixer *= _OUT[1:]
     mixer ^= mixer >> 16
     keys = mixer[..., 1::2].astype(np.uint64) << np.uint64(32)

@@ -34,20 +34,33 @@ def decision_loss(p: np.ndarray, r: np.ndarray) -> float:
     return _growth_loss(*_check_pair(p, r))
 
 
-def _growth_loss(p: np.ndarray, r: np.ndarray) -> float:
+def _growth(p: np.ndarray, r: np.ndarray, what: str) -> float:
+    """1 + <p, r>, checked to be positive; ``what`` names the quantity that
+    a nonpositive growth leaves undefined."""
     growth = 1.0 + float(p @ r)
     if growth <= 0.0:
-        raise InvalidInputError(f"decision loss undefined: 1 + <p, r> = {growth:.3e} <= 0")
-    return -float(np.log(growth))
+        raise InvalidInputError(f"{what} undefined: 1 + <p, r> = {growth:.3e} <= 0")
+    return growth
+
+
+def _growth_loss(p: np.ndarray, r: np.ndarray) -> float:
+    return -float(np.log(_growth(p, r, "decision loss")))
 
 
 def decision_gradient(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Exact gradient of the decision loss: -r / (1 + <p, r>)."""
     p, r = _check_pair(p, r)
-    growth = 1.0 + float(p @ r)
-    if growth <= 0.0:
-        raise InvalidInputError(f"gradient undefined: 1 + <p, r> = {growth:.3e} <= 0")
-    return -r / growth
+    return -r / _growth(p, r, "gradient")
+
+
+def full_round(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(decision_gradient(p, r), decision_loss(p, r))``, bit for bit, from
+    one check of the pair and one growth 1 + <p, r>: the full-information
+    round of the cross-silo learner. It raises what ``decision_gradient``
+    raises, which is all that ``decision_loss`` could raise."""
+    p, r = _check_pair(p, r)
+    growth = _growth(p, r, "gradient")
+    return -r / growth, -float(np.log(growth))
 
 
 def dr_estimate(

@@ -548,6 +548,15 @@ class Learner:
         and return its record; the decision played is scored on the round's
         ``scored_response``.
 
+        An ``aaggff-s`` round takes its gradient and loss from one
+        ``decision.full_round`` call on the decision played and the observed
+        response (a silo round's scored response), which checks the pair
+        once and forms the growth 1 + <p, r> once, and then makes the
+        checked ONS step. That step sweeps B once, a block of rows at a
+        time, adding the rank-one term and taking the row sums that bound
+        its spectrum; each projected-gradient iteration then makes one gemv
+        and one Euclidean projection per backtracking trial (usually one).
+
         An ``aaggff-d`` round takes its response, gradient and loss from one
         ``decision.dr_round`` call, which checks the gradient on its m + 1
         distinct values, and then makes the unchecked FTRL step. Besides
@@ -561,17 +570,16 @@ class Learner:
         if cfg.method == ADAPTIVE_DEVICE:
             _, g, loss = decision.dr_round(played, observed, subset, cfg.inclusion_probability, cfg.k, state.l_inf)
             self._state, p = aggregators._ftrl_eg_step(state, g)
+        elif cfg.method == ADAPTIVE_SILO:
+            g, loss = decision.full_round(played, observed)
+            self._state, p = aggregators.ons_step(state, g)
         else:
-            response = scored_response(cfg, observed, subset)
-            if cfg.method == ADAPTIVE_SILO:
-                self._state, p = aggregators.ons_step(state, decision.decision_gradient(played, response))
-            else:
-                prior = state.sample_sizes[subset]
-                p = np.zeros(cfg.k)
-                p[subset] = aggregators.eg_step(
-                    prior / prior.sum(), aggregators.baseline_response(state, losses), state.step_size
-                )
-            loss = decision.decision_loss(played, response)
+            prior = state.sample_sizes[subset]
+            p = np.zeros(cfg.k)
+            p[subset] = aggregators.eg_step(
+                prior / prior.sum(), aggregators.baseline_response(state, losses), state.step_size
+            )
+            loss = decision.decision_loss(played, scored_response(cfg, observed, subset))
         if cfg.adaptive:
             self.played = p
         return RoundRecord(round_index, subset, losses, played[subset], observed, p, loss)

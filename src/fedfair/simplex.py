@@ -12,6 +12,8 @@ All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateSubsetError, InvalidInputError, InvalidMatrixError
@@ -35,18 +37,47 @@ def project_euclidean(v: np.ndarray) -> np.ndarray:
     Sort-and-threshold algorithm, O(K log K): find the largest support size
     rho such that the water level theta = (sum of the rho largest entries - 1)/rho
     leaves those entries positive, then clip ``v - theta`` at zero.
+
+    From a largest entry of about 1e16 on, u - (u - 1) can round to 0 and no
+    support size passes that test; the projection of ``v - max(v)``, which
+    is the same point, is returned then.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise InvalidInputError("expected a nonempty 1-d vector")
     if not np.isfinite(v).all():
         raise InvalidInputError("projection input must be finite")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    p = _threshold(v)
+    if p is None:
+        # Entries near -1.7e308 may shift or sum to -inf; such an entry projects to 0.
+        with np.errstate(over="ignore"):
+            p = _threshold(v - v.max())
+    return p
+
+
+@functools.lru_cache(maxsize=64)
+def _ranks(k: int) -> np.ndarray:
+    """The float ranks 1, 2, ..., k, read-only: cached and shared by every caller."""
+    ranks = np.arange(1.0, k + 1.0)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _threshold(v: np.ndarray) -> np.ndarray | None:
+    """``project_euclidean``'s sort-and-threshold step, or None when no
+    support size passes its test. For floats, u - css / rank > 0 exactly
+    when u > css / rank, so the test is made without the difference."""
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    css -= 1.0
+    ranks = _ranks(v.size)
+    support = (u > css / ranks).nonzero()[0]
+    if not support.size:
+        return None
+    rho = support[-1]
+    return np.maximum(v - css[rho] / ranks[rho], 0.0)
 
 
 def _check_psd(b, k: int) -> np.ndarray:
@@ -78,15 +109,22 @@ def _abs_row_sum_bound(b: np.ndarray) -> float:
     scratch = np.empty((min(ROW_BLOCK, k), k))
     sums = np.empty(k)
     for lo in range(0, k, ROW_BLOCK):
-        block = np.abs(b[lo : lo + ROW_BLOCK], out=scratch[: min(ROW_BLOCK, k - lo)])
-        np.sum(block, axis=1, out=sums[lo : lo + ROW_BLOCK])
-    return float(np.max(sums))
+        rows = b[lo : lo + ROW_BLOCK]
+        _abs_row_sums(rows, scratch[: rows.shape[0]], sums[lo : lo + ROW_BLOCK])
+    return float(sums.max())
+
+
+def _abs_row_sums(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write the absolute row sums of the row block ``rows`` to ``out``,
+    through ``scratch``, an array of the block's shape that it overwrites."""
+    np.add.reduce(np.abs(rows, out=scratch), axis=1, out=out)
 
 
 def minimize_quadratic(
     b: np.ndarray,
     lin: np.ndarray,
     start: np.ndarray,
+    lam_bound: float,
     tol: float = 1e-8,
     max_iter: int | None = None,
 ) -> np.ndarray:
@@ -95,9 +133,10 @@ def minimize_quadratic(
     Solved by projected-gradient descent in the Euclidean metric with a
     Barzilai-Borwein trial step and Armijo backtracking, starting from the
     Euclidean projection of ``start`` and stopping when the iterate moves
-    less than ``tol`` in sup norm. Steps are scaled by the largest absolute
-    row sum of B, an upper bound on its largest eigenvalue, so each
-    iteration costs O(K^2) matrix-vector work and nothing O(K^3).
+    less than ``tol`` in sup norm. Steps are scaled by ``lam_bound``, an
+    upper bound on the largest eigenvalue of B that the caller supplies,
+    such as its largest absolute row sum (``_abs_row_sum_bound``), so each
+    iteration costs one O(K^2) matrix-vector product and nothing O(K^3).
 
     B is trusted to be symmetric positive definite and ``lin`` to be a
     finite vector of matching size: only ``project_mahalanobis`` checks its
@@ -111,7 +150,6 @@ def minimize_quadratic(
     if max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
 
-    lam_bound = _abs_row_sum_bound(b)
     lin2 = 2.0 * lin
     x = project_euclidean(start)
     bx = b @ x
@@ -125,8 +163,7 @@ def minimize_quadratic(
         # Barzilai-Borwein trial step, safeguarded to a sane range.
         if prev_x is not None:
             dx = x - prev_x
-            dg = grad - prev_grad
-            denom = float(dx @ dg)
+            denom = float(dx @ (grad - prev_grad))
             if denom > 0:
                 step = float(dx @ dx) / denom
         step = min(max(step, step_lo), step_hi)
@@ -146,7 +183,10 @@ def minimize_quadratic(
         move = float(abs(d).max())
         prev_x, prev_grad = x, grad
         x, f_x = x_new, f_new
-        grad = 2.0 * bx_new + lin2
+        # bx_new is the accepted trial's B x_new, free to become its gradient.
+        grad = bx_new
+        grad *= 2.0
+        grad += lin2
         if move <= tol:
             return x
     raise ConvergenceError(
@@ -184,7 +224,7 @@ def project_mahalanobis(
     lin = -(b @ v)
     if not np.isfinite(lin).all():
         raise InvalidMatrixError("metric times the projection input overflows")
-    return minimize_quadratic(b, lin, v if start is None else start, tol=tol, max_iter=max_iter)
+    return minimize_quadratic(b, lin, v if start is None else start, _abs_row_sum_bound(b), tol=tol, max_iter=max_iter)
 
 
 def normalize_subset(p: np.ndarray, subset: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from fedfair.aggregators import (
 )
 from fedfair.errors import InvalidInputError
 
+import simplex_reference
 from conftest import is_simplex, random_simplex
 
 
@@ -346,6 +347,23 @@ class TestOnsStep:
             b = b + state.beta * np.outer(g, g)
             state, _ = ons_step(state, g)
         assert np.array_equal(state.b_matrix, b)
+
+    @pytest.mark.parametrize("k", [2, 20, simplex.ROW_BLOCK - 1, simplex.ROW_BLOCK, simplex.ROW_BLOCK + 1, 64, 500])
+    def test_bits_equal_the_reference_step(self, k):
+        # One short block, exact blocks and a ragged last block of the sweep
+        # that adds g g^T to B and takes its row sums. Skewed responses move
+        # the decision well off uniform, and at k = 2 onto a vertex.
+        rng = np.random.default_rng(k)
+        state = OnsState.init(k, l_inf=1.0)
+        b, lin, p = state.b_matrix.copy(), state.linear_term, state.decision
+        skew = rng.permutation(np.linspace(0.0, 1.0, k) ** 4)
+        for _ in range(20):
+            g = decision.decision_gradient(p, skew * rng.uniform(0.5, 1.0, size=k))
+            b, lin, p = simplex_reference.ons_step(b, lin, p, state.beta, g)
+            state, got = ons_step(state, g)
+            np.testing.assert_array_equal(state.b_matrix, b)
+            np.testing.assert_array_equal(state.linear_term, lin)
+            np.testing.assert_array_equal(got, p)
 
 
 def out_of_place_exp_weights(w):

@@ -126,8 +126,8 @@ def count_learner_steps(monkeypatch) -> dict:
 class RecordingDecision:
     """Stands in for the ``decision`` module inside ``federation`` and keeps
     every (decision, response) pair the run scores a decision loss on:
-    through ``decision_loss``, or, in a cross-device adaptive round,
-    ``dr_round``."""
+    through ``decision_loss``, or, in an adaptive round, ``full_round``
+    (cross-silo) or ``dr_round`` (cross-device)."""
 
     def __init__(self):
         self.played, self.responses = [], []
@@ -139,6 +139,11 @@ class RecordingDecision:
         self.played.append(np.array(p))
         self.responses.append(np.array(r))
         return decision.decision_loss(p, r)
+
+    def full_round(self, p, r):
+        self.played.append(np.array(p))
+        self.responses.append(np.array(r))
+        return decision.full_round(p, r)
 
     def dr_round(self, p, *args):
         response, gradient, loss = decision.dr_round(p, *args)

@@ -79,6 +79,26 @@ path_entries = st.integers(0, 2**32 - 1)
 paths = st.lists(path_entries, min_size=1, max_size=3)
 
 
+@st.composite
+def mixed_paths(draw):
+    """Up to four path entries in any order, each a Python int, a numpy
+    integer scalar, a 0-d array or an array of shape (n,), (m, 1) or (m, n),
+    so that the arrays broadcast together."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    path = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["int", "scalar", "0-d", "array"]))
+        dtype = draw(st.sampled_from([np.uint32, np.int64, np.uint64]))
+        if kind == "array":
+            shape = draw(st.sampled_from([(n,), (m, 1), (m, n)]))
+            values = draw(st.lists(path_entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+            path.append(np.array(values, dtype=dtype).reshape(shape))
+        else:
+            value = draw(path_entries)
+            path.append({"int": value, "scalar": dtype(value), "0-d": np.array(value, dtype=dtype)}[kind])
+    return path
+
+
 class TestStreamKeys:
     @settings(max_examples=300, deadline=None)
     @given(seeds, paths)
@@ -114,6 +134,29 @@ class TestStreamKeys:
                 np.testing.assert_array_equal(keys[i, j], seed_sequence_key(9, (1, i, 4, c, 0)))
         with pytest.raises(ValueError):
             stream_keys(9, np.arange(3), 1, np.arange(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeds, mixed_paths())
+    def test_entries_of_every_integer_kind_key_each_broadcast_path(self, seed, path):
+        shape = np.broadcast_shapes(*(np.shape(w) for w in path))
+        keys = stream_keys(seed, *path)
+        assert keys.shape == (*shape, 2) and keys.dtype == np.uint64
+        for index in np.ndindex(shape):
+            words = [int(np.broadcast_to(w, shape)[index]) for w in path]
+            np.testing.assert_array_equal(keys[index], seed_sequence_key(seed, words))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [True, np.bool_(True), np.array([True, False]), 1.0, np.float64(1.0), np.array([0.5]),
+         -1, np.int64(-1), np.array([3, -1]), 2**32, 2**64, np.uint64(2**32), np.array([0, 2**32])],
+        ids=["bool", "numpy-bool", "bool-array", "float", "numpy-float", "float-array",
+             "negative", "numpy-negative", "negative-array", "2**32", "2**64", "numpy-2**32", "2**32-array"],
+    )
+    @pytest.mark.parametrize("prefix", [(), (2,), (2, np.arange(3))], ids=["first", "after-an-int", "after-an-array"])
+    def test_entry_neither_an_integer_nor_in_one_word_raises(self, entry, prefix):
+        # A bool is a Python int, but not a path entry.
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream_keys(0, *prefix, entry)
 
     @pytest.mark.parametrize("entry", [2**32, 2**64, -1])
     def test_entry_outside_one_word_raises(self, entry):

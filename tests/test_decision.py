@@ -92,6 +92,47 @@ class TestDecisionGradient:
         assert sup <= bound + 1e-12
 
 
+def gradient_then_loss(p, r):
+    """The composition ``decision.full_round`` replaces, in the order the
+    cross-silo learner ran it."""
+    return decision.decision_gradient(p, r), decision.decision_loss(p, r)
+
+
+class TestFullRound:
+    """``decision.full_round`` returns and raises what the gradient and the
+    loss do, one after the other."""
+
+    @pytest.mark.parametrize("k", [1, 2, 20, 500])
+    def test_bits_equal_gradient_then_loss(self, rng, k):
+        for _ in range(50):
+            p = random_simplex(rng, k) ** rng.choice([1, 12])
+            p /= p.sum()
+            # Some entries negative, as in estimated responses; growth stays >= 0.5.
+            r = rng.uniform(-0.5, 1.0, size=k) * 10.0 ** rng.integers(-6, 1)
+            got = outcome(decision.full_round, p, r)
+            assert isinstance(got, list), got
+            assert got == outcome(gradient_then_loss, p, r)
+
+    @pytest.mark.parametrize(
+        "p, r",
+        [
+            ([0.5, 0.5], [0.1, 0.2, 0.3]),
+            ([[0.5, 0.5]], [[0.1, 0.2]]),
+            ([0.5, np.nan], [0.1, 0.2, 0.3]),
+            ([0.5, np.nan], [0.1, 0.2]),
+            ([0.5, 0.5], [np.inf, 0.2]),
+            ([1.0, 0.0], [-1.0, 5.0]),
+            ([0.5, 0.5], [-3.0, np.nan]),
+            ([0.25, 0.75], [-4.0, -1.0]),
+        ],
+        ids=["shape", "two-d", "shape-before-finite", "nan", "inf", "zero-growth", "finite-before-growth", "negative-growth"],
+    )
+    def test_raises_what_the_gradient_raises_first(self, p, r):
+        got = outcome(decision.full_round, p, r)
+        assert got[0] is InvalidInputError
+        assert got == outcome(gradient_then_loss, p, r)
+
+
 class TestDrEstimate:
     def test_full_participation_identity(self, rng):
         k = 8

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import output_corpus
-from fedfair import aggregators, cli, datasets
+from fedfair import aggregators, cli, datasets, simplex
 from fedfair.errors import ConfigError
 from fedfair.transform import CdfKind, Setting
 
@@ -34,6 +34,7 @@ def test_corpus_covers_every_config_file_method_cdf_and_listed_path(tmp_path):
 
     # Each path that no shipped config takes, and what it runs.
     device = [cfg for cfg in configs if cfg.setting is Setting.CROSS_DEVICE]
+    silo_k = {cfg.k for cfg in configs if cfg.method == "aaggff-s"}
     paths = {
         "input dims 1 and 2: numpy sums one feature column pairwise and a few narrow ones row by row": (
             {1, 2} <= {cfg.data.input_dim for cfg in configs}
@@ -53,6 +54,11 @@ def test_corpus_covers_every_config_file_method_cdf_and_listed_path(tmp_path):
         ),
         "a 400-round device-wide run, whose regret sums many rounds' decision losses": any(
             cfg.k >= 10000 and cfg.t_rounds >= 400 for cfg in device
+        ),
+        "ONS sweeps over B of one short block, of full blocks only, and with a ragged last block": (
+            any(k < simplex.ROW_BLOCK for k in silo_k)
+            and any(k % simplex.ROW_BLOCK == 0 for k in silo_k)
+            and any(k > simplex.ROW_BLOCK and k % simplex.ROW_BLOCK for k in silo_k)
         ),
     }
     for setting in Setting:

@@ -13,6 +13,7 @@ from fedfair.errors import (
     InvalidMatrixError,
 )
 
+import simplex_reference
 from conftest import is_simplex, random_simplex
 
 
@@ -105,6 +106,37 @@ class TestProjectEuclidean:
     def test_output_is_simplex(self, entries):
         p = simplex.project_euclidean(np.array(entries))
         assert is_simplex(p)
+
+    @pytest.mark.parametrize("kind", ["ties", "negative", "one-hot", "mixed magnitudes"])
+    def test_bits_equal_the_reference(self, rng, kind):
+        draw = {
+            "ties": lambda k: rng.integers(-3, 4, size=k) / 2.0,
+            "negative": lambda k: -rng.exponential(size=k) * 10.0 ** rng.integers(-3, 4),
+            "one-hot": lambda k: np.eye(k)[rng.integers(k)] * 10.0 ** rng.integers(-3, 4),
+            "mixed magnitudes": lambda k: rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, size=k),
+        }[kind]
+        for k in [1, 2, 3, 5, 20, 64, 500] * 30:
+            v = draw(k)
+            np.testing.assert_array_equal(simplex.project_euclidean(v), simplex_reference.project_euclidean(v))
+
+    @pytest.mark.parametrize(
+        "v, want",
+        [
+            ([1e16, 0.0], [1.0, 0.0]),
+            ([1e17, 1e17], [0.5, 0.5]),
+            ([3e16], [1.0]),
+            ([1e300, -1e300], [1.0, 0.0]),
+            ([-1e300, 1.7e308, -1.7e308], [0.0, 1.0, 0.0]),
+        ],
+        ids=["1e16", "two-1e17", "3e16", "1e300", "1.7e308"],
+    )
+    def test_large_finite_input_projects_as_its_shift_by_the_max(self, v, want):
+        # u - (u - 1) rounds to 0 for a largest entry u of about 1e16 or
+        # more, so no support size passes the threshold test; the shift by
+        # the max, which overflows for the last input, is the same point.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(simplex.project_euclidean(np.array(v)), want)
 
 
 def random_psd(rng, k, spread=3.0):
@@ -239,9 +271,8 @@ class TestProjectMahalanobis:
             k = int(rng.integers(2, 9))
             v = rng.normal(size=k) * 2
             b = random_psd(rng, k)
-            np.testing.assert_array_equal(
-                simplex.minimize_quadratic(b, -(b @ v), v), simplex.project_mahalanobis(v, b)
-            )
+            got = simplex.minimize_quadratic(b, -(b @ v), v, simplex._abs_row_sum_bound(b))
+            np.testing.assert_array_equal(got, simplex.project_mahalanobis(v, b))
 
     def test_converges_when_row_sums_overstate_the_spectrum(self):
         # Identity plus a small symmetric +-1 perturbation: the absolute row
@@ -271,6 +302,9 @@ class TestProjectMahalanobis:
             got = simplex.project_mahalanobis(v, 1.7e308 * np.eye(3))
         np.testing.assert_array_equal(got, v)
         assert len(calls) == 2
+
+    def test_large_finite_input(self):
+        np.testing.assert_array_equal(simplex.project_mahalanobis([1e17, 1e17], np.eye(2)), [0.5, 0.5])
 
     def test_metric_overflowing_on_a_finite_input_names_the_metric(self):
         # v is finite, but B v overflows: the metric is at fault, not v.
