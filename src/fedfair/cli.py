@@ -493,8 +493,8 @@ def _forked_rows(configs: list, runs_dir: Path, workers: int) -> list:
 
 def run_suite(suite: ExperimentSuite, jobs: int = 1) -> int:
     """Execute every (config, seed) run, up to ``jobs`` seeds at a time in
-    forked processes (POSIX), which inherit this process's logging and
-    allocator setup; returns the process exit code."""
+    forked processes (POSIX), which inherit this process's logging; returns
+    the process exit code."""
     runs_dir = suite.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     # An earlier suite's outputs of these runs go first, so that a run that

@@ -309,7 +309,9 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     The rows are drawn into one buffer and split in place, so ``x_train``
     and ``x_test`` are its leading and trailing rows (and ``y_train`` and
     ``y_test`` those of one label buffer). The label, offset and partition
-    passes work ``ROW_BLOCK`` rows at a time.
+    passes work ``ROW_BLOCK`` rows at a time. Each all-clients temporary is
+    freed at its last use, all of them before the test rows are copied out,
+    so they do not set the run's peak memory.
     """
     if k < 1:
         raise ConfigError("k", "must be >= 1")
@@ -387,6 +389,7 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
             block += offset
         del uniforms, block_owner  # a view: it would keep all of owner alive
         del column, below, offsets, client_shifts, offset
+        del shifts, directions, sq_norms, cdf, below_by_class
         mu = x.mean(axis=0)
         sigma = column_std(x, mu)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
@@ -424,6 +427,7 @@ def generate_federation(spec: SyntheticDataSpec, k: int, seed: int, min_batch: i
     is_test[np.take(order, positions)] = True
     del order, positions
     test_sizes = n_test.reshape(k, classes).sum(axis=1)
+    del keyed, client, first, shuffled, starts, ends, test_ends, counts, n_test
 
     # Partition in place: train rows move forward, each to a position at or
     # before its own, so a block never overwrites a row still to be read;

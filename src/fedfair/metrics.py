@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import aggregators
@@ -26,20 +28,30 @@ def gini(perf) -> float:
 
     Population definition sum_ij |x_i - x_j| / (2 n^2 mean), computed via the
     sorted O(n log n) identity. Raw value in [0, 1); report formatters may
-    scale by 100.
+    scale by 100. The coefficient does not change when every performance is
+    scaled, so performances whose sums overflow are divided by the largest.
+    Rounding can leave the identity just below 0, where it reads 0.
     """
     x = np.asarray(perf, dtype=float)
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise InvalidInputError("performances must be nonempty and finite")
     if np.any(x < 0):
         raise InvalidInputError("performances must be >= 0")
-    total = x.sum()
-    if total == 0.0:
+    largest = x.max()
+    if largest == 0.0:
         raise InvalidInputError("Gini undefined: all performances are zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _sorted_identity(x)
+    if not math.isfinite(g):
+        g = _sorted_identity(x / largest)
+    return max(g, 0.0)
+
+
+def _sorted_identity(x: np.ndarray) -> float:
     xs = np.sort(x)
     n = x.size
     ranks = np.arange(1, n + 1)
-    return float(2.0 * (ranks * xs).sum() / (n * total) - (n + 1.0) / n)
+    return float(2.0 * (ranks * xs).sum() / (n * x.sum()) - (n + 1.0) / n)
 
 
 def worst_best(perf, fraction: float) -> tuple[float, float]:

@@ -19,6 +19,10 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateSubsetError, InvalidInputError, InvalidMatrixError
 
 SIMPLEX_SUM_TOL = 1e-9
+# Largest K^2 * max |v_i| at which project_euclidean takes its sort-and-threshold
+# step unchecked: the step's rounding then moves the sum by at most about
+# 2^20 * 2^-53, well within SIMPLEX_SUM_TOL.
+_EXACT_SCALE = 2.0**20
 # Rows per block when a K x K matrix is swept a block at a time, so that the
 # sweep's temporary stays small instead of matching the matrix.
 ROW_BLOCK = 32
@@ -38,21 +42,31 @@ def project_euclidean(v: np.ndarray) -> np.ndarray:
     rho such that the water level theta = (sum of the rho largest entries - 1)/rho
     leaves those entries positive, then clip ``v - theta`` at zero.
 
-    From a largest entry of about 1e16 on, u - (u - 1) can round to 0 and no
-    support size passes that test; the projection of ``v - max(v)``, which
-    is the same point, is returned then.
+    The step's rounding moves the sum of its result by about K^2 times the
+    largest magnitude in ``v`` times 2^-53, and its sums overflow near the
+    float range. So once K^2 times that magnitude passes ``_EXACT_SCALE``,
+    its result is kept only if it sums to 1 within ``SIMPLEX_SUM_TOL``.
+    Else the step is run on ``v - max(v)`` with every entry clipped at -2,
+    which has the same projection: an entry 1 or more below the largest is
+    never in the support, and the clipped entries' sums are exact enough
+    and finite.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise InvalidInputError("expected a nonempty 1-d vector")
     if not np.isfinite(v).all():
         raise InvalidInputError("projection input must be finite")
-    p = _threshold(v)
-    if p is None:
-        # Entries near -1.7e308 may shift or sum to -inf; such an entry projects to 0.
-        with np.errstate(over="ignore"):
-            p = _threshold(v - v.max())
-    return p
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    bound = _EXACT_SCALE / v.size**2
+    if u[0] <= bound and u[-1] >= -bound:
+        return _threshold(v, u)  # the largest entry always passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _threshold(v, u)
+        if p is not None and abs(p.sum() - 1.0) <= SIMPLEX_SUM_TOL:
+            return p
+        return _threshold(np.maximum(v - u[0], -2.0), np.maximum(u - u[0], -2.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -63,13 +77,11 @@ def _ranks(k: int) -> np.ndarray:
     return ranks
 
 
-def _threshold(v: np.ndarray) -> np.ndarray | None:
-    """``project_euclidean``'s sort-and-threshold step, or None when no
-    support size passes its test. For floats, u - css / rank > 0 exactly
-    when u > css / rank, so the test is made without the difference."""
-    u = v.copy()
-    u.sort()
-    u = u[::-1]
+def _threshold(v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    """``project_euclidean``'s sort-and-threshold step on ``v``, whose entries
+    ``u`` holds in descending order, or None when no support size passes its
+    test. For floats, u - css / rank > 0 exactly when u > css / rank, so the
+    test is made without the difference."""
     css = u.cumsum()
     css -= 1.0
     ranks = _ranks(v.size)

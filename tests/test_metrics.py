@@ -1,6 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from fedfair import cli, decision, metrics
@@ -116,6 +119,28 @@ class TestGini:
             if x.sum() == 0:
                 continue
             assert 0.0 <= metrics.gini(x) < 1.0
+
+    @seed(20240515)
+    @given(
+        st.lists(st.floats(0, 10) | st.floats(0, allow_infinity=False), min_size=1, max_size=50).filter(any)
+    )
+    @settings(max_examples=1000, deadline=None)
+    @example([4.168441902277346e-238, 4.168441902277346e-238])
+    def test_range_over_the_float_range(self, values):
+        # Any nonnegative finite input with a positive sum, from subnormals to
+        # 1.7e308, without a warning; ties round to just below 0 unclamped.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = metrics.gini(np.array(values))
+        assert math.isfinite(g) and 0.0 <= g < 1.0
+
+    @pytest.mark.parametrize(
+        "values, want", [([1.7e308, 1.0, 1e8], 2.0 / 3.0), ([1.7e308], 0.0)], ids=["three-magnitudes", "one-1.7e308"]
+    )
+    def test_sums_that_overflow_scale_out(self, values, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metrics.gini(np.array(values)) == pytest.approx(want, abs=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from fedfair import simplex
@@ -101,11 +101,19 @@ class TestProjectEuclidean:
         with pytest.raises(InvalidInputError):
             simplex.project_euclidean(np.array([np.inf, 0.0]))
 
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
-    @settings(max_examples=200, deadline=None)
+    @seed(20240515)
+    @given(st.lists(st.floats(-50, 50) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @settings(max_examples=1000, deadline=None)
+    @example([0.5, -1.7e308, -1.7e308])
+    @example([-1.7e308, -1e150, 1.7e308, -1e300])
+    @example([5e-324, -5e-324, 2.2e-308])
     def test_output_is_simplex(self, entries):
-        p = simplex.project_euclidean(np.array(entries))
-        assert is_simplex(p)
+        # Any finite input, from subnormals to +-1.7e308, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = simplex.project_euclidean(np.array(entries))
+        assert np.isfinite(p).all() and (p >= 0.0).all()
+        assert abs(p.sum() - 1.0) <= simplex.SIMPLEX_SUM_TOL
 
     @pytest.mark.parametrize("kind", ["ties", "negative", "one-hot", "mixed magnitudes"])
     def test_bits_equal_the_reference(self, rng, kind):
@@ -127,13 +135,19 @@ class TestProjectEuclidean:
             ([3e16], [1.0]),
             ([1e300, -1e300], [1.0, 0.0]),
             ([-1e300, 1.7e308, -1.7e308], [0.0, 1.0, 0.0]),
+            ([-(2.0**53 + 2.0)], [1.0]),
+            ([0.5, -1.7e308, -1.7e308], [1.0, 0.0, 0.0]),
+            ([1.7e308, 1.0, 1e8], [1.0, 0.0, 0.0]),
+            ([-1.7e308, -1e150, 1.7e308, -1e300], [0.0, 0.0, 1.0, 0.0]),
+            ([1.7e308, 1.7e308], [0.5, 0.5]),
         ],
-        ids=["1e16", "two-1e17", "3e16", "1e300", "1.7e308"],
+        ids=["1e16", "two-1e17", "3e16", "1e300", "1.7e308", "-(2^53+2)", "sum-to--inf", "shift-to--inf",
+             "both-signs", "sum-to-inf"],
     )
     def test_large_finite_input_projects_as_its_shift_by_the_max(self, v, want):
-        # u - (u - 1) rounds to 0 for a largest entry u of about 1e16 or
-        # more, so no support size passes the threshold test; the shift by
-        # the max, which overflows for the last input, is the same point.
+        # u - (u - 1) rounds to 0 or 2 for a largest entry u of about 1e16
+        # or more, and the sums of the threshold test overflow near the
+        # float range; the shift by the max, clipped at -2, is the same point.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_array_equal(simplex.project_euclidean(np.array(v)), want)
