@@ -10,7 +10,6 @@ fairness instrumentation round out the package.
 """
 
 from .aggregators import (
-    BaselineMethod,
     BaselineParams,
     FtrlState,
     OnsState,
@@ -39,7 +38,6 @@ from .transform import CdfKind, CdfSpec, ResponseRange, Setting, cdf_eval, defau
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineMethod",
     "BaselineParams",
     "CdfKind",
     "CdfSpec",

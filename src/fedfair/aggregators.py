@@ -10,7 +10,6 @@ for the best fixed decision supports regret accounting.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -21,36 +20,34 @@ from .errors import STEP_SIZE, ConfigError, ConvergenceError, InvalidInputError,
 
 logger = logging.getLogger(__name__)
 
-STRATEGIES = ("fedavg", "afl", "qfedavg", "term", "propfair", "aaggff-s", "aaggff-d")
+# The one-step baselines, by the strategy name that configs and round logs use.
+BASELINES = ("fedavg", "afl", "qfedavg", "term", "propfair")
+STRATEGIES = BASELINES + ("aaggff-s", "aaggff-d")
 
 QFEDAVG_LOSS_FLOOR = 1e-12
 PROPFAIR_GAP_FLOOR = 1e-6
 DEFAULT_AFL_Q = 50.0
 
 
-class BaselineMethod(str, enum.Enum):
-    FEDAVG = "fedavg"
-    QFEDAVG = "qfedavg"
-    TERM = "term"
-    PROPFAIR = "propfair"
-
-
 @dataclass(frozen=True)
 class BaselineParams:
-    """Hyperparameters of the one-step baselines.
+    """Hyperparameters of the one-step baseline ``method``, one of
+    ``BASELINES``.
 
-    The minimax baseline is realized as the q-weighted method with a large
-    exponent (q -> inf limit), so it needs no enum member of its own.
+    The minimax baseline ``afl`` is realized as the q-weighted method with a
+    large exponent (q -> inf limit): both read ``q``, ``term`` reads
+    ``tilt`` and ``propfair`` reads ``m``.
     """
 
-    method: BaselineMethod
+    method: str
     sample_sizes: np.ndarray
     q: float = field(default=1.0, metadata={"bound": at_least(0)})
     tilt: float = field(default=1.0, metadata={"bound": STEP_SIZE})
     m: float = field(default=3.0, metadata={"bound": at_least(1)})
 
     def __post_init__(self):
-        object.__setattr__(self, "method", BaselineMethod(self.method))
+        if self.method not in BASELINES:
+            raise InvalidInputError(f"not a baseline strategy: {self.method!r}")
         sizes = np.asarray(self.sample_sizes, dtype=float)
         if sizes.ndim != 1 or sizes.size < 1 or np.any(sizes < 1):
             raise InvalidInputError("sample sizes must be a vector of values >= 1")
@@ -68,35 +65,13 @@ class BaselineParams:
     @property
     def step_size(self) -> float:
         """1/tilt for the tilted method, 1 otherwise."""
-        return 1.0 / self.tilt if self.method is BaselineMethod.TERM else 1.0
-
-
-def baseline_params_for(
-    strategy: str,
-    sample_sizes,
-    q: float = 1.0,
-    tilt: float = 1.0,
-    propfair_m: float = 3.0,
-    afl_q: float = DEFAULT_AFL_Q,
-) -> BaselineParams:
-    """Map a strategy string to baseline hyperparameters."""
-    if strategy == "fedavg":
-        return BaselineParams(BaselineMethod.FEDAVG, sample_sizes)
-    if strategy == "qfedavg":
-        return BaselineParams(BaselineMethod.QFEDAVG, sample_sizes, q=q)
-    if strategy == "afl":
-        return BaselineParams(BaselineMethod.QFEDAVG, sample_sizes, q=afl_q)
-    if strategy == "term":
-        return BaselineParams(BaselineMethod.TERM, sample_sizes, tilt=tilt)
-    if strategy == "propfair":
-        return BaselineParams(BaselineMethod.PROPFAIR, sample_sizes, m=propfair_m)
-    raise InvalidInputError(f"not a baseline strategy: {strategy!r}")
+        return 1.0 / self.tilt if self.method == "term" else 1.0
 
 
 def baseline_response(params: BaselineParams, losses: np.ndarray) -> np.ndarray:
     """Per-method response built from raw local losses.
 
-    fedavg: 0, qfedavg: q*log(F_i), term: F_i, propfair: -log(m - F_i).
+    fedavg: 0, afl and qfedavg: q*log(F_i), term: F_i, propfair: -log(m - F_i).
     Out-of-domain losses are clamped at documented floors and logged rather
     than aborting the round.
     """
@@ -104,25 +79,23 @@ def baseline_response(params: BaselineParams, losses: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(losses)):
         raise InvalidInputError("losses must be finite")
     method = params.method
-    if method is BaselineMethod.FEDAVG:
+    if method == "fedavg":
         return np.zeros_like(losses)
-    if method is BaselineMethod.TERM:
+    if method == "term":
         return losses.copy()
-    if method is BaselineMethod.QFEDAVG:
+    if method in ("afl", "qfedavg"):
         if np.any(losses < 0):
             raise InvalidInputError("losses must be >= 0")
         if np.any(losses < QFEDAVG_LOSS_FLOOR):
             logger.warning("q-weighted response: clamping %d zero losses at %g",
                            int(np.sum(losses < QFEDAVG_LOSS_FLOOR)), QFEDAVG_LOSS_FLOOR)
         return params.q * np.log(np.maximum(losses, QFEDAVG_LOSS_FLOOR))
-    if method is BaselineMethod.PROPFAIR:
-        gap = params.m - losses
-        if np.any(gap < PROPFAIR_GAP_FLOOR):
-            logger.warning("proportional-fair response saturated: %d losses >= m=%g",
-                           int(np.sum(gap < PROPFAIR_GAP_FLOOR)), params.m)
-            gap = np.maximum(gap, PROPFAIR_GAP_FLOOR)
-        return -np.log(gap)
-    raise InvalidInputError(f"unknown baseline {method!r}")  # pragma: no cover
+    gap = params.m - losses  # propfair
+    if np.any(gap < PROPFAIR_GAP_FLOOR):
+        logger.warning("proportional-fair response saturated: %d losses >= m=%g",
+                       int(np.sum(gap < PROPFAIR_GAP_FLOOR)), params.m)
+        gap = np.maximum(gap, PROPFAIR_GAP_FLOOR)
+    return -np.log(gap)
 
 
 def _exp_weights(w: np.ndarray) -> np.ndarray:
@@ -245,7 +218,7 @@ def ons_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.ndarra
         block *= state.beta
         b_rows = b[lo : lo + rows.size]
         b_rows += block
-        simplex._abs_row_sums(b_rows, block, row_sums[lo : lo + rows.size])
+        np.add.reduce(np.abs(b_rows, out=block), axis=1, out=row_sums[lo : lo + rows.size])
     lin_new = state.linear_term + (1.0 - state.beta * float(g @ state.decision)) * g
     decision = simplex.minimize_quadratic(b, lin_new, state.decision, float(row_sums.max()))
     new_state = replace(state, decision=decision, linear_term=lin_new)
@@ -348,7 +321,7 @@ def _entropic_warm_start(r, p, f, inv_growth, budget, target_gap):
     return p, inv_growth
 
 
-def _newton_on_support(r, x, iters=40):
+def _newton_on_support(r, x):
     """Damped Newton for the restricted problem min f(x) s.t. sum x = 1.
 
     ``r`` holds only the supported response columns. The sum constraint is
@@ -357,7 +330,7 @@ def _newton_on_support(r, x, iters=40):
     """
     m = x.size
     f, inv_growth = _objective(x, r)
-    for _ in range(iters):
+    for _ in range(40):
         grad = -(r.T @ inv_growth)
         scaled = r * inv_growth[:, None]
         hess = scaled.T @ scaled
@@ -395,11 +368,7 @@ def _newton_on_support(r, x, iters=40):
     return x
 
 
-def hindsight_best(
-    responses,
-    gap_tol: float = 1e-9,
-    max_iter: int = 500,
-) -> np.ndarray:
+def hindsight_best(responses, gap_tol: float = 1e-9) -> np.ndarray:
     """Best fixed decision in hindsight for a sequence of responses.
 
     Minimizes the cumulative decision loss over the simplex. An entropic
@@ -428,7 +397,7 @@ def hindsight_best(
     gap = np.inf
     best_gap = np.inf
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(500):
         grad = -(r.T @ inv_growth)
         gap = _optimality_gap(p, grad)
         if gap <= gap_tol:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import POSITIVE, ConfigError, at_least, require_valid
+from .errors import POSITIVE, ConfigError, at_least, require_valid, within
 
 # Cluster geometry: unit noise with means one noise-std apart keeps the
 # classification task genuinely hard, so weighting choices show up in
@@ -47,6 +47,9 @@ STREAM_SAMPLING = 1
 STREAM_BATCHING = 2
 # The largest stream path entry; see stream_keys().
 MAX_PATH_ENTRY = 2**32 - 1
+# The most 8-byte entries (floats or indices) one array can hold: numpy
+# refuses an array of more bytes than the largest np.intp.
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on a pool of
 # four uint32 words.
@@ -216,9 +219,9 @@ class SyntheticDataSpec:
     feature_shift the magnitude of each client's private input offset.
     """
 
-    input_dim: int = field(default=10, metadata={"bound": at_least(1)})
-    num_classes: int = field(default=5, metadata={"bound": at_least(2)})
-    samples_per_client_mean: int = field(default=100, metadata={"bound": at_least(1)})
+    input_dim: int = field(default=10, metadata={"bound": within(1, MAX_ENTRIES)})
+    num_classes: int = field(default=5, metadata={"bound": within(2, MAX_ENTRIES)})
+    samples_per_client_mean: int = field(default=100, metadata={"bound": within(1, MAX_ENTRIES)})
     samples_per_client_spread: int = field(default=0, metadata={"bound": at_least(0)})
     dirichlet_concentration: float = field(default=0.5, metadata={"bound": POSITIVE})
     feature_shift: float = field(default=0.0, metadata={"bound": at_least(0)})

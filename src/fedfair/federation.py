@@ -24,6 +24,7 @@ import numpy as np
 
 from . import aggregators, decision, simplex
 from .datasets import (
+    MAX_ENTRIES,
     MAX_PATH_ENTRY,
     STREAM_BATCHING,
     STREAM_SAMPLING,
@@ -57,7 +58,8 @@ class FederationConfig:
     method: str
     setting: Setting
     c: float = field(default=1.0, metadata={"bound": UNIT_FRACTION})
-    e: int = field(default=1, metadata={"bound": at_least(1)})
+    # The epochs' row order holds e times at least two minibatch slots.
+    e: int = field(default=1, metadata={"bound": within(1, MAX_ENTRIES // 2)})
     b: int = field(default=20, metadata={"bound": at_least(1)})
     lr: float = field(default=0.1, metadata={"bound": POSITIVE})
     lr_decay: float = field(default=1.0, metadata={"bound": UNIT_FRACTION})
@@ -82,7 +84,8 @@ class FederationConfig:
         # these sums stay finite where (4 shift)^2 times the largest possible
         # row count does, whatever the draws; generate_federation still checks
         # the statistics it computes.
-        rows = self.k * (self.data.samples_per_client_mean + self.data.samples_per_client_spread)
+        largest = self.data.samples_per_client_mean + self.data.samples_per_client_spread
+        rows = self.k * largest
         reach = 4.0 * self.data.feature_shift
         if reach and 2 * math.log(reach) + math.log(rows) > _LOG_FLOAT_MAX:
             raise ConfigError(
@@ -93,6 +96,24 @@ class FederationConfig:
                 "data.samples_per_client_mean",
                 f"minimum client sample count {self.data.min_samples} is below the batch size {self.b}",
             )
+        # The run's largest arrays, sized as the code sizes them with every
+        # client at the largest sample count, must each fit MAX_ENTRIES: the
+        # row buffer (with a bias column), the class-major logits and one-hot
+        # tables, the clients' parameters and the epochs' minibatch row order.
+        # Each is a product of two factors; the field of the larger is named.
+        cols, classes = self.data.input_dim + 1, self.data.num_classes
+        slots = self.k * self.b * -(-largest // self.b)
+        for what, (x, x_name), (y, y_name) in (
+            ("row buffer", (rows + 1, "data.samples_per_client_mean"), (cols, "data.input_dim")),
+            ("logits table", (rows + 1, "data.samples_per_client_mean"), (classes, "data.num_classes")),
+            ("client parameters", (self.k * cols, "data.input_dim"), (classes, "data.num_classes")),
+            ("epoch row order", (slots, "data.samples_per_client_mean"), (self.e, "e")),
+        ):
+            if x * y > MAX_ENTRIES:
+                raise ConfigError(
+                    x_name if x >= y else y_name,
+                    f"sizes the {what} at {x} x {y} entries, more than one array holds ({MAX_ENTRIES})",
+                )
         if self.method not in aggregators.STRATEGIES:
             raise ConfigError("method", f"must be one of {aggregators.STRATEGIES}")
         if self.method == ADAPTIVE_DEVICE and self.setting is not Setting.CROSS_DEVICE:
@@ -537,9 +558,9 @@ class Learner:
             self._state = aggregators.FtrlState.init(cfg.k, cfg.lipschitz)
             self.played = simplex.uniform(cfg.k)
         else:
-            self._state = aggregators.baseline_params_for(
-                cfg.method, np.asarray(train_sizes, dtype=float), q=cfg.qfedavg_q, tilt=cfg.term_lambda,
-                propfair_m=cfg.propfair_m, afl_q=cfg.afl_q,
+            self._state = aggregators.BaselineParams(
+                cfg.method, train_sizes, q=cfg.afl_q if cfg.method == "afl" else cfg.qfedavg_q,
+                tilt=cfg.term_lambda, m=cfg.propfair_m,
             )
             self.played = self._state.prior
 

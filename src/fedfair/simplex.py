@@ -111,27 +111,6 @@ def _check_psd(b, k: int) -> np.ndarray:
     return b
 
 
-def _abs_row_sum_bound(b: np.ndarray) -> float:
-    """Largest absolute row sum of the square matrix ``b``, an upper bound on
-    its largest eigenvalue, computed ``ROW_BLOCK`` rows at a time so that no
-    K x K temporary is made. For a C-ordered ``b``, such as the learner's,
-    it is ``np.max(np.sum(np.abs(b), axis=1))`` bit for bit; numpy sums the
-    rows of other layouts in another order."""
-    k = b.shape[0]
-    scratch = np.empty((min(ROW_BLOCK, k), k))
-    sums = np.empty(k)
-    for lo in range(0, k, ROW_BLOCK):
-        rows = b[lo : lo + ROW_BLOCK]
-        _abs_row_sums(rows, scratch[: rows.shape[0]], sums[lo : lo + ROW_BLOCK])
-    return float(sums.max())
-
-
-def _abs_row_sums(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
-    """Write the absolute row sums of the row block ``rows`` to ``out``,
-    through ``scratch``, an array of the block's shape that it overwrites."""
-    np.add.reduce(np.abs(rows, out=scratch), axis=1, out=out)
-
-
 def minimize_quadratic(
     b: np.ndarray,
     lin: np.ndarray,
@@ -147,8 +126,8 @@ def minimize_quadratic(
     Euclidean projection of ``start`` and stopping when the iterate moves
     less than ``tol`` in sup norm. Steps are scaled by ``lam_bound``, an
     upper bound on the largest eigenvalue of B that the caller supplies,
-    such as its largest absolute row sum (``_abs_row_sum_bound``), so each
-    iteration costs one O(K^2) matrix-vector product and nothing O(K^3).
+    such as its largest absolute row sum, so each iteration costs one
+    O(K^2) matrix-vector product and nothing O(K^3).
 
     B is trusted to be symmetric positive definite and ``lin`` to be a
     finite vector of matching size: only ``project_mahalanobis`` checks its
@@ -236,7 +215,8 @@ def project_mahalanobis(
     lin = -(b @ v)
     if not np.isfinite(lin).all():
         raise InvalidMatrixError("metric times the projection input overflows")
-    return minimize_quadratic(b, lin, v if start is None else start, _abs_row_sum_bound(b), tol=tol, max_iter=max_iter)
+    lam_bound = float(np.max(np.sum(np.abs(b), axis=1)))
+    return minimize_quadratic(b, lin, v if start is None else start, lam_bound, tol=tol, max_iter=max_iter)
 
 
 def normalize_subset(p: np.ndarray, subset: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ import pytest
 
 from fedfair import cli, decision, metrics
 from fedfair.aggregators import (
-    BaselineMethod,
     BaselineParams,
     FtrlState,
     OnsState,
@@ -206,10 +205,10 @@ def test_criterion_08_unification_fidelity():
         losses = rng.uniform(0.05, 2.0, size=k)
 
         cases = [
-            (BaselineParams(BaselineMethod.FEDAVG, n), n),
-            (BaselineParams(BaselineMethod.QFEDAVG, n, q=float(rng.uniform(0.1, 5))), None),
-            (BaselineParams(BaselineMethod.TERM, n, tilt=float(rng.uniform(0.1, 3))), None),
-            (BaselineParams(BaselineMethod.PROPFAIR, n, m=float(rng.uniform(2.5, 5))), None),
+            (BaselineParams("fedavg", n), n),
+            (BaselineParams("qfedavg", n, q=float(rng.uniform(0.1, 5))), None),
+            (BaselineParams("term", n, tilt=float(rng.uniform(0.1, 3))), None),
+            (BaselineParams("propfair", n, m=float(rng.uniform(2.5, 5))), None),
         ]
         cases[1] = (cases[1][0], n * losses ** cases[1][0].q)
         cases[2] = (cases[2][0], n * np.exp(cases[2][0].tilt * losses))

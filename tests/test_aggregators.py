@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from fedfair import aggregators, decision, simplex
 from fedfair.aggregators import (
-    BaselineMethod,
     BaselineParams,
     FtrlState,
     OnsState,
-    baseline_params_for,
     baseline_response,
     eg_step,
     ftrl_eg_step,
@@ -86,30 +84,30 @@ class TestBaselineResponse:
         return BaselineParams(method, sample_sizes=np.array([1.0, 1.0]), **kw)
 
     def test_static_method_returns_zero(self, rng):
-        params = self.make(BaselineMethod.FEDAVG)
+        params = self.make("fedavg")
         np.testing.assert_array_equal(
             baseline_response(params, rng.uniform(0, 5, size=2)), np.zeros(2)
         )
 
     def test_tilted_method_is_identity(self):
-        params = self.make(BaselineMethod.TERM)
+        params = self.make("term")
         losses = np.array([0.0, np.log(2)])
         np.testing.assert_array_equal(baseline_response(params, losses), losses)
 
     def test_q_weighted_log_losses(self):
-        params = self.make(BaselineMethod.QFEDAVG, q=1.0)
+        params = self.make("qfedavg", q=1.0)
         got = baseline_response(params, np.array([1.0, 2.0]))
         np.testing.assert_allclose(got, [0.0, np.log(2.0)], atol=1e-15)
 
     def test_q_weighted_zero_loss_clamped(self, caplog):
-        params = self.make(BaselineMethod.QFEDAVG, q=2.0)
+        params = self.make("qfedavg", q=2.0)
         with caplog.at_level("WARNING"):
             got = baseline_response(params, np.array([0.0, 1.0]))
         assert got[0] == pytest.approx(2.0 * np.log(1e-12))
         assert any("clamping" in r.message for r in caplog.records)
 
     def test_proportional_fair_saturation_clamped(self, caplog):
-        params = self.make(BaselineMethod.PROPFAIR, m=3.0)
+        params = self.make("propfair", m=3.0)
         with caplog.at_level("WARNING"):
             got = baseline_response(params, np.array([5.0, 1.0]))
         assert got[0] == pytest.approx(-np.log(1e-6))
@@ -118,11 +116,11 @@ class TestBaselineResponse:
 
     def test_invalid_params(self):
         with pytest.raises(InvalidInputError):
-            self.make(BaselineMethod.QFEDAVG, q=-1.0)
+            self.make("qfedavg", q=-1.0)
         with pytest.raises(InvalidInputError):
-            self.make(BaselineMethod.PROPFAIR, m=0.5)
+            self.make("propfair", m=0.5)
         with pytest.raises(InvalidInputError):
-            BaselineParams(BaselineMethod.FEDAVG, sample_sizes=np.array([0.0, 1.0]))
+            BaselineParams("fedavg", sample_sizes=np.array([0.0, 1.0]))
 
 
 class TestEgStep:
@@ -164,15 +162,15 @@ HALVES, SIZES = np.array([0.5, 0.5]), np.array([1.0, 3.0])
 @pytest.mark.parametrize(
     "make",
     [
-        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=0.0), id="tilt=0"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=-1.0), id="tilt=-1"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=1e-310), id="tilt=1e-310"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=NAN), id="tilt=nan"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.TERM, SIZES, tilt=INF), id="tilt=inf"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.QFEDAVG, SIZES, q=NAN), id="q=nan"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.QFEDAVG, SIZES, q=INF), id="q=inf"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.PROPFAIR, SIZES, m=NAN), id="m=nan"),
-        pytest.param(lambda: BaselineParams(BaselineMethod.PROPFAIR, SIZES, m=INF), id="m=inf"),
+        pytest.param(lambda: BaselineParams("term", SIZES, tilt=0.0), id="tilt=0"),
+        pytest.param(lambda: BaselineParams("term", SIZES, tilt=-1.0), id="tilt=-1"),
+        pytest.param(lambda: BaselineParams("term", SIZES, tilt=1e-310), id="tilt=1e-310"),
+        pytest.param(lambda: BaselineParams("term", SIZES, tilt=NAN), id="tilt=nan"),
+        pytest.param(lambda: BaselineParams("term", SIZES, tilt=INF), id="tilt=inf"),
+        pytest.param(lambda: BaselineParams("qfedavg", SIZES, q=NAN), id="q=nan"),
+        pytest.param(lambda: BaselineParams("qfedavg", SIZES, q=INF), id="q=inf"),
+        pytest.param(lambda: BaselineParams("propfair", SIZES, m=NAN), id="m=nan"),
+        pytest.param(lambda: BaselineParams("propfair", SIZES, m=INF), id="m=inf"),
         pytest.param(lambda: eg_step(HALVES, np.array([NAN, 0.0]), 1.0), id="response=nan"),
         pytest.param(lambda: eg_step(HALVES, np.array([0.0, -INF]), 1.0), id="response=-inf"),
         pytest.param(lambda: eg_step(HALVES, np.zeros(2), NAN), id="eta=nan"),
@@ -197,7 +195,7 @@ class TestUnification:
 
     def test_static(self, rng):
         n = rng.integers(1, 100, size=6).astype(float)
-        params = BaselineParams(BaselineMethod.FEDAVG, n)
+        params = BaselineParams("fedavg", n)
         got = eg_step(self._prior(n), baseline_response(params, rng.uniform(0, 3, 6)), params.step_size)
         np.testing.assert_allclose(got, n / n.sum(), rtol=1e-12)
 
@@ -206,7 +204,7 @@ class TestUnification:
             n = rng.integers(1, 100, size=5).astype(float)
             q = float(rng.uniform(0.1, 5.0))
             losses = rng.uniform(0.05, 3.0, size=5)
-            params = BaselineParams(BaselineMethod.QFEDAVG, n, q=q)
+            params = BaselineParams("qfedavg", n, q=q)
             got = eg_step(self._prior(n), baseline_response(params, losses), params.step_size)
             expect = n * losses**q
             np.testing.assert_allclose(got, expect / expect.sum(), rtol=1e-12)
@@ -216,7 +214,7 @@ class TestUnification:
             n = rng.integers(1, 100, size=5).astype(float)
             tilt = float(rng.uniform(0.1, 3.0))
             losses = rng.uniform(0.0, 3.0, size=5)
-            params = BaselineParams(BaselineMethod.TERM, n, tilt=tilt)
+            params = BaselineParams("term", n, tilt=tilt)
             got = eg_step(self._prior(n), baseline_response(params, losses), params.step_size)
             expect = n * np.exp(tilt * losses)
             np.testing.assert_allclose(got, expect / expect.sum(), rtol=1e-12)
@@ -226,17 +224,14 @@ class TestUnification:
             n = rng.integers(1, 100, size=5).astype(float)
             m = float(rng.uniform(2.0, 5.0))
             losses = rng.uniform(0.0, 1.5, size=5)
-            params = BaselineParams(BaselineMethod.PROPFAIR, n, m=m)
+            params = BaselineParams("propfair", n, m=m)
             got = eg_step(self._prior(n), baseline_response(params, losses), params.step_size)
             expect = n / (m - losses)
             np.testing.assert_allclose(got, expect / expect.sum(), rtol=1e-12)
 
-    def test_strategy_string_factory(self):
-        n = np.array([1.0, 3.0])
-        afl = baseline_params_for("afl", n)
-        assert afl.method is BaselineMethod.QFEDAVG and afl.q == aggregators.DEFAULT_AFL_Q
-        with pytest.raises(InvalidInputError):
-            baseline_params_for("aaggff-s", n)
+    def test_only_a_baseline_strategy_has_baseline_params(self):
+        with pytest.raises(InvalidInputError, match="not a baseline strategy: 'aaggff-s'"):
+            BaselineParams("aaggff-s", np.array([1.0, 3.0]))
 
 
 class TestOnsStep:

@@ -723,6 +723,21 @@ class TestRunSuite:
         assert err.strip() == f"config error: {message}"
         assert "validated" not in out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("data.samples_per_client_mean", 10**30), ("data.num_classes", 10**23), ("data.input_dim", 10**23), ("e", 10**23)],
+    )
+    def test_a_size_past_what_numpy_indexes_exits_1_naming_the_field(self, tmp_path, capsys, key, value):
+        """Each of these sizes an array past numpy's largest index, so a run
+        could only fail; validation names the field instead."""
+        text = "k = 3\nt_rounds = 1\nmethod = fedavg\nsetting = cross_silo\nb = 5\n"
+        overrides = {"data.samples_per_client_mean": 10, key: value}
+        path = write_config(tmp_path, text + "".join(f"{k} = {v}\n" for k, v in overrides.items()))
+        assert cli.main(["run", str(path), "--validate-only"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: {key}: ")
+        assert "validated" not in out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, MINIMAL + "c = 0\n")
         assert cli.main(["run", str(bad)]) == 1

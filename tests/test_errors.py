@@ -17,11 +17,14 @@ from fedfair.federation import FederationConfig
 from fedfair.transform import CdfSpec
 
 # (class, keyword arguments of a valid instance, name prefix of its errors,
-# exception a bad value raises, the fields that carry a bound)
+# exception a bad value raises, the fields that carry a bound). The
+# federation is the smallest, two clients of one row and batch size 1, so
+# that e at its bound still sizes an epoch row order that numpy can hold.
 CASES = [
     (
         FederationConfig,
-        {"k": 4, "t_rounds": 2, "method": "fedavg", "setting": "cross_device", "c": 0.5},
+        {"k": 2, "t_rounds": 2, "method": "fedavg", "setting": "cross_device", "c": 0.5, "b": 1,
+         "data": SyntheticDataSpec(samples_per_client_mean=1)},
         "",
         ConfigError,
         {"k", "t_rounds", "c", "e", "b", "lr", "lr_decay", "lr_decay_step", "weight_decay", "seed",

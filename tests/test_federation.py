@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 from fedfair import aggregators, decision, federation, simplex
 from fedfair.aggregators import FtrlState, ftrl_eg_step
 from fedfair.datasets import (
+    MAX_ENTRIES,
     STREAM_BATCHING,
     STREAM_SAMPLING,
     SyntheticDataSpec,
@@ -654,6 +655,31 @@ class TestLearner:
             assert math.isfinite(rec.decision_loss)
             assert losses.max() == 0 or rec.observed.max() > cfg.response_range.c1
 
+    @pytest.mark.parametrize(
+        "method, closed_form",
+        [
+            ("fedavg", lambda losses: np.ones_like(losses)),
+            ("afl", lambda losses: losses**7.0),
+            ("qfedavg", lambda losses: losses**2.0),
+            ("term", lambda losses: np.exp(0.5 * losses)),
+            ("propfair", lambda losses: 1.0 / (4.0 - losses)),
+        ],
+    )
+    def test_baseline_step_is_its_closed_form_with_its_own_hyperparameter(self, method, closed_form):
+        # Every hyperparameter is off its default and differs from the
+        # others, so a learner that read another field would miss.
+        cfg = FederationConfig(
+            k=6, t_rounds=1, method=method, setting="cross_device", c=0.5,
+            qfedavg_q=2.0, afl_q=7.0, term_lambda=0.5, propfair_m=4.0,
+        )
+        sizes = np.array([10, 25, 40, 15, 30, 60])
+        subset = np.array([0, 2, 5])
+        losses = np.array([0.3, 1.7, 0.9])
+        rec = Learner(cfg, sizes).step(1, losses, subset)
+        expected = sizes[subset] * closed_form(losses)
+        np.testing.assert_allclose(rec.decision[subset], expected / expected.sum(), rtol=1e-12)
+        assert not np.delete(rec.decision, subset).any()
+
     def test_term_step_overflowing_its_step_size_raises(self):
         # term_lambda = 1e300 is a valid config, but its step size 1e-300
         # turns a loss of 1e9 into an infinite exponent.
@@ -677,6 +703,39 @@ class TestConfigValidation:
         cfg = small_config(data=dataclasses.replace(SMALL_DATA, feature_shift=limit * 0.99))
         fed = generate_federation(cfg.data, cfg.k, cfg.seed, min_batch=cfg.b)
         assert np.isfinite(fed.x_train).all() and np.isfinite(fed.x_test).all()
+
+    @staticmethod
+    def sized(e=1, **data):
+        """A 3-client silo config of 10-row clients, batch size 5, with ``data`` set."""
+        spec = SyntheticDataSpec(**{"samples_per_client_mean": 10, **data})
+        return FederationConfig(k=3, t_rounds=1, method="fedavg", setting="cross_silo", b=5, e=e, data=spec)
+
+    @pytest.mark.parametrize(
+        "kwargs, field, array",
+        [
+            (
+                {"input_dim": 1, "num_classes": 2, "samples_per_client_mean": MAX_ENTRIES // 6 + 1},
+                "data.samples_per_client_mean",
+                "row buffer",
+            ),
+            ({"samples_per_client_mean": MAX_ENTRIES // 33}, "data.samples_per_client_mean", "row buffer"),
+            ({"input_dim": MAX_ENTRIES // 31}, "data.input_dim", "row buffer"),
+            ({"num_classes": MAX_ENTRIES // 31 + 1}, "data.num_classes", "logits table"),
+            ({"num_classes": MAX_ENTRIES // 32}, "data.num_classes", "client parameters"),
+            ({"e": MAX_ENTRIES // 30 + 1}, "e", "epoch row order"),
+        ],
+    )
+    def test_an_array_past_max_entries_names_its_field(self, kwargs, field, array):
+        # 31 rows (30 and the padding row) of input_dim + 1 columns, 3
+        # clients' (classes, input_dim + 1) parameters, 30 minibatch slots
+        # an epoch. The field bounds pass: only the product is too large,
+        # and the error names the field of its larger factor.
+        with pytest.raises(ConfigError, match=f"^{field}: sizes the {array} at "):
+            self.sized(**kwargs)
+
+    def test_arrays_at_max_entries_validate(self):
+        self.sized(input_dim=MAX_ENTRIES // 31 - 1)
+        self.sized(e=MAX_ENTRIES // 30)
 
     def test_method_setting_mismatch(self):
         with pytest.raises(ConfigError, match="cross_device"):
